@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import EdgeSet, Matching, extreme_matchings
+from .engine import EdgeSet, Matching, _worst_held, extreme_matchings
 from .market import LEFT, RIGHT, Market, UtilityModel, other_side
 
 __all__ = [
@@ -279,12 +279,8 @@ def acceptable_edges(market: Market, loss_cap_left: float, loss_cap_right: float
 
 def _weakly_preferred_to_worst(market: Market, side: str, pessimal: Matching) -> np.ndarray:
     """Mask of edges each agent weakly prefers to its pessimal-match worst."""
-    from .engine import _worst_held
-
+    # agents with spare capacity get (-inf, sentinel): every edge qualifies
     wu, wj = _worst_held(market, side, pessimal)
-    # spare capacity in the pessimal matching means every edge qualifies
-    spare = np.array([len(ms) < market.cap(side) for ms in pessimal.matches(side)])
-    wu = np.where(spare, -np.inf, wu)
     u = market.utility_matrix(side)
     idx = np.arange(market.n(other_side(side)))[None, :]
     return (u > wu[:, None]) | ((u == wu[:, None]) & (idx <= wj[:, None]))

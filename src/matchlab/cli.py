@@ -29,7 +29,13 @@ from .analysis import (
     viable_edges,
 )
 from .engine import EdgeSet, run_da, verify_stability
-from .experiments import ExperimentConfig, EXPERIMENTS, decile_labels, run_experiment
+from .experiments import (
+    ExperimentConfig,
+    EXPERIMENTS,
+    decile_labels,
+    run_experiment,
+    write_strict_json,
+)
 from .market import LEFT, RIGHT, generate_market, linear_model, load_market, save_market
 
 EDGE_KINDS = ("full", "acceptable", "viable", "interview", "selected", "truncated")
@@ -176,9 +182,7 @@ def _market_sides(args) -> tuple[int, int]:
     return n_left, n_right
 
 
-def _market_from_args(args, seed: int):
-    if getattr(args, "market", None) is not None:
-        return load_market(args.market)
+def _generate(args, seed: int):
     n_left, n_right = _market_sides(args)
     return generate_market(
         n_left,
@@ -191,7 +195,17 @@ def _market_from_args(args, seed: int):
     )
 
 
-def _build_edges(market, args, seed: int):
+def _market_from_args(args):
+    """The market to work on and its provenance: a loaded market records its
+    own seed and file, a generated one the resolved seed."""
+    if args.market is not None:
+        market = load_market(args.market)
+        return market, {"seed": market.seed, "seed_drawn": False, "market_file": str(args.market)}
+    seed, drawn = _resolve_seed(args)
+    return _generate(args, seed), {"seed": seed, "seed_drawn": drawn, "market_file": None}
+
+
+def _build_edges(market, args):
     kind = args.edges
     if kind == "full":
         return None
@@ -218,9 +232,7 @@ def _build_edges(market, args, seed: int):
 
 def _write_rows(rows: list[dict], path: Path, fmt: str) -> None:
     if fmt == "json":
-        with open(path.with_suffix(".json"), "w") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_strict_json(rows, path.with_suffix(".json"))
         return
     fields: list[str] = []
     for row in rows:
@@ -258,23 +270,14 @@ def _out_dir(args, default: str) -> Path:
 
 def cmd_generate(args) -> int:
     seed, drawn = _resolve_seed(args)
-    n_left, n_right = _market_sides(args)
-    market = generate_market(
-        n_left,
-        n_right,
-        args.cap_left,
-        args.cap_right,
-        model=linear_model(args.weight),
-        seed=seed,
-        rating_ranges=args.rating_ranges,
-    )
+    market = _generate(args, seed)
     out = args.out if args.out is not None else Path("market.npz")
     save_market(market, out)
     meta = {
         "seed": seed,
         "seed_drawn": drawn,
-        "n_left": n_left,
-        "n_right": n_right,
+        "n_left": market.n_left,
+        "n_right": market.n_right,
         "cap_left": args.cap_left,
         "cap_right": args.cap_right,
         "lambda": args.weight,
@@ -286,9 +289,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    seed, drawn = _resolve_seed(args)
-    market = _market_from_args(args, seed)
-    edges = _build_edges(market, args, seed)
+    market, provenance = _market_from_args(args)
+    edges = _build_edges(market, args)
     matching = run_da(market, args.propose_side, edges)
     blocking = verify_stability(market, edges, matching)
     params = None
@@ -300,8 +302,7 @@ def cmd_run(args) -> int:
     _write_rows(_matching_rows(market, matching), out / "matching", args.format)
     _write_rows(report.rows(market), out / "losses", args.format)
     audit = {
-        "seed": seed,
-        "seed_drawn": drawn,
+        **provenance,
         "propose_side": args.propose_side,
         "edge_kind": args.edges,
         "edge_count": None if edges is None else edges.edge_count,
@@ -310,24 +311,21 @@ def cmd_run(args) -> int:
         "matched_right": int(matching.matched_mask(RIGHT).sum()),
         "capacity_balanced": market.capacity_balanced,
     }
-    with open(out / "audit.json", "w") as fh:
-        json.dump(audit, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_strict_json(audit, out / "audit.json")
     print(json.dumps({"blocking_pairs": len(blocking), "out": str(out)}, sort_keys=True))
     return 0 if not blocking else 1
 
 
 def cmd_edges(args) -> int:
-    seed, drawn = _resolve_seed(args)
-    market = _market_from_args(args, seed)
-    edges = _build_edges(market, args, seed)
+    market, provenance = _market_from_args(args)
+    edges = _build_edges(market, args)
     if edges is None:
         edges = EdgeSet.full(market.n_left, market.n_right)
     out = _out_dir(args, "edges-out")
     rows = [{"left_index": int(i), "right_index": int(j)} for i, j in edges.pairs()]
     _write_rows(rows, out / "edges", args.format)
 
-    summary = {"seed": seed, "seed_drawn": drawn, "edge_kind": args.edges,
+    summary = {**provenance, "edge_kind": args.edges,
                "edge_count": edges.edge_count, "degrees_by_decile": {}}
     for side in (LEFT, RIGHT):
         deg = edges.degrees(side).astype(float)
@@ -335,9 +333,7 @@ def cmd_edges(args) -> int:
         summary["degrees_by_decile"][side] = [
             float(deg[dec == d].mean()) if (dec == d).any() else float("nan") for d in range(10)
         ]
-    with open(out / "edge_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_strict_json(summary, out / "edge_summary.json")
     print(json.dumps({"edge_count": edges.edge_count, "out": str(out)}, sort_keys=True))
     return 0
 
@@ -386,9 +382,7 @@ def cmd_experiment(args) -> int:
     if args.format == "csv":
         report.write_csv(out / "report.csv")
     else:
-        with open(out / "report.json", "w") as fh:
-            json.dump(report.rows, fh, indent=2, sort_keys=True, default=float)
-            fh.write("\n")
+        write_strict_json(report.rows, out / "report.json")
     report.write_json(out / "summary.json")
     audits_ok = report.summary.get("blocking_pairs_total", 0) == 0
     print(json.dumps({"experiment": args.experiment, "out": str(out),

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,31 +180,48 @@ class Matching:
 
 
 def _candidate_lists(market: Market, proposing_side: str, edges: EdgeSet | None):
-    """Per-proposer partner arrays in preference order (utility desc, index asc)."""
-    u = market.utility_matrix(proposing_side)
-    n_p = market.n(proposing_side)
+    """Proposer lists in CSR form: row offsets and one flat receiver array,
+    each row in preference order (utility desc, index asc)."""
+    n_p, n_r = market.n(proposing_side), market.n(other_side(proposing_side))
     if edges is None or edges.is_full():
-        order = market.preference_order(proposing_side)
-        return [order[i] for i in range(n_p)]
+        indptr = np.arange(n_p + 1, dtype=np.int64) * n_r
+        return indptr, market.preference_order(proposing_side).ravel()
+    u = market.utility_matrix(proposing_side)
     mask = edges.mask if proposing_side == LEFT else edges.mask.T
-    cand = []
+    rows = []
     for i in range(n_p):
         cols = np.flatnonzero(mask[i])
         if cols.size:
             cols = cols[np.argsort(-u[i, cols], kind="stable")]
-        cand.append(cols)
-    return cand
+        rows.append(cols)
+    indptr = np.zeros(n_p + 1, dtype=np.int64)
+    np.cumsum([r.size for r in rows], out=indptr[1:])
+    return indptr, np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
 
 
-def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = None,
-           order_seed: int | None = None) -> Matching:
+# Each round scans about this many list entries per agent on the larger side.
+_WINDOW_BUDGET = 4
+
+
+def _group_sets(owner: np.ndarray, member: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:
+    """Per-owner sorted tuples of members, for owners 0..n-1."""
+    order = np.lexsort((member, owner))
+    bounds = np.cumsum(np.bincount(owner, minlength=n))[:-1]
+    return tuple(tuple(g.tolist()) for g in np.split(member[order], bounds))
+
+
+def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = None) -> Matching:
     """Proposer-optimal stable matching of the sub-market induced by `edges`.
 
     Receivers hold their `cap` best proposals so far and bump the worst;
-    proposers that exhaust their lists stay unmatched.  The outcome does not
-    depend on the processing order of unmatched proposers; pass
-    ``order_seed`` to randomize that order anyway (used by the invariance
-    tests).
+    proposers that exhaust their lists stay unmatched.  The set of proposals
+    does not depend on processing order (McVitie & Wilson 1971), so the run
+    goes in synchronous rounds: every free proposer scans a window of its
+    list, proposes to the first entries whose receiver it beats, and each
+    receiver keeps its `cap` best of held plus new proposals.  A receiver's
+    threshold (its worst held proposal once full) only rises, so an entry
+    skipped in the window is a proposal sequential DA would make and lose;
+    it counts in ``proposal_counts``.
     """
     prop = proposing_side
     recv = other_side(prop)
@@ -215,61 +230,73 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
     if edges is not None and edges.mask.shape != (market.n_left, market.n_right):
         raise ValueError("edge set shape disagrees with the market")
 
-    cand = _candidate_lists(market, prop, edges)
-    u_recv = market.utility_matrix(recv)  # u_recv[j, i]: receiver j's utility for proposer i
+    indptr, indices = _candidate_lists(market, prop, edges)
+    end = np.diff(indptr)
+    u_flat = market.utility_matrix(recv).ravel()  # [j * n_p + i]: receiver j's utility for i
 
-    held: list[list[tuple[float, int]]] = [[] for _ in range(n_r)]  # min-heaps of (utility, -proposer)
-    n_match = [0] * n_p
-    ptr = [0] * n_p
-    counts = np.zeros(n_p, dtype=np.int64)
+    ptr = np.zeros(n_p, dtype=np.int64)
+    n_match = np.zeros(n_p, dtype=np.int64)
+    held = np.full((n_r, cap_r), -1, dtype=np.int64)  # best first, -1 pads free slots
+    thr_u = np.full(n_r, -np.inf)  # worst held key once full; (-inf, n_p) while room
+    thr_i = np.full(n_r, n_p, dtype=np.int64)
+    budget = _WINDOW_BUDGET * max(n_p, n_r)
 
-    pool = list(range(n_p - 1, -1, -1))
-    rng = None
-    if order_seed is not None:
-        rng = random.Random(order_seed)
-        rng.shuffle(pool)
-    pending = [True] * n_p
+    while True:
+        free = np.flatnonzero((n_match < cap_p) & (ptr < end))
+        if free.size == 0:
+            break
+        # window of the next k list entries of each free proposer
+        k = max(1, budget // free.size)
+        length = np.minimum(end[free] - ptr[free], k)
+        first = np.cumsum(length) - length
+        seg = np.repeat(np.arange(free.size), length)
+        offs = np.arange(seg.size) - first[seg]
+        i = free[seg]
+        j = indices[indptr[i] + ptr[i] + offs]
+        u = u_flat[j * n_p + i]
+        beat = (u > thr_u[j]) | ((u == thr_u[j]) & (i < thr_i[j]))
+        # the first `open` beating entries of each window are proposals
+        rank = np.cumsum(beat)
+        rank -= (rank - beat)[first][seg]
+        open_ = (cap_p - n_match[free])[seg]
+        chosen = beat & (rank <= open_)
+        filled = chosen & (rank == open_)
+        step = length.copy()
+        step[seg[filled]] = offs[filled] + 1
+        ptr[free] += step
 
-    while pool:
-        if rng is not None and len(pool) > 1:
-            k = rng.randrange(len(pool))
-            pool[k], pool[-1] = pool[-1], pool[k]
-        i = pool.pop()
-        pending[i] = False
-        ci = cand[i]
-        end = len(ci)
-        while n_match[i] < cap_p and ptr[i] < end:
-            j = int(ci[ptr[i]])
-            ptr[i] += 1
-            counts[i] += 1
-            key = (float(u_recv[j, i]), -i)
-            hj = held[j]
-            if len(hj) < cap_r:
-                heapq.heappush(hj, key)
-                n_match[i] += 1
-            elif key > hj[0]:
-                bumped = -heapq.heapreplace(hj, key)[1]
-                n_match[bumped] -= 1
-                n_match[i] += 1
-                if not pending[bumped]:
-                    pending[bumped] = True
-                    pool.append(bumped)
+        # receivers keep their cap_r best of held plus new, keys (u desc, i asc)
+        new_i, new_j, new_u = i[chosen], j[chosen], u[chosen]
+        touched = np.unique(new_j)
+        slots = held[touched]
+        has = slots >= 0
+        old_i = slots[has]
+        old_j = np.repeat(touched, cap_r)[has.ravel()]
+        all_i = np.concatenate((old_i, new_i))
+        all_j = np.concatenate((old_j, new_j))
+        all_u = np.concatenate((u_flat[old_j * n_p + old_i], new_u))
+        order = np.lexsort((all_i, -all_u, all_j))
+        all_i, all_j, all_u = all_i[order], all_j[order], all_u[order]
+        is_new = order >= old_i.size
+        pos = np.arange(all_j.size) - np.searchsorted(all_j, all_j)  # rank within receiver
+        keep = pos < cap_r
+        np.add.at(n_match, all_i[keep & is_new], 1)
+        np.add.at(n_match, all_i[~keep & ~is_new], -1)
+        held[all_j[keep], pos[keep]] = all_i[keep]
+        full = pos == cap_r - 1
+        thr_u[all_j[full]] = all_u[full]
+        thr_i[all_j[full]] = all_i[full]
 
-    sets_recv = [[-k[1] for k in hj] for hj in held]
-    sets_prop: list[list[int]] = [[] for _ in range(n_p)]
-    for j, proposers in enumerate(sets_recv):
-        for i in proposers:
-            sets_prop[i].append(j)
-
-    if prop == LEFT:
-        left, right = sets_prop, sets_recv
-    else:
-        left, right = sets_recv, sets_prop
+    rj, slot = np.nonzero(held >= 0)
+    ri = held[rj, slot]
+    sets_recv = _group_sets(rj, ri, n_r)
+    sets_prop = _group_sets(ri, rj, n_p)
+    left, right = (sets_prop, sets_recv) if prop == LEFT else (sets_recv, sets_prop)
     return Matching(
         proposing_side=prop,
-        matches_left=tuple(tuple(sorted(s)) for s in left),
-        matches_right=tuple(tuple(sorted(s)) for s in right),
-        proposal_counts=counts,
+        matches_left=left,
+        matches_right=right,
+        proposal_counts=ptr,
     )
 
 

@@ -153,15 +153,31 @@ class ExperimentReport:
                 writer.writerow({k: _plain(v) for k, v in row.items()})
 
     def write_json(self, path) -> None:
-        payload = {
+        write_strict_json({
             "experiment": self.experiment,
             "config": self.config,
             "run_seeds": self.run_seeds,
             "summary": self.summary,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_plain)
-            fh.write("\n")
+        }, path)
+
+
+def write_strict_json(obj, path) -> None:
+    """Write `obj` as strict JSON, indented with sorted keys; NaN and
+    infinities become null, since JSON has no value for them."""
+    with open(path, "w") as fh:
+        json.dump(_strict(obj), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def _strict(value):
+    value = _plain(value)
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _plain(value):

@@ -33,6 +33,7 @@ __all__ = [
     "load_market",
     "monotonicity_audit",
     "other_side",
+    "preference_argsort",
     "rank_order",
     "register_model",
     "save_market",
@@ -188,6 +189,30 @@ def rank_order(ratings) -> np.ndarray:
     return np.argsort(-np.asarray(ratings, dtype=float), kind="stable")
 
 
+# rows per block of preference_argsort: bounds its temporaries to a few MB
+_SORT_BLOCK_ROWS = 256
+
+
+def preference_argsort(u: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.argsort(-u, axis=1, kind="stable")``, computed cheaper.
+
+    Each block of rows gets an unstable sort; a row whose sorted values hold
+    an exact repeat or a NaN, where the order of equal keys matters, is sorted
+    again stably.  Working block by block keeps the temporaries small instead
+    of allocating a full negated copy of `u`.
+    """
+    out = np.empty(u.shape, dtype=np.int64)
+    for lo in range(0, u.shape[0], _SORT_BLOCK_ROWS):
+        neg = -u[lo:lo + _SORT_BLOCK_ROWS]
+        idx = np.argsort(neg, axis=1)
+        vals = np.take_along_axis(neg, idx, axis=1)
+        redo = np.isnan(vals[:, -1:]).any(axis=1) | (vals[:, 1:] == vals[:, :-1]).any(axis=1)
+        for r in np.flatnonzero(redo):
+            idx[r] = np.argsort(neg[r], kind="stable")
+        out[lo:lo + idx.shape[0]] = idx
+    return out
+
+
 def aligned_rank(rank: int, cap_own: int, cap_other: int, n_other: int) -> int | None:
     """Rank of the aligned agent on the other side, or None past its end.
 
@@ -299,11 +324,11 @@ class Market:
 
     @cached_property
     def _pref_left(self) -> np.ndarray:
-        return np.argsort(-self._utility_left, axis=1, kind="stable")
+        return preference_argsort(self._utility_left)
 
     @cached_property
     def _pref_right(self) -> np.ndarray:
-        return np.argsort(-self._utility_right, axis=1, kind="stable")
+        return preference_argsort(self._utility_right)
 
     def preference_order(self, side: str) -> np.ndarray:
         """Full preference lists: partners by descending utility, ties by index."""

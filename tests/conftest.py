@@ -1,8 +1,11 @@
+import heapq
+import random
+
 import numpy as np
 import pytest
 
 import matchlab as ml
-from matchlab.market import LEFT, RIGHT
+from matchlab.market import LEFT, RIGHT, other_side
 
 
 def make_manual_market(scores_left, scores_right, ratings_left=None, ratings_right=None,
@@ -27,6 +30,85 @@ def make_manual_market(scores_left, scores_right, ratings_left=None, ratings_rig
         scores_right=scores_right,
         model=ml.linear_model(weight),
         seed=None,
+    )
+
+
+def reference_da(market, side, edges=None, order_seed=None):
+    """One-proposal-at-a-time deferred acceptance with receiver heaps: the
+    oracle `run_da` must reproduce, matching and `proposal_counts` alike.
+
+    Lists come from a per-row stable argsort of the utilities, independent
+    of the market's cached preference order.  ``order_seed`` randomizes the
+    order in which unmatched proposers are processed.
+    """
+    prop = side
+    recv = other_side(prop)
+    n_p, n_r = market.n(prop), market.n(recv)
+    cap_p, cap_r = market.cap(prop), market.cap(recv)
+
+    u = market.utility_matrix(prop)
+    mask = np.ones((n_p, n_r), dtype=bool) if edges is None else (
+        edges.mask if prop == LEFT else edges.mask.T)
+    cand = []
+    for i in range(n_p):
+        cols = np.flatnonzero(mask[i])
+        if cols.size:
+            cols = cols[np.argsort(-u[i, cols], kind="stable")]
+        cand.append(cols)
+    u_recv = market.utility_matrix(recv)  # u_recv[j, i]: receiver j's utility for proposer i
+
+    held = [[] for _ in range(n_r)]  # min-heaps of (utility, -proposer)
+    n_match = [0] * n_p
+    ptr = [0] * n_p
+    counts = np.zeros(n_p, dtype=np.int64)
+
+    pool = list(range(n_p - 1, -1, -1))
+    rng = None
+    if order_seed is not None:
+        rng = random.Random(order_seed)
+        rng.shuffle(pool)
+    pending = [True] * n_p
+
+    while pool:
+        if rng is not None and len(pool) > 1:
+            k = rng.randrange(len(pool))
+            pool[k], pool[-1] = pool[-1], pool[k]
+        i = pool.pop()
+        pending[i] = False
+        ci = cand[i]
+        end = len(ci)
+        while n_match[i] < cap_p and ptr[i] < end:
+            j = int(ci[ptr[i]])
+            ptr[i] += 1
+            counts[i] += 1
+            key = (float(u_recv[j, i]), -i)
+            hj = held[j]
+            if len(hj) < cap_r:
+                heapq.heappush(hj, key)
+                n_match[i] += 1
+            elif key > hj[0]:
+                bumped = -heapq.heapreplace(hj, key)[1]
+                n_match[bumped] -= 1
+                n_match[i] += 1
+                if not pending[bumped]:
+                    pending[bumped] = True
+                    pool.append(bumped)
+
+    sets_recv = [[-k[1] for k in hj] for hj in held]
+    sets_prop = [[] for _ in range(n_p)]
+    for j, proposers in enumerate(sets_recv):
+        for i in proposers:
+            sets_prop[i].append(j)
+
+    if prop == LEFT:
+        left, right = sets_prop, sets_recv
+    else:
+        left, right = sets_recv, sets_prop
+    return ml.Matching(
+        proposing_side=prop,
+        matches_left=tuple(tuple(sorted(s)) for s in left),
+        matches_right=tuple(tuple(sorted(s)) for s in right),
+        proposal_counts=counts,
     )
 
 

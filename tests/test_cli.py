@@ -174,3 +174,58 @@ def test_json_format_option(tmp_path, capsys):
     assert code == 0
     assert (out / "report.json").exists()
     assert not (out / "report.csv").exists()
+
+
+def strict_json(path):
+    """Parse `path` refusing NaN/Infinity, and check it is exactly what a
+    strict dump of the parsed value writes back."""
+    def refuse(token):
+        raise ValueError(f"{path.name} holds non-JSON constant {token}")
+
+    text = path.read_text()
+    value = json.loads(text, parse_constant=refuse)
+    assert json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n" == text
+    return value
+
+
+def test_run_on_market_file_records_its_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MATCHLAB_SEED", raising=False)
+    market = tmp_path / "m.npz"
+    assert main(["generate", "--n", "30", "--seed", "7", "--out", str(market)]) == 0
+    for command, artifact in (("run", "audit.json"), ("edges", "edge_summary.json")):
+        out = tmp_path / command
+        assert main([command, "--market", str(market), "--out", str(out)]) == 0
+        record = strict_json(out / artifact)
+        assert record["seed"] == 7
+        assert record["seed_drawn"] is False
+        assert record["market_file"] == str(market)
+
+
+def test_run_artifacts_strict_json(tmp_path, capsys):
+    # unbalanced one-to-one: the short side's agents have no aligned partner
+    out = tmp_path / "run"
+    assert main(["run", "--n-left", "12", "--n-right", "8", "--seed", "3",
+                 "--format", "json", "--out", str(out)]) == 0
+    audit = strict_json(out / "audit.json")
+    assert audit["seed"] == 3 and audit["market_file"] is None
+    assert len(strict_json(out / "matching.json")) == 20
+    assert len(strict_json(out / "losses.json")) == 20
+
+
+def test_edges_artifacts_strict_json(tmp_path, capsys):
+    # five agents a side leave some deciles empty, whose mean degree is null
+    out = tmp_path / "edges"
+    assert main(["edges", "--n", "5", "--seed", "4", "--format", "json", "--out", str(out)]) == 0
+    summary = strict_json(out / "edge_summary.json")
+    assert None in summary["degrees_by_decile"]["left"]
+    assert len(strict_json(out / "edges.json")) == summary["edge_count"] == 25
+
+
+def test_experiment_artifacts_strict_json(tmp_path, capsys):
+    # complete interview lists match everyone, so the unmatched share is 0/0
+    out = tmp_path / "exp"
+    assert main(["experiment", "interview", "--n", "50", "--runs", "1", "--p", "1", "--q", "0",
+                 "--seed", "5", "--format", "json", "--out", str(out)]) == 0
+    summary = strict_json(out / "summary.json")
+    assert summary["summary"]["bottom_two_decile_share"] is None
+    assert strict_json(out / "report.json")

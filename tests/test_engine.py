@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import matchlab as ml
 from matchlab.engine import EdgeSet, double_cut_edges
 from matchlab.market import LEFT, RIGHT
 
-from conftest import cyclic_three_market, exhaustive_max_matching, make_manual_market
+from conftest import (
+    cyclic_three_market,
+    exhaustive_max_matching,
+    make_manual_market,
+    reference_da,
+)
 
 
 def test_single_pair_market():
@@ -38,9 +46,68 @@ def test_da_stable_on_restricted_sets(small_market):
 
 
 def test_order_invariance(mid_market):
+    # the proposals DA makes do not depend on the order proposers act in
     base = ml.run_da(mid_market, LEFT)
-    for order_seed in (1, 2, 3, 4):
-        assert ml.run_da(mid_market, LEFT, order_seed=order_seed).same_pairs(base)
+    for order_seed in (None, 1, 2, 3, 4):
+        ref = reference_da(mid_market, LEFT, order_seed=order_seed)
+        assert ref.same_pairs(base)
+        assert np.array_equal(ref.proposal_counts, base.proposal_counts)
+
+
+def assert_same_run(got, want):
+    assert got.proposing_side == want.proposing_side
+    assert got.matches_left == want.matches_left
+    assert got.matches_right == want.matches_right
+    assert got.proposal_counts.tolist() == want.proposal_counts.tolist()
+
+
+_GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def da_cases(draw):
+    """Hand-built markets on a coarse score grid, so utilities tie often."""
+    nl, nr = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    market = make_manual_market(
+        draw(arrays(float, (nl, nr), elements=_GRID)),
+        draw(arrays(float, (nr, nl), elements=_GRID)),
+        draw(arrays(float, nl, elements=_GRID)),
+        draw(arrays(float, nr, elements=_GRID)),
+        weight=draw(st.sampled_from([1e-9, 0.5, 0.8])),
+        cap_left=draw(st.integers(1, 3)),
+        cap_right=draw(st.integers(1, 3)),
+    )
+    mask = draw(st.none() | arrays(bool, (nl, nr)))
+    edges = None if mask is None else EdgeSet(mask)
+    return market, draw(st.sampled_from([LEFT, RIGHT])), edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(da_cases())
+def test_kernel_matches_reference_with_ties(case):
+    market, side, edges = case
+    assert_same_run(ml.run_da(market, side, edges), reference_da(market, side, edges))
+
+
+@pytest.mark.parametrize("nl,nr,cap_l,cap_r,density", [
+    (120, 120, 1, 1, None),
+    (150, 90, 1, 1, None),
+    (60, 150, 1, 1, 0.3),
+    (200, 25, 1, 8, None),
+    (200, 25, 1, 8, 0.2),
+    (40, 70, 3, 2, None),
+    (80, 50, 2, 3, 0.5),
+])
+def test_kernel_matches_reference_on_generated_markets(nl, nr, cap_l, cap_r, density):
+    m = ml.generate_market(nl, nr, cap_l, cap_r, model=ml.linear_model(0.8), seed=nl * nr)
+    edges = None
+    if density is not None:
+        mask = np.random.default_rng(nl).random((nl, nr)) < density
+        mask[0] = False
+        mask[:, 1] = False
+        edges = EdgeSet(mask)
+    for side in (LEFT, RIGHT):
+        assert_same_run(ml.run_da(m, side, edges), reference_da(m, side, edges))
 
 
 def test_matching_symmetry_and_capacity(small_market):

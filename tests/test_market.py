@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import matchlab as ml
-from matchlab.market import LEFT, RIGHT, aligned_rank, rank_order
+from matchlab.market import LEFT, RIGHT, aligned_rank, preference_argsort, rank_order
 
 
 def test_linear_utility_values():
@@ -212,3 +213,24 @@ def test_utility_extended_linear_consistency():
     at_zero = float(curved.utility_extended(LEFT, 0.0, 1.0))
     below = float(curved.utility_extended(LEFT, -0.1, 1.0))
     assert below == pytest.approx(at_zero - 0.1 * 0.4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, st.tuples(st.integers(0, 12), st.integers(0, 12)),
+              elements=st.sampled_from([0.0, -0.0, 0.5, 1.0, np.nan, np.inf, -np.inf])))
+def test_preference_argsort_equals_stable_argsort(u):
+    assert np.array_equal(preference_argsort(u), np.argsort(-u, axis=1, kind="stable"))
+
+
+def test_preference_argsort_across_row_blocks():
+    # more rows than one sort block; some rows tie, some hold NaN, most are distinct
+    rng = np.random.default_rng(3)
+    u = rng.random((700, 50))
+    u[::7] = np.round(u[::7] * 4) / 4
+    u[5::11, ::3] = np.nan
+    u[9] = np.nan
+    assert np.array_equal(preference_argsort(u), np.argsort(-u, axis=1, kind="stable"))
+    m = ml.generate_market(300, 40, model=ml.linear_model(0.8), seed=4)
+    for side in (LEFT, RIGHT):
+        want = np.argsort(-m.utility_matrix(side), axis=1, kind="stable")
+        assert np.array_equal(m.preference_order(side), want)
