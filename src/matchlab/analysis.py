@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import EdgeSet, Matching, _worst_held, extreme_matchings
+from .engine import EdgeSet, Matching, extreme_matchings, worst_partner
 from .market import LEFT, RIGHT, Market, UtilityModel, other_side
 
 __all__ = [
@@ -143,12 +143,8 @@ def benchmark(market: Market, side: str, rank: int) -> float | None:
 def achieved_utilities(market: Market, matching: Matching, side: str,
                        unmatched=np.nan) -> np.ndarray:
     """Per-agent utility of the worst held match; `unmatched` where empty."""
-    u = market.utility_matrix(side)
-    out = np.full(market.n(side), unmatched, dtype=float)
-    for agent, ms in enumerate(matching.matches(side)):
-        if ms:
-            out[agent] = u[agent, list(ms)].min()
-    return out
+    worst_u, _ = worst_partner(market, side, matching)
+    return np.where(matching.matched_mask(side), worst_u, unmatched)
 
 
 @dataclass
@@ -280,7 +276,7 @@ def acceptable_edges(market: Market, loss_cap_left: float, loss_cap_right: float
 def _weakly_preferred_to_worst(market: Market, side: str, pessimal: Matching) -> np.ndarray:
     """Mask of edges each agent weakly prefers to its pessimal-match worst."""
     # agents with spare capacity get (-inf, sentinel): every edge qualifies
-    wu, wj = _worst_held(market, side, pessimal)
+    wu, wj = worst_partner(market, side, pessimal, spare_is_worst=True)
     u = market.utility_matrix(side)
     idx = np.arange(market.n(other_side(side)))[None, :]
     return (u > wu[:, None]) | ((u == wu[:, None]) & (idx <= wj[:, None]))

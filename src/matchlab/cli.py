@@ -9,7 +9,6 @@ artifact so runs can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import secrets
@@ -34,6 +33,7 @@ from .experiments import (
     EXPERIMENTS,
     decile_labels,
     run_experiment,
+    write_csv_rows,
     write_strict_json,
 )
 from .market import LEFT, RIGHT, generate_market, linear_model, load_market, save_market
@@ -233,16 +233,8 @@ def _build_edges(market, args):
 def _write_rows(rows: list[dict], path: Path, fmt: str) -> None:
     if fmt == "json":
         write_strict_json(rows, path.with_suffix(".json"))
-        return
-    fields: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
-    with open(path.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
+    else:
+        write_csv_rows(rows, path.with_suffix(".csv"))
 
 
 def _matching_rows(market, matching) -> list[dict]:

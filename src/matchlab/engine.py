@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "run_da",
     "run_double_cut_da",
     "verify_stability",
+    "worst_partner",
 ]
 
 
@@ -45,9 +46,9 @@ class EdgeSet:
 
     @classmethod
     def from_pairs(cls, pairs, n_left: int, n_right: int) -> "EdgeSet":
+        pairs = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64).reshape(-1, 2)
         mask = np.zeros((n_left, n_right), dtype=bool)
-        for i, j in pairs:
-            mask[i, j] = True
+        mask[pairs[:, 0], pairs[:, 1]] = True
         return cls(mask)
 
     @property
@@ -112,71 +113,80 @@ class CutSpec:
 
 @dataclass(eq=False)
 class Matching:
-    """Capacitated assignment between the two sides.
+    """Capacitated assignment between the two sides, held as its matched
+    (left, right) pairs: an (m, 2) int64 array sorted by (left, right), the
+    format `EdgeSet.pairs` returns.  Every per-agent view derives from it.
 
     ``proposal_counts`` records, per proposing-side agent, how many edges it
     offered during the run that produced this matching (all zeros for
     matchings not produced by deferred acceptance).
     """
 
-    proposing_side: str
-    matches_left: tuple[tuple[int, ...], ...]
-    matches_right: tuple[tuple[int, ...], ...]
-    proposal_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    pair_array: np.ndarray
+    n_left: int
+    n_right: int
+    proposing_side: str = LEFT
+    proposal_counts: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        pairs = np.asarray(self.pair_array, dtype=np.int64).reshape(-1, 2)
+        if (pairs < 0).any() or (pairs >= (self.n_left, self.n_right)).any():
+            raise ValueError("matched pair index out of range")
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        pairs.setflags(write=False)
+        self.pair_array = pairs
+        n_prop = self.n_left if self.proposing_side == LEFT else self.n_right
+        self.proposal_counts = (np.zeros(n_prop, dtype=np.int64) if self.proposal_counts is None
+                                else np.asarray(self.proposal_counts, dtype=np.int64))
 
     @classmethod
     def from_left_sets(cls, sets_left, n_right: int, proposing_side: str = LEFT,
                        proposal_counts=None) -> "Matching":
-        left = tuple(tuple(sorted(s)) for s in sets_left)
-        right = [[] for _ in range(n_right)]
-        for i, partners in enumerate(left):
-            for j in partners:
-                right[j].append(i)
-        counts = (np.zeros(len(left), dtype=np.int64) if proposal_counts is None
-                  else np.asarray(proposal_counts, dtype=np.int64))
-        return cls(
-            proposing_side=proposing_side,
-            matches_left=left,
-            matches_right=tuple(tuple(sorted(r)) for r in right),
-            proposal_counts=counts,
-        )
+        sets_left = list(sets_left)
+        sizes = np.fromiter(map(len, sets_left), dtype=np.int64, count=len(sets_left))
+        right = np.fromiter(itertools.chain.from_iterable(sets_left), dtype=np.int64,
+                            count=int(sizes.sum()))
+        left = np.repeat(np.arange(len(sets_left)), sizes)
+        return cls(np.column_stack((left, right)), len(sets_left), n_right,
+                   proposing_side, proposal_counts)
+
+    def _columns(self, side: str) -> tuple[np.ndarray, np.ndarray, int]:
+        """(agents on `side`, their partners, n on `side`), one entry per pair."""
+        if side == LEFT:
+            return self.pair_array[:, 0], self.pair_array[:, 1], self.n_left
+        return self.pair_array[:, 1], self.pair_array[:, 0], self.n_right
 
     def matches(self, side: str) -> tuple[tuple[int, ...], ...]:
-        return self.matches_left if side == LEFT else self.matches_right
-
-    @property
-    def n_left(self) -> int:
-        return len(self.matches_left)
-
-    @property
-    def n_right(self) -> int:
-        return len(self.matches_right)
+        """Per-agent sorted partner tuples: a view for row-per-agent output."""
+        agents, partners, _ = self._columns(side)
+        members = partners[np.lexsort((partners, agents))].tolist()
+        ends = np.cumsum(self.match_counts(side)).tolist()
+        return tuple(tuple(members[a:b]) for a, b in zip([0] + ends[:-1], ends))
 
     def pairs(self) -> frozenset:
-        return frozenset((i, j) for i, ms in enumerate(self.matches_left) for j in ms)
+        return frozenset(zip(self.pair_array[:, 0].tolist(), self.pair_array[:, 1].tolist()))
 
     def partner(self, side: str) -> np.ndarray:
         """One-to-one convenience: per-agent partner index, -1 if unmatched."""
-        ms = self.matches(side)
-        out = np.full(len(ms), -1, dtype=np.int64)
-        for a, partners in enumerate(ms):
-            if len(partners) > 1:
-                raise ValueError("partner() needs a one-to-one matching")
-            if partners:
-                out[a] = partners[0]
+        agents, partners, n = self._columns(side)
+        if (self.match_counts(side) > 1).any():
+            raise ValueError("partner() needs a one-to-one matching")
+        out = np.full(n, -1, dtype=np.int64)
+        out[agents] = partners
         return out
 
     def matched_mask(self, side: str) -> np.ndarray:
-        return np.array([len(ms) > 0 for ms in self.matches(side)], dtype=bool)
+        return self.match_counts(side) > 0
 
     def match_counts(self, side: str) -> np.ndarray:
-        return np.array([len(ms) for ms in self.matches(side)], dtype=np.int64)
+        agents, _, n = self._columns(side)
+        return np.bincount(agents, minlength=n)
 
     def unmatched(self, side: str) -> np.ndarray:
         return np.flatnonzero(~self.matched_mask(side))
 
     def same_pairs(self, other: "Matching") -> bool:
-        return self.pairs() == other.pairs()
+        return np.array_equal(self.pair_array, other.pair_array)
 
 
 def _candidate_lists(market: Market, proposing_side: str, edges: EdgeSet | None):
@@ -201,13 +211,6 @@ def _candidate_lists(market: Market, proposing_side: str, edges: EdgeSet | None)
 
 # Each round scans about this many list entries per agent on the larger side.
 _WINDOW_BUDGET = 4
-
-
-def _group_sets(owner: np.ndarray, member: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:
-    """Per-owner sorted tuples of members, for owners 0..n-1."""
-    order = np.lexsort((member, owner))
-    bounds = np.cumsum(np.bincount(owner, minlength=n))[:-1]
-    return tuple(tuple(g.tolist()) for g in np.split(member[order], bounds))
 
 
 def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = None) -> Matching:
@@ -289,15 +292,8 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
 
     rj, slot = np.nonzero(held >= 0)
     ri = held[rj, slot]
-    sets_recv = _group_sets(rj, ri, n_r)
-    sets_prop = _group_sets(ri, rj, n_p)
-    left, right = (sets_prop, sets_recv) if prop == LEFT else (sets_recv, sets_prop)
-    return Matching(
-        proposing_side=prop,
-        matches_left=left,
-        matches_right=right,
-        proposal_counts=ptr,
-    )
+    pairs = np.column_stack((ri, rj) if prop == LEFT else (rj, ri))
+    return Matching(pairs, market.n_left, market.n_right, prop, ptr)
 
 
 def double_cut_edges(market: Market, proposing_side: str, cut: CutSpec) -> EdgeSet:
@@ -352,26 +348,24 @@ def multi_stable_agents(market: Market, edges: EdgeSet | None = None) -> tuple[f
     return left, right
 
 
-def _worst_held(market: Market, side: str, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
-    """Per-agent utility and partner index of the worst held match.
+def worst_partner(market: Market, side: str, matching: Matching,
+                  spare_is_worst: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Per-agent utility and index of the worst held partner: the lowest
+    utility, ties going to the higher partner index.
 
-    Agents with spare capacity get (-inf, sentinel): any edge beats an empty
-    slot.
+    Agents without a partner get (-inf, n_other).  With `spare_is_worst`, so
+    do agents below capacity: an empty slot is worse than any edge.
     """
-    n = market.n(side)
-    cap = market.cap(side)
-    u = market.utility_matrix(side)
-    sentinel = market.n(other_side(side))
+    agents, partners, n = matching._columns(side)
+    us = market.utility_matrix(side)[agents, partners]
+    order = np.lexsort((-partners, us, agents))
+    first = order[np.diff(agents[order], prepend=-1) != 0]  # each agent's worst
+    if spare_is_worst:
+        first = first[matching.match_counts(side)[agents[first]] >= market.cap(side)]
     worst_u = np.full(n, -np.inf)
-    worst_j = np.full(n, sentinel, dtype=np.int64)
-    for agent, ms in enumerate(matching.matches(side)):
-        if len(ms) < cap:
-            continue
-        partners = np.asarray(ms, dtype=np.int64)
-        us = u[agent, partners]
-        k = np.lexsort((-partners, us))[0]  # min utility, ties to the higher index
-        worst_u[agent] = us[k]
-        worst_j[agent] = partners[k]
+    worst_j = np.full(n, market.n(other_side(side)), dtype=np.int64)
+    worst_u[agents[first]] = us[first]
+    worst_j[agents[first]] = partners[first]
     return worst_u, worst_j
 
 
@@ -386,8 +380,8 @@ def verify_stability(market: Market, edges: EdgeSet | None, matching: Matching) 
         edges = EdgeSet.full(market.n_left, market.n_right)
     ul = market.utility_matrix(LEFT)
     ur = market.utility_matrix(RIGHT)
-    wu_l, wj_l = _worst_held(market, LEFT, matching)
-    wu_r, wj_r = _worst_held(market, RIGHT, matching)
+    wu_l, wj_l = worst_partner(market, LEFT, matching, spare_is_worst=True)
+    wu_r, wj_r = worst_partner(market, RIGHT, matching, spare_is_worst=True)
 
     cols = np.arange(market.n_right)[None, :]
     better_l = (ul > wu_l[:, None]) | ((ul == wu_l[:, None]) & (cols < wj_l[:, None]))
@@ -395,9 +389,8 @@ def verify_stability(market: Market, edges: EdgeSet | None, matching: Matching) 
     better_r = (ur > wu_r[:, None]) | ((ur == wu_r[:, None]) & (rows < wj_r[:, None]))
 
     block = edges.mask & better_l & better_r.T
-    for i, j in matching.pairs():
-        block[i, j] = False
-    return [(int(i), int(j)) for i, j in np.argwhere(block)]
+    block[matching.pair_array[:, 0], matching.pair_array[:, 1]] = False
+    return list(map(tuple, np.argwhere(block).tolist()))
 
 
 # ---------------------------------------------------------------------------

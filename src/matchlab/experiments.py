@@ -141,16 +141,7 @@ class ExperimentReport:
     summary: dict
 
     def write_csv(self, path) -> None:
-        fields: list[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in fields:
-                    fields.append(key)
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields, restval="")
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow({k: _plain(v) for k, v in row.items()})
+        write_csv_rows(self.rows, path)
 
     def write_json(self, path) -> None:
         write_strict_json({
@@ -159,6 +150,16 @@ class ExperimentReport:
             "run_seeds": self.run_seeds,
             "summary": self.summary,
         }, path)
+
+
+def write_csv_rows(rows: list[dict], path) -> None:
+    """Write dict rows as CSV; the header lists every key in first-seen order
+    and a row missing a key leaves its cell empty."""
+    fields = list(dict.fromkeys(key for row in rows for key in row))
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields, restval="")
+        writer.writeheader()
+        writer.writerows({k: _plain(v) for k, v in row.items()} for row in rows)
 
 
 def write_strict_json(obj, path) -> None:
@@ -202,12 +203,15 @@ def _report(config: ExperimentConfig, rows: list[dict], summary: dict) -> Experi
     )
 
 
-def _map_runs(worker, config: ExperimentConfig):
-    indices = range(config.runs)
+def _map_runs(worker, config: ExperimentConfig, tasks=None) -> list:
+    """`worker(config, *task)` for every task, in task order, spread over
+    `config.jobs` processes.  The default tasks are the run indices."""
+    if tasks is None:
+        tasks = [(i,) for i in range(config.runs)]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(worker, itertools.repeat(config), indices))
-    return [worker(config, i) for i in indices]
+            return list(pool.map(worker, itertools.repeat(config), *zip(*tasks)))
+    return [worker(config, *task) for task in tasks]
 
 
 def _decile_stats(values: np.ndarray, deciles: np.ndarray) -> list[dict]:
@@ -482,51 +486,38 @@ def exp_interview(config: ExperimentConfig) -> ExperimentReport:
 # loss scaling in n
 
 
-def _pessimal_losses(market: Market) -> dict[str, np.ndarray]:
-    """Per-agent loss in each side's pessimal stable matching."""
-    left_opt = run_da(market, LEFT)
-    right_opt = run_da(market, RIGHT)
-    report_l = loss_report(market, right_opt)  # left receives -> left-pessimal
-    report_r = loss_report(market, left_opt)
-    return {LEFT: report_l.left.loss, RIGHT: report_r.right.loss}
-
-
-def _loss_scaling_run(config: ExperimentConfig, run_index: int, n: int | None = None) -> dict:
+def _non_bottom_losses(config: ExperimentConfig, run_index: int, n: int) -> np.ndarray:
+    """Pooled losses of both sides' matched agents outside the bottom zone,
+    each side in its pessimal stable matching, in run `run_index` at n x n."""
     market = config.make_market(run_index, n_left=n)
     cutoff = config.bottom_sigma if config.bottom_sigma is not None else config.bottom_frac
-    losses = _pessimal_losses(market)
-    collected = []
+    pessimal = {LEFT: run_da(market, RIGHT), RIGHT: run_da(market, LEFT)}  # receivers fare worst
+    pooled = []
     for side in (LEFT, RIGHT):
+        loss = loss_report(market, pessimal[side]).side(side).loss
         aligned = market.aligned_ratings(side)
         floor = market.rating_range(other_side(side))[0]
         keep = ~np.isnan(aligned) & (aligned >= floor + cutoff)
-        vals = losses[side][keep]
-        collected.append(vals[~np.isnan(vals)])
-    vals = np.concatenate(collected)
-    return {
-        "run": run_index,
-        "n": market.n_left,
-        "max_loss": float(vals.max()),
-        "q50": float(np.quantile(vals, 0.5)),
-        "q90": float(np.quantile(vals, 0.9)),
-        "non_bottom": int(vals.size),
-    }
-
-
-def _loss_scaling_worker(args) -> dict:
-    config, run_index, n = args
-    return _loss_scaling_run(config, run_index, n)
+        vals = loss[keep]
+        pooled.append(vals[~np.isnan(vals)])
+    return np.concatenate(pooled)
 
 
 def exp_loss_scaling(config: ExperimentConfig) -> ExperimentReport:
     """Max/quantile pessimal losses of non-bottom agents across market sizes,
     plus the exceedance histogram against halving loss thresholds."""
-    tasks = [(config, run, n) for n in config.n_values for run in range(config.runs)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_loss_scaling_worker, tasks))
-    else:
-        results = [_loss_scaling_worker(t) for t in tasks]
+    scaling = [(run, n) for n in config.n_values for run in range(config.runs)]
+    exceedance_runs = [] if config.exceedance_n is None else [
+        (run, config.exceedance_n) for run in range(config.runs)]
+    pooled = _map_runs(_non_bottom_losses, config, scaling + exceedance_runs)
+    results = [{
+        "run": run,
+        "n": n,
+        "max_loss": float(vals.max()),
+        "q50": float(np.quantile(vals, 0.5)),
+        "q90": float(np.quantile(vals, 0.9)),
+        "non_bottom": int(vals.size),
+    } for (run, n), vals in zip(scaling, pooled)]
     rows = [{"kind": "scaling", **r} for r in results]
 
     medians = {}
@@ -545,21 +536,10 @@ def exp_loss_scaling(config: ExperimentConfig) -> ExperimentReport:
             config.exceedance_n, config.failure_exponent, config.model()
         ).loss_bound
         counts = {h: [] for h in config.h_values}
-        cutoff = config.bottom_sigma if config.bottom_sigma is not None else config.bottom_frac
-        for run in range(config.runs):
-            market = config.make_market(run, n_left=config.exceedance_n)
-            losses = _pessimal_losses(market)
-            pooled = []
-            for side in (LEFT, RIGHT):
-                aligned = market.aligned_ratings(side)
-                floor = market.rating_range(other_side(side))[0]
-                keep = ~np.isnan(aligned) & (aligned >= floor + cutoff)
-                vals = losses[side][keep]
-                pooled.append(vals[~np.isnan(vals)])
-            pooled = np.concatenate(pooled)
+        for (run, _), vals in zip(exceedance_runs, pooled[len(scaling):]):
             for h in config.h_values:
                 threshold = loss_bound / 2**h
-                count = int((pooled > threshold).sum())
+                count = int((vals > threshold).sum())
                 counts[h].append(count)
                 rows.append({
                     "kind": "exceedance",

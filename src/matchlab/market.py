@@ -9,8 +9,7 @@ score for that partner through a strictly increasing utility function.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -245,12 +244,13 @@ class Market:
     seed: int | None = None
     rating_range_left: tuple[float, float] = (0.0, 1.0)
     rating_range_right: tuple[float, float] = (0.0, 1.0)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for field in ("ratings_left", "ratings_right", "scores_left", "scores_right"):
-            arr = np.asarray(getattr(self, field), dtype=float)
+        for name in ("ratings_left", "ratings_right", "scores_left", "scores_right"):
+            arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
-            setattr(self, field, arr)
+            setattr(self, name, arr)
         if self.ratings_left.shape != (self.n_left,) or self.ratings_right.shape != (self.n_right,):
             raise ValueError("rating vector shapes disagree with side sizes")
         if self.scores_left.shape != (self.n_left, self.n_right):
@@ -278,61 +278,37 @@ class Market:
     def capacity_balanced(self) -> bool:
         return self.n_left * self.cap_left == self.n_right * self.cap_right
 
-    # -- ranks ------------------------------------------------------------
-    @cached_property
-    def _rank_left(self) -> np.ndarray:
-        return rank_order(self.ratings_left)
-
-    @cached_property
-    def _rank_right(self) -> np.ndarray:
-        return rank_order(self.ratings_right)
+    # -- lazy per-side arrays, cached under (kind, side) ---------------------
+    def _cached(self, kind: str, side: str, build: Callable[[str], np.ndarray]) -> np.ndarray:
+        key = (kind, side)
+        if key not in self._cache:
+            self._cache[key] = build(side)
+        return self._cache[key]
 
     def rank_to_agent(self, side: str) -> np.ndarray:
         """Permutation mapping rank position (0 = best) to agent index."""
-        return self._rank_left if side == LEFT else self._rank_right
-
-    @cached_property
-    def _pos_left(self) -> np.ndarray:
-        pos = np.empty(self.n_left, dtype=np.int64)
-        pos[self._rank_left] = np.arange(self.n_left)
-        return pos
-
-    @cached_property
-    def _pos_right(self) -> np.ndarray:
-        pos = np.empty(self.n_right, dtype=np.int64)
-        pos[self._rank_right] = np.arange(self.n_right)
-        return pos
+        return self._cached("rank", side, lambda s: rank_order(self.ratings(s)))
 
     def agent_rank(self, side: str) -> np.ndarray:
         """Per-agent rank position (0 = highest rating)."""
-        return self._pos_left if side == LEFT else self._pos_right
+        return self._cached("pos", side, self._agent_rank)
 
-    # -- utilities ----------------------------------------------------------
-    @cached_property
-    def _utility_left(self) -> np.ndarray:
-        u = self.model.utility(LEFT, self.ratings_right[None, :], self.scores_left)
-        return np.ascontiguousarray(u, dtype=float)
-
-    @cached_property
-    def _utility_right(self) -> np.ndarray:
-        u = self.model.utility(RIGHT, self.ratings_left[None, :], self.scores_right)
-        return np.ascontiguousarray(u, dtype=float)
+    def _agent_rank(self, side: str) -> np.ndarray:
+        pos = np.empty(self.n(side), dtype=np.int64)
+        pos[self.rank_to_agent(side)] = np.arange(self.n(side))
+        return pos
 
     def utility_matrix(self, side: str) -> np.ndarray:
         """(n_side, n_other) utilities of `side` agents for the other side."""
-        return self._utility_left if side == LEFT else self._utility_right
+        return self._cached("utility", side, self._utility_matrix)
 
-    @cached_property
-    def _pref_left(self) -> np.ndarray:
-        return preference_argsort(self._utility_left)
-
-    @cached_property
-    def _pref_right(self) -> np.ndarray:
-        return preference_argsort(self._utility_right)
+    def _utility_matrix(self, side: str) -> np.ndarray:
+        u = self.model.utility(side, self.ratings(other_side(side))[None, :], self.scores(side))
+        return np.ascontiguousarray(u, dtype=float)
 
     def preference_order(self, side: str) -> np.ndarray:
         """Full preference lists: partners by descending utility, ties by index."""
-        return self._pref_left if side == LEFT else self._pref_right
+        return self._cached("pref", side, lambda s: preference_argsort(self.utility_matrix(s)))
 
     # -- alignment ----------------------------------------------------------
     def aligned_agent(self, side: str, agent: int) -> int | None:
@@ -344,6 +320,10 @@ class Market:
             return None
         return int(self.rank_to_agent(opp)[target])
 
+    def aligned_ratings(self, side: str) -> np.ndarray:
+        """Per-agent rating of the aligned partner; NaN when there is none."""
+        return self._cached("aligned_rating", side, self._aligned_ratings)
+
     def _aligned_ratings(self, side: str) -> np.ndarray:
         opp = other_side(side)
         cap_own, cap_opp = self.cap(side), self.cap(opp)
@@ -354,18 +334,6 @@ class Market:
         opp_agents = self.rank_to_agent(opp)[target[valid] - 1]
         out[valid] = self.ratings(opp)[opp_agents]
         return out
-
-    @cached_property
-    def _aligned_rating_left(self) -> np.ndarray:
-        return self._aligned_ratings(LEFT)
-
-    @cached_property
-    def _aligned_rating_right(self) -> np.ndarray:
-        return self._aligned_ratings(RIGHT)
-
-    def aligned_ratings(self, side: str) -> np.ndarray:
-        """Per-agent rating of the aligned partner; NaN when there is none."""
-        return self._aligned_rating_left if side == LEFT else self._aligned_rating_right
 
 
 def _resolve_ranges(n_left: int, n_right: int, cap_left: int, cap_right: int,

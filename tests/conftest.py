@@ -100,16 +100,8 @@ def reference_da(market, side, edges=None, order_seed=None):
         for i in proposers:
             sets_prop[i].append(j)
 
-    if prop == LEFT:
-        left, right = sets_prop, sets_recv
-    else:
-        left, right = sets_recv, sets_prop
-    return ml.Matching(
-        proposing_side=prop,
-        matches_left=tuple(tuple(sorted(s)) for s in left),
-        matches_right=tuple(tuple(sorted(s)) for s in right),
-        proposal_counts=counts,
-    )
+    left = sets_prop if prop == LEFT else sets_recv
+    return ml.Matching.from_left_sets(left, market.n_right, prop, counts)
 
 
 def cyclic_three_market():

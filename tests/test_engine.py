@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import matchlab as ml
-from matchlab.engine import EdgeSet, double_cut_edges
+from matchlab.engine import EdgeSet, double_cut_edges, worst_partner
 from matchlab.market import LEFT, RIGHT
 
 from conftest import (
@@ -56,8 +56,9 @@ def test_order_invariance(mid_market):
 
 def assert_same_run(got, want):
     assert got.proposing_side == want.proposing_side
-    assert got.matches_left == want.matches_left
-    assert got.matches_right == want.matches_right
+    assert np.array_equal(got.pair_array, want.pair_array)
+    for side in (LEFT, RIGHT):
+        assert got.matches(side) == want.matches(side)
     assert got.proposal_counts.tolist() == want.proposal_counts.tolist()
 
 
@@ -89,6 +90,64 @@ def test_kernel_matches_reference_with_ties(case):
     assert_same_run(ml.run_da(market, side, edges), reference_da(market, side, edges))
 
 
+def loop_worst_partner(market, side, sets, spare_is_worst):
+    """Per-agent reference for `worst_partner`: lowest utility, ties to the
+    higher partner index; (-inf, n_other) for agents without one, and with
+    `spare_is_worst` also for agents below capacity."""
+    u = market.utility_matrix(side)
+    sentinel = market.n(ml.other_side(side))
+    out_u, out_j = [], []
+    for a, partners in enumerate(sets):
+        if not partners or (spare_is_worst and len(partners) < market.cap(side)):
+            out_u.append(-np.inf)
+            out_j.append(sentinel)
+            continue
+        j = min(partners, key=lambda p: (u[a, p], -p))
+        out_u.append(u[a, j])
+        out_j.append(j)
+    return np.array(out_u), np.array(out_j)
+
+
+@st.composite
+def matching_cases(draw):
+    """A `da_cases` market with a random capacity-respecting matching."""
+    market, _, _ = draw(da_cases())
+    want = draw(arrays(bool, (market.n_left, market.n_right)))
+    sets = [[] for _ in range(market.n_left)]
+    load = [0] * market.n_right
+    for i, j in np.argwhere(want):
+        if len(sets[i]) < market.cap_left and load[j] < market.cap_right:
+            sets[i].append(int(j))
+            load[j] += 1
+    return market, sets
+
+
+@settings(max_examples=100, deadline=None)
+@given(matching_cases())
+def test_matching_views_match_per_agent_loops(case):
+    market, sets = case
+    m = ml.Matching.from_left_sets(sets, market.n_right)
+    assert ml.Matching.from_left_sets(m.matches(LEFT), market.n_right).same_pairs(m)
+    assert m.pairs() == {(i, j) for i, ms in enumerate(sets) for j in ms}
+    assert np.array_equal(EdgeSet.from_pairs(m.pairs(), market.n_left, market.n_right).pairs(),
+                          m.pair_array)
+    for side in (LEFT, RIGHT):
+        tuples = m.matches(side)
+        assert m.match_counts(side).tolist() == [len(t) for t in tuples]
+        assert m.matched_mask(side).tolist() == [bool(t) for t in tuples]
+        for spare_is_worst in (False, True):
+            got_u, got_j = worst_partner(market, side, m, spare_is_worst)
+            want_u, want_j = loop_worst_partner(market, side, tuples, spare_is_worst)
+            assert np.array_equal(got_u, want_u) and np.array_equal(got_j, want_j)
+        want = loop_worst_partner(market, side, tuples, False)[0]
+        want[~m.matched_mask(side)] = np.nan
+        assert np.array_equal(ml.achieved_utilities(market, m, side), want, equal_nan=True)
+
+
+def test_edge_set_from_empty_pairs():
+    assert EdgeSet.from_pairs([], 3, 4) == EdgeSet.empty(3, 4)
+
+
 @pytest.mark.parametrize("nl,nr,cap_l,cap_r,density", [
     (120, 120, 1, 1, None),
     (150, 90, 1, 1, None),
@@ -112,11 +171,12 @@ def test_kernel_matches_reference_on_generated_markets(nl, nr, cap_l, cap_r, den
 
 def test_matching_symmetry_and_capacity(small_market):
     matching = ml.run_da(small_market, LEFT)
-    for i, ms in enumerate(matching.matches_left):
+    left, right = matching.matches(LEFT), matching.matches(RIGHT)
+    for i, ms in enumerate(left):
         assert len(ms) <= small_market.cap_left
         for j in ms:
-            assert i in matching.matches_right[j]
-    for j, ms in enumerate(matching.matches_right):
+            assert i in right[j]
+    for j, ms in enumerate(right):
         assert len(ms) <= small_market.cap_right
 
 
@@ -268,7 +328,7 @@ def test_verify_stability_flags_swapped_pairs(mid_market):
             break
     assert found is not None
     i, k = found
-    sets = [list(s) for s in matching.matches_left]
+    sets = [list(s) for s in matching.matches(LEFT)]
     sets[i], sets[k] = [int(partner[k])], [int(partner[i])]
     swapped = ml.Matching.from_left_sets(sets, mid_market.n_right)
     assert len(ml.verify_stability(mid_market, None, swapped)) >= 1

@@ -209,3 +209,15 @@ def test_jobs_parallel_matches_serial():
     serial.config["jobs"] = parallel.config["jobs"]
     assert serial.rows == parallel.rows
     assert serial.summary == parallel.summary
+
+
+def test_loss_scaling_jobs_writes_same_bytes(tmp_path):
+    base = dict(experiment="loss-scaling", weight=0.5, runs=3, seed=33,
+                n_values=(40, 80), exceedance_n=60, h_values=(0, 1, 2))
+    for jobs in (1, 2):
+        report = exp_loss_scaling(ExperimentConfig(**base, jobs=jobs))
+        report.config["jobs"] = 1  # the echo of the flag itself may differ
+        report.write_csv(tmp_path / f"report-{jobs}.csv")
+        report.write_json(tmp_path / f"summary-{jobs}.json")
+    for name in ("report-{}.csv", "summary-{}.json"):
+        assert (tmp_path / name.format(1)).read_bytes() == (tmp_path / name.format(2)).read_bytes()
