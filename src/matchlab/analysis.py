@@ -14,7 +14,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import EdgeSet, Matching, extreme_matchings, worst_partner
+from .engine import (
+    EdgeSet,
+    Matching,
+    _mutual_mask,
+    _prefers_to_worst,
+    extreme_matchings,
+    worst_partner,
+)
 from .market import LEFT, RIGHT, Market, UtilityModel, other_side
 
 __all__ = [
@@ -233,25 +240,32 @@ def loss_report(market: Market, matching: Matching, params: LossParams | None = 
 # edge-set constructions
 
 
-def _threshold_keep(market: Market, side: str, thresholds) -> np.ndarray:
-    """(n_side, n_other) mask of edges whose loss to `side` is within threshold.
+def _threshold_keep(market: Market, side: str, thresholds, exempt=None):
+    """`_mutual_mask` test: edges whose loss to `side` is within threshold.
 
-    NaN thresholds (agents without a benchmark) keep every edge.
+    NaN thresholds (agents without a benchmark) and `exempt` agents keep
+    every edge.
     """
     bench = benchmark_vector(market, side)
-    thr = np.broadcast_to(np.asarray(thresholds, dtype=float), bench.shape)
+    floor = bench - np.broadcast_to(np.asarray(thresholds, dtype=float), bench.shape)
+    free = np.isnan(floor)
+    if exempt is not None:
+        free |= exempt
     u = market.utility_matrix(side)
-    floor = (bench - thr)[:, None]
-    keep = u >= floor
-    keep |= np.isnan(floor)
+
+    def keep(rows, cols):
+        out = u[rows, cols] >= floor[rows, None]
+        out[free[rows]] = True
+        return out
+
     return keep
 
 
 def loss_threshold_edges(market: Market, thresholds_left, thresholds_right) -> EdgeSet:
     """Edges whose loss stays within per-agent caps on both sides."""
-    keep_l = _threshold_keep(market, LEFT, thresholds_left)
-    keep_r = _threshold_keep(market, RIGHT, thresholds_right)
-    return EdgeSet(keep_l & keep_r.T)
+    return EdgeSet(_mutual_mask(market.n_left, market.n_right,
+                                _threshold_keep(market, LEFT, thresholds_left),
+                                _threshold_keep(market, RIGHT, thresholds_right)))
 
 
 def acceptable_edges(market: Market, loss_cap_left: float, loss_cap_right: float,
@@ -263,23 +277,11 @@ def acceptable_edges(market: Market, loss_cap_left: float, loss_cap_right: float
     side's bottom rating zone (rating within sigma of the range floor, or
     no aligned partner at all).
     """
-    keep_l = _threshold_keep(market, LEFT, loss_cap_left)
     exempt_l = market.ratings_left < market.rating_range_left[0] + sigma_left
-    keep_l |= exempt_l[:, None]
-
-    keep_r = _threshold_keep(market, RIGHT, loss_cap_right)
     exempt_r = market.ratings_right < market.rating_range_right[0] + sigma_right
-    keep_r |= exempt_r[:, None]
-    return EdgeSet(keep_l & keep_r.T)
-
-
-def _weakly_preferred_to_worst(market: Market, side: str, pessimal: Matching) -> np.ndarray:
-    """Mask of edges each agent weakly prefers to its pessimal-match worst."""
-    # agents with spare capacity get (-inf, sentinel): every edge qualifies
-    wu, wj = worst_partner(market, side, pessimal, spare_is_worst=True)
-    u = market.utility_matrix(side)
-    idx = np.arange(market.n(other_side(side)))[None, :]
-    return (u > wu[:, None]) | ((u == wu[:, None]) & (idx <= wj[:, None]))
+    return EdgeSet(_mutual_mask(market.n_left, market.n_right,
+                                _threshold_keep(market, LEFT, loss_cap_left, exempt_l),
+                                _threshold_keep(market, RIGHT, loss_cap_right, exempt_r)))
 
 
 def viable_edges(market: Market, edges: EdgeSet | None = None) -> EdgeSet:
@@ -289,10 +291,10 @@ def viable_edges(market: Market, edges: EdgeSet | None = None) -> EdgeSet:
     input edge set exactly.
     """
     left_opt, right_opt = extreme_matchings(market, edges)
-    keep_l = _weakly_preferred_to_worst(market, LEFT, right_opt)
-    keep_r = _weakly_preferred_to_worst(market, RIGHT, left_opt)
-    base = EdgeSet.full(market.n_left, market.n_right).mask if edges is None else edges.mask
-    return EdgeSet(base & keep_l & keep_r.T)
+    return EdgeSet(_mutual_mask(market.n_left, market.n_right,
+                                _prefers_to_worst(market, LEFT, right_opt, weak=True),
+                                _prefers_to_worst(market, RIGHT, left_opt, weak=True),
+                                within=None if edges is None else edges.mask))
 
 
 def cone_bounds(market: Market, params: LossParams, agent: int, side: str = LEFT) -> tuple[float, float]:
@@ -334,11 +336,16 @@ class InterviewParams:
 
 def interview_edges(market: Market, params: InterviewParams) -> EdgeSet:
     """Edges with small rating gap and mutually high private scores."""
-    gap = np.abs(market.ratings_left[:, None] - market.ratings_right[None, :])
-    mask = gap <= params.rating_window
-    mask &= market.scores_left > params.cutoff_left
-    mask &= (market.scores_right > params.cutoff_right).T
-    return EdgeSet(mask)
+    rl, rr = market.ratings_left, market.ratings_right
+    sl, sr = market.scores_left, market.scores_right
+
+    def keep_left(rows, cols):
+        out = np.abs(rl[rows, None] - rr[None, cols]) <= params.rating_window
+        out &= sl[rows, cols] > params.cutoff_left
+        return out
+
+    return EdgeSet(_mutual_mask(market.n_left, market.n_right, keep_left,
+                                lambda rows, cols: sr[rows, cols] > params.cutoff_right))
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +417,6 @@ def selected_edges(market: Market, params: SelectedSetParams, seed: int | None =
     sigma = params.halfwidth(n)
     if sigma > 0.5:
         raise ValueError("cone halfwidth above 1/2; increase n or reduce expected_degree")
-    p = selected_survival(
-        market.ratings_left[:, None], market.ratings_right[None, :],
-        params.expected_degree, sigma, n,
-    )
-    if p.max() > 1.0:
-        raise ValueError("survival probability above 1 after boundary corrections; "
-                         "expected_degree too large for this n")
-    threshold = 1.0 - np.sqrt(p)
     if seed is None:
         scores_l, scores_r = market.scores_left, market.scores_right
     else:
@@ -425,8 +424,20 @@ def selected_edges(market: Market, params: SelectedSetParams, seed: int | None =
 
         scores_l = stream_rng(seed, 4).random((n, n))
         scores_r = stream_rng(seed, 5).random((n, n))
-    mask = (p > 0.0) & (scores_l >= threshold) & (scores_r.T >= threshold)
-    return EdgeSet(mask)
+    rl, rr = market.ratings_left, market.ratings_right
+    k = params.expected_degree
+
+    def keep(rows, cols):
+        # one survival block serves both sides; the right scores are read
+        # transposed, block by block
+        p = selected_survival(rl[rows, None], rr[None, cols], k, sigma, n)
+        if p.max() > 1.0:
+            raise ValueError("survival probability above 1 after boundary corrections; "
+                             "expected_degree too large for this n")
+        threshold = 1.0 - np.sqrt(p)
+        return (p > 0.0) & (scores_l[rows, cols] >= threshold) & (scores_r[cols, rows].T >= threshold)
+
+    return EdgeSet(_mutual_mask(n, n, keep, None))
 
 
 def selected_degree_stats(market: Market, params: SelectedSetParams,

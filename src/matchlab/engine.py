@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import LEFT, RIGHT, Market, other_side
+from .market import _BLOCK_ROWS, LEFT, RIGHT, Market, other_side
 
 __all__ = [
     "CutSpec",
@@ -189,6 +189,31 @@ class Matching:
         return np.array_equal(self.pair_array, other.pair_array)
 
 
+def _mutual_mask(n_left: int, n_right: int, keep_left, keep_right,
+                 within: np.ndarray | None = None) -> np.ndarray:
+    """(n_left, n_right) mask of the edges both sides keep, and `within` has.
+
+    A side's test is called as ``keep(agents, partners)`` with two slices,
+    its own agents first, and returns that block of its (n_side, n_other)
+    boolean test; None keeps every edge.  The mask is filled one block of
+    left rows at a time: the right-side test covers those left agents only,
+    so its transpose stays in cache and no full-size test is ever allocated.
+    """
+    out = np.empty((n_left, n_right), dtype=bool)
+    every = slice(None)
+    for lo in range(0, n_left, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        if keep_right is None:
+            out[rows] = keep_left(rows, every)
+        elif keep_left is None:
+            out[rows] = keep_right(every, rows).T
+        else:
+            np.logical_and(keep_left(rows, every), keep_right(every, rows).T, out=out[rows])
+        if within is not None:
+            out[rows] &= within[rows]
+    return out
+
+
 def _candidate_lists(market: Market, proposing_side: str, edges: EdgeSet | None):
     """Proposer lists in CSR form: row offsets and one flat receiver array,
     each row in preference order (utility desc, index asc)."""
@@ -197,16 +222,36 @@ def _candidate_lists(market: Market, proposing_side: str, edges: EdgeSet | None)
         indptr = np.arange(n_p + 1, dtype=np.int64) * n_r
         return indptr, market.preference_order(proposing_side).ravel()
     u = market.utility_matrix(proposing_side)
-    mask = edges.mask if proposing_side == LEFT else edges.mask.T
-    rows = []
-    for i in range(n_p):
-        cols = np.flatnonzero(mask[i])
-        if cols.size:
-            cols = cols[np.argsort(-u[i, cols], kind="stable")]
-        rows.append(cols)
+    counts = np.empty(n_p, dtype=np.int64)
+    indices = np.empty(np.count_nonzero(edges.mask), dtype=np.int64)
+    at = 0
+    # one block of proposers at a time, so temporaries stay block-sized
+    for lo in range(0, n_p, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n_p)
+        if proposing_side == LEFT:
+            prop, recv = np.divmod(np.flatnonzero(edges.mask[lo:hi]), n_r)
+        else:
+            recv, prop = np.divmod(np.flatnonzero(edges.mask[:, lo:hi]), hi - lo)
+        key = -u[lo:hi][prop, recv]
+        # Entries arrive receiver-ascending within each proposer.  An unstable
+        # sort by key, then a stable (radix, for small row keys) sort by
+        # proposer, puts every row in preference order up to tied keys.
+        order = np.argsort(key)
+        order = order[np.argsort(prop.astype(np.min_scalar_type(hi - lo))[order], kind="stable")]
+        rows, keys = prop[order], key[order]
+        # rows holding an exact tie or a NaN are sorted again stably
+        redo = np.zeros(hi - lo, dtype=bool)
+        redo[rows[1:][(rows[1:] == rows[:-1]) & (keys[1:] == keys[:-1])]] = True
+        redo[prop[np.isnan(key)]] = True
+        if redo.any():
+            again = np.flatnonzero(redo[prop])
+            order[redo[rows]] = again[np.lexsort((key[again], prop[again]))]
+        indices[at:at + order.size] = recv[order]
+        at += order.size
+        counts[lo:hi] = np.bincount(prop, minlength=hi - lo)
     indptr = np.zeros(n_p + 1, dtype=np.int64)
-    np.cumsum([r.size for r in rows], out=indptr[1:])
-    return indptr, np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, indices
 
 
 # Each round scans about this many list entries per agent on the larger side.
@@ -300,24 +345,30 @@ def double_cut_edges(market: Market, proposing_side: str, cut: CutSpec) -> EdgeS
     """Edge set left after every proposer stops at the cut's target or floor."""
     prop = proposing_side
     u = market.utility_matrix(prop)
-    n_p, n_r = u.shape
+    n_r = u.shape[1]
     if cut.target is not None and not 0 <= cut.target < n_r:
         raise IndexError(f"cut target {cut.target} out of range for {n_r} receivers")
-    keep = np.ones((n_p, n_r), dtype=bool)
     floor = None if cut.rating_floor is None else max(0.0, cut.rating_floor)
+    # a floor clamped all the way to zero cuts nothing: no partner rates
+    # below the bottom of the range
+    floor_u = None
     if floor is not None and floor > 0.0:
-        # a floor clamped all the way to zero cuts nothing: no partner
-        # rates below the bottom of the range
         floor_u = float(market.model.utility(prop, floor, 1.0))
-        keep &= u >= floor_u
-    if cut.target is not None:
-        t = cut.target
-        ut = u[:, t][:, None]
-        cols = np.arange(n_r)[None, :]
-        keep &= (u > ut) | ((u == ut) & (cols <= t))
-    if prop == RIGHT:
-        keep = keep.T
-    return EdgeSet(keep)
+    t = cut.target
+    idx = np.arange(n_r)
+
+    def keep(rows, cols):
+        ub = u[rows, cols]
+        out = np.ones(ub.shape, dtype=bool)
+        if floor_u is not None:
+            out &= ub >= floor_u
+        if t is not None:
+            ut = u[rows, t][:, None]
+            out &= (ub > ut) | ((ub == ut) & (idx[cols] <= t))
+        return out
+
+    tests = (keep, None) if prop == LEFT else (None, keep)
+    return EdgeSet(_mutual_mask(market.n_left, market.n_right, *tests))
 
 
 def run_double_cut_da(market: Market, proposing_side: str, cut: CutSpec) -> Matching:
@@ -369,6 +420,23 @@ def worst_partner(market: Market, side: str, matching: Matching,
     return worst_u, worst_j
 
 
+def _prefers_to_worst(market: Market, side: str, matching: Matching, weak: bool = False):
+    """`_mutual_mask` test: edges a `side` agent strictly prefers to its worst
+    held partner, with a free slot worse than any edge.  With `weak`, the
+    worst partner itself qualifies too."""
+    wu, wj = worst_partner(market, side, matching, spare_is_worst=True)
+    bound = wj + 1 if weak else wj
+    u = market.utility_matrix(side)
+    idx = np.arange(market.n(other_side(side)))
+
+    def keep(rows, cols):
+        ub, w = u[rows, cols], wu[rows, None]
+        # an equal utility goes by partner index
+        return (ub > w) | ((ub == w) & (idx[cols] < bound[rows, None]))
+
+    return keep
+
+
 def verify_stability(market: Market, edges: EdgeSet | None, matching: Matching) -> list[tuple[int, int]]:
     """Every edge of `edges` that blocks `matching`; empty list iff stable.
 
@@ -376,21 +444,13 @@ def verify_stability(market: Market, edges: EdgeSet | None, matching: Matching) 
     worst current assignment, with a free slot treated as worse than any
     edge in the set.
     """
-    if edges is None:
-        edges = EdgeSet.full(market.n_left, market.n_right)
-    ul = market.utility_matrix(LEFT)
-    ur = market.utility_matrix(RIGHT)
-    wu_l, wj_l = worst_partner(market, LEFT, matching, spare_is_worst=True)
-    wu_r, wj_r = worst_partner(market, RIGHT, matching, spare_is_worst=True)
-
-    cols = np.arange(market.n_right)[None, :]
-    better_l = (ul > wu_l[:, None]) | ((ul == wu_l[:, None]) & (cols < wj_l[:, None]))
-    rows = np.arange(market.n_left)[None, :]
-    better_r = (ur > wu_r[:, None]) | ((ur == wu_r[:, None]) & (rows < wj_r[:, None]))
-
-    block = edges.mask & better_l & better_r.T
+    block = _mutual_mask(market.n_left, market.n_right,
+                         _prefers_to_worst(market, LEFT, matching),
+                         _prefers_to_worst(market, RIGHT, matching),
+                         within=None if edges is None else edges.mask)
     block[matching.pair_array[:, 0], matching.pair_array[:, 1]] = False
-    return list(map(tuple, np.argwhere(block).tolist()))
+    left, right = np.divmod(np.flatnonzero(block), market.n_right)
+    return list(zip(left.tolist(), right.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +509,14 @@ def brute_force_stable_set(market: Market, edges: EdgeSet | None = None) -> list
         rows = np.arange(n)
         rank_l[rows[:, None], np.argsort(-ul, axis=1, kind="stable")] = rows[None, :]
         rank_r[rows[:, None], np.argsort(-ur, axis=1, kind="stable")] = rows[None, :]
+        rank_r_by_left = np.ascontiguousarray(rank_r.T)  # [i, j]: j's rank of i
         for perm in itertools.permutations(range(n)):
             p = np.asarray(perm)
             q = np.empty(n, dtype=np.int64)
             q[p] = rows
             better_l = rank_l < rank_l[rows, p][:, None]
-            better_r = rank_r < rank_r[rows, q][:, None]
-            if not np.any(better_l & better_r.T):
+            better_r = rank_r_by_left < rank_r[rows, q][None, :]
+            if not np.any(better_l & better_r):
                 emit(list(perm))
         return stable
 

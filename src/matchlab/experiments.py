@@ -21,6 +21,7 @@ from .analysis import (
     InterviewParams,
     acceptable_edges,
     achieved_utilities,
+    benchmark_vector,
     interview_edges,
     loss_params_from_bound,
     loss_report,
@@ -346,8 +347,8 @@ def exp_min_L(config: ExperimentConfig) -> ExperimentReport:
             for r in results:
                 if r["grid_index"] == idx:
                     continue  # already known to match at its own first_L
-                market = config.make_market(r["run"])
-                if not _all_matched_at(market, candidate, config):
+                # no name holds the market, so it is freed before the next is made
+                if not _all_matched_at(config.make_market(r["run"]), candidate, config):
                     ok = False
                     break
             if ok:
@@ -494,7 +495,7 @@ def _non_bottom_losses(config: ExperimentConfig, run_index: int, n: int) -> np.n
     pessimal = {LEFT: run_da(market, RIGHT), RIGHT: run_da(market, LEFT)}  # receivers fare worst
     pooled = []
     for side in (LEFT, RIGHT):
-        loss = loss_report(market, pessimal[side]).side(side).loss
+        loss = benchmark_vector(market, side) - achieved_utilities(market, pessimal[side], side)
         aligned = market.aligned_ratings(side)
         floor = market.rating_range(other_side(side))[0]
         keep = ~np.isnan(aligned) & (aligned >= floor + cutoff)

@@ -9,6 +9,7 @@ score for that partner through a strictly increasing utility function.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -67,7 +68,9 @@ class UtilityModel:
     side together with declared derivative bounds: ``slope_cap`` bounds the
     rating partial from above and ``ratio_low`` bounds the ratio of the
     rating and score partials from below.  Declarations are trusted but can
-    be spot-checked with :func:`monotonicity_audit`.
+    be spot-checked with :func:`monotonicity_audit`.  A custom callable
+    must be elementwise: markets evaluate it on blocks of rows, so an entry
+    may depend only on its own (rating, score) pair.
     """
 
     kind: str
@@ -150,8 +153,10 @@ def custom_model(
 ) -> UtilityModel:
     """Custom monotone utility pair with declared derivative bounds.
 
-    Registered models can round-trip through market files; unregistered ones
-    only live in memory.
+    Both callables must be elementwise in (rating, score): utility matrices
+    are evaluated on blocks of rows, not on whole matrices.  Registered
+    models can round-trip through market files; unregistered ones only live
+    in memory.
     """
     model = UtilityModel(
         kind="custom",
@@ -188,8 +193,10 @@ def rank_order(ratings) -> np.ndarray:
     return np.argsort(-np.asarray(ratings, dtype=float), kind="stable")
 
 
-# rows per block of preference_argsort: bounds its temporaries to a few MB
-_SORT_BLOCK_ROWS = 256
+# rows per block of preference_argsort, the utility matrices and the engine's
+# two-sided edge masks and proposer lists: 64 rows of 4000 float64 values take 2 MB, so a block
+# and its temporaries stay near a core's L2 cache instead of main memory
+_BLOCK_ROWS = 64
 
 
 def preference_argsort(u: np.ndarray) -> np.ndarray:
@@ -201,8 +208,8 @@ def preference_argsort(u: np.ndarray) -> np.ndarray:
     of allocating a full negated copy of `u`.
     """
     out = np.empty(u.shape, dtype=np.int64)
-    for lo in range(0, u.shape[0], _SORT_BLOCK_ROWS):
-        neg = -u[lo:lo + _SORT_BLOCK_ROWS]
+    for lo in range(0, u.shape[0], _BLOCK_ROWS):
+        neg = -u[lo:lo + _BLOCK_ROWS]
         idx = np.argsort(neg, axis=1)
         vals = np.take_along_axis(neg, idx, axis=1)
         redo = np.isnan(vals[:, -1:]).any(axis=1) | (vals[:, 1:] == vals[:, :-1]).any(axis=1)
@@ -303,8 +310,14 @@ class Market:
         return self._cached("utility", side, self._utility_matrix)
 
     def _utility_matrix(self, side: str) -> np.ndarray:
-        u = self.model.utility(side, self.ratings(other_side(side))[None, :], self.scores(side))
-        return np.ascontiguousarray(u, dtype=float)
+        # one block of rows at a time, so no full-size temporary is allocated
+        rating = self.ratings(other_side(side))[None, :]
+        scores = self.scores(side)
+        out = np.empty(scores.shape)
+        for lo in range(0, scores.shape[0], _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            out[rows] = self.model.utility(side, rating, scores[rows])
+        return out
 
     def preference_order(self, side: str) -> np.ndarray:
         """Full preference lists: partners by descending utility, ties by index."""
@@ -357,6 +370,21 @@ def _resolve_ranges(n_left: int, n_right: int, cap_left: int, cap_right: int,
     return short_range, long_range
 
 
+def _check_fits(n_left: int, n_right: int) -> None:
+    """Refuse a market whose dense score and utility matrices (two of each,
+    float64) would not fit in physical memory."""
+    need = 4 * n_left * n_right * 8
+    try:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # no way to ask this platform; let the allocation decide
+    if need > limit:
+        raise ValueError(
+            f"a {n_left} x {n_right} market needs about {need / 2**30:.1f} GiB for its dense "
+            f"score and utility matrices, more than the {limit / 2**30:.1f} GiB of physical memory"
+        )
+
+
 def generate_market(
     n_left: int,
     n_right: int,
@@ -378,6 +406,7 @@ def generate_market(
         raise ValueError("both sides need at least one agent")
     if cap_left < 1 or cap_right < 1:
         raise ValueError("capacities must be at least 1")
+    _check_fits(n_left, n_right)
     range_left, range_right = _resolve_ranges(n_left, n_right, cap_left, cap_right, rating_ranges)
 
     def draw_ratings(label: int, n: int, lohi: tuple[float, float]) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import matchlab as ml
+from matchlab.engine import worst_partner
 from matchlab.market import LEFT, RIGHT, other_side
 
 
@@ -102,6 +103,110 @@ def reference_da(market, side, edges=None, order_seed=None):
 
     left = sets_prop if prop == LEFT else sets_recv
     return ml.Matching.from_left_sets(left, market.n_right, prop, counts)
+
+
+# ---------------------------------------------------------------------------
+# Dense forms of the two-sided builders, written as whole-matrix formulas with
+# a transposed right-side test: the oracles the row-blocked kernels must
+# reproduce bit for bit.
+
+
+def dense_utility_matrix(market, side):
+    u = market.model.utility(side, market.ratings(other_side(side))[None, :], market.scores(side))
+    return np.ascontiguousarray(u, dtype=float)
+
+
+def dense_threshold_keep(market, side, thresholds):
+    bench = ml.benchmark_vector(market, side)
+    thr = np.broadcast_to(np.asarray(thresholds, dtype=float), bench.shape)
+    floor = (bench - thr)[:, None]
+    keep = market.utility_matrix(side) >= floor
+    keep |= np.isnan(floor)
+    return keep
+
+
+def dense_loss_threshold_edges(market, thresholds_left, thresholds_right):
+    keep_l = dense_threshold_keep(market, LEFT, thresholds_left)
+    keep_r = dense_threshold_keep(market, RIGHT, thresholds_right)
+    return keep_l & keep_r.T
+
+
+def dense_acceptable_edges(market, loss_cap_left, loss_cap_right, sigma_left=0.0, sigma_right=0.0):
+    keep_l = dense_threshold_keep(market, LEFT, loss_cap_left)
+    keep_l |= (market.ratings_left < market.rating_range_left[0] + sigma_left)[:, None]
+    keep_r = dense_threshold_keep(market, RIGHT, loss_cap_right)
+    keep_r |= (market.ratings_right < market.rating_range_right[0] + sigma_right)[:, None]
+    return keep_l & keep_r.T
+
+
+def _dense_beats_worst(market, side, matching, weak):
+    wu, wj = worst_partner(market, side, matching, spare_is_worst=True)
+    u = market.utility_matrix(side)
+    idx = np.arange(market.n(other_side(side)))[None, :]
+    by_index = idx <= wj[:, None] if weak else idx < wj[:, None]
+    return (u > wu[:, None]) | ((u == wu[:, None]) & by_index)
+
+
+def dense_viable_edges(market, edges=None):
+    left_opt, right_opt = ml.extreme_matchings(market, edges)
+    keep_l = _dense_beats_worst(market, LEFT, right_opt, weak=True)
+    keep_r = _dense_beats_worst(market, RIGHT, left_opt, weak=True)
+    base = np.ones((market.n_left, market.n_right), dtype=bool) if edges is None else edges.mask
+    return base & keep_l & keep_r.T
+
+
+def dense_verify_stability(market, edges, matching):
+    mask = np.ones((market.n_left, market.n_right), dtype=bool) if edges is None else edges.mask
+    block = (mask & _dense_beats_worst(market, LEFT, matching, weak=False)
+             & _dense_beats_worst(market, RIGHT, matching, weak=False).T)
+    block[matching.pair_array[:, 0], matching.pair_array[:, 1]] = False
+    return list(map(tuple, np.argwhere(block).tolist()))
+
+
+def dense_interview_edges(market, params):
+    gap = np.abs(market.ratings_left[:, None] - market.ratings_right[None, :])
+    mask = gap <= params.rating_window
+    mask &= market.scores_left > params.cutoff_left
+    mask &= (market.scores_right > params.cutoff_right).T
+    return mask
+
+
+def dense_double_cut_edges(market, side, cut):
+    u = market.utility_matrix(side)
+    n_p, n_r = u.shape
+    keep = np.ones((n_p, n_r), dtype=bool)
+    floor = None if cut.rating_floor is None else max(0.0, cut.rating_floor)
+    if floor is not None and floor > 0.0:
+        keep &= u >= float(market.model.utility(side, floor, 1.0))
+    if cut.target is not None:
+        t = cut.target
+        ut = u[:, t][:, None]
+        keep &= (u > ut) | ((u == ut) & (np.arange(n_r)[None, :] <= t))
+    return keep.T if side == RIGHT else keep
+
+
+def dense_selected_edges(market, params):
+    n = market.n_left
+    sigma = params.halfwidth(n)
+    p = ml.selected_survival(market.ratings_left[:, None], market.ratings_right[None, :],
+                             params.expected_degree, sigma, n)
+    if p.max() > 1.0:
+        raise ValueError("survival probability above 1")
+    threshold = 1.0 - np.sqrt(p)
+    return (p > 0.0) & (market.scores_left >= threshold) & (market.scores_right.T >= threshold)
+
+
+def per_row_candidate_lists(market, side, edges):
+    """Proposer lists in CSR form from one stable argsort per row."""
+    u = market.utility_matrix(side)
+    mask = edges.mask if side == LEFT else edges.mask.T
+    rows = []
+    for i in range(market.n(side)):
+        cols = np.flatnonzero(mask[i])
+        rows.append(cols[np.argsort(-u[i, cols], kind="stable")])
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([r.size for r in rows], out=indptr[1:])
+    return indptr, np.concatenate(rows)
 
 
 def cyclic_three_market():

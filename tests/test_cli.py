@@ -66,6 +66,13 @@ def test_invalid_lambda_rejected(tmp_path, capsys):
               "--out", str(tmp_path / "m.npz")])
 
 
+def test_market_too_large_for_memory_fails_early(tmp_path, capsys):
+    code = main(["run", "--n", "200000", "--seed", "1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "of physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_full_market(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", "--n", "30", "--lambda", "0.8", "--seed", "11", "--out", str(out)])

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -98,6 +99,23 @@ def test_min_L_matches_naive_scan():
             naive = float(cap)
             break
     assert report.summary["min_L"] == pytest.approx(naive)
+
+
+def test_min_L_reverification_holds_one_market_at_a_time(monkeypatch):
+    made = []
+    make_market = ExperimentConfig.make_market
+
+    def tracked(self, *args, **kwargs):
+        alive = [ref for ref in made if ref() is not None]
+        assert not alive, f"{len(alive)} earlier market(s) still alive when the next is made"
+        market = make_market(self, *args, **kwargs)
+        made.append(weakref.ref(market))
+        return market
+
+    monkeypatch.setattr(ExperimentConfig, "make_market", tracked)
+    report = exp_min_L(ExperimentConfig("min-L", n_left=60, runs=4, seed=3, grid_step=0.02))
+    assert report.summary["verified"]
+    assert len(made) >= 4 + 2  # the re-verification pass made several markets
 
 
 def test_unique_partners_report(tmp_path):

@@ -4,8 +4,9 @@ Each case runs through `matchlab.cli.main` at a small size with a fixed
 seed, and the SHA-256 of every file it writes must equal the digest in
 GOLDEN.  The digests were recorded by running
 `PYTHONPATH=src python tests/test_golden.py` on commit 667c8ef, where
-`Matching` still held tuples of tuples; that command prints the table below
-for the current tree.  A change that alters any artifact's bytes must say
+`Matching` still held tuples of tuples; the n = 300 cases were recorded on
+commit 5e98ff3, before the edge-set builders worked in row blocks.  That
+command prints the table below for the current tree.  A change that alters any artifact's bytes must say
 so and re-record them.
 """
 
@@ -32,6 +33,15 @@ CASES = {
                        "--sigma", "0.1"],
     "run-json": ["run", "--n", "20", "--format", "json"],
     "edges-viable": ["edges", "--n", "40", "--edges", "viable"],
+    # n = 300 is above twice every row-block size and not a multiple of one,
+    # so these cases cross full blocks and end on a partial one
+    "edge-counts-300": ["experiment", "edge-counts", "--n", "300", "--runs", "2", "--L", "0.3",
+                        "--sigma", "0.1"],
+    "min-L-300": ["experiment", "min-L", "--n", "300", "--runs", "2", "--grid-step", "0.02"],
+    "truncation-300": ["experiment", "truncation", "--n", "300", "--runs", "2"],
+    "run-acceptable-right-300": ["run", "--n", "300", "--edges", "acceptable", "--L", "0.3",
+                                 "--sigma", "0.1", "--propose-side", "right"],
+    "edges-viable-300": ["edges", "--n", "300", "--edges", "viable"],
 }
 
 SEED = "11"
@@ -41,9 +51,17 @@ GOLDEN = {
         'report.csv': '74d4267c05fef122989d93f4a98201dafdeb413e5ad91441c5f731259d648f03',
         'summary.json': '9201ee6f14d71b3a7dd29e03207ae8f7cce4f54923bbd9d44be53c387218d37e',
     },
+    'edge-counts-300': {
+        'report.csv': '235a53e79858582c31a8ae9dd88ced0681f78bb048fe7e11e8ea8a5411f7ddba',
+        'summary.json': '8542eb0204b627dfac9953438dfdf45faff94ee16d042178f935ee0d45016197',
+    },
     'edges-viable': {
         'edge_summary.json': 'f5646c4ece980972903b6fa84446226cf3cb2ba839f0f7e43c2e030837885f6f',
         'edges.csv': 'fe8fd0ce6275000b952ab3085666b01a795f987034222ae4e8e665a69cb15bc6',
+    },
+    'edges-viable-300': {
+        'edge_summary.json': '5e42e8b606532e589b5115bbd216a72bc53830e827c9085215980c67e545cd63',
+        'edges.csv': 'e1a0d0f64bb6a9e700bfbf0e3eb55d155c76d31ffb8552d70fbb540883c63c6b',
     },
     'interview': {
         'report.csv': '3e36e62ef66deeec0fd81905d99d7c728a062251f641c4143293179ef10a2ad6',
@@ -61,10 +79,19 @@ GOLDEN = {
         'report.csv': '3f071e6c93cb901e11330a34aecf5044a57e14794a48cc47d5bcb8abd1aa0888',
         'summary.json': '31ccf9d43f9a68a133e2e9d816aefd31705f00cd56074e3375b52db170f2e364',
     },
+    'min-L-300': {
+        'report.csv': '597d50d1bf7df5aad54912065ca49dc389010358736d1a03d309559b37a5168e',
+        'summary.json': '123b3b63f8074c1e32ad8abc870db9fe00a0ff10217c91002a0ecc4ce99ce0fe',
+    },
     'run-acceptable': {
         'audit.json': '90df71f667b67134047de0f4ca202c43fad2b234c56e703f53447d4c3b59bc0f',
         'losses.csv': '9e7be605822e435402c131bbd1bd8ebdf5bcf87c554115a9d35ed979b0bcd70c',
         'matching.csv': 'b54f314b0362db9cfb1770ff5ec30320477e5ca1b6cee2df0ff329d491a11319',
+    },
+    'run-acceptable-right-300': {
+        'audit.json': '2fe1d8358b8edcdf0f5efb3be45900f4a7cfad3d29c9679e24fee27aed6eae9e',
+        'losses.csv': '87c9c32eb1821cb537517eacad0fbd911deca3b368d20bfafbc47d478ea38ae8',
+        'matching.csv': '6044ef4ac4f598e4ee1d827dbbb0aaacf504a799bbadd9fab9f72385cfc83636',
     },
     'run-full-m2o': {
         'audit.json': '3b7cbdc1b227984760f70ad0b26a24a64364f4a090c601dc9bc05c90176fe4de',
@@ -79,6 +106,10 @@ GOLDEN = {
     'truncation': {
         'report.csv': '572ce8ad6ec4b4d421436bc14b7ed67f4111df2d029e00f5fed67c60278974dd',
         'summary.json': 'a9d9a6c0e758ea20a37f8e46aa114ce01c82d850c9f48279fa0e9ed2c7efdad7',
+    },
+    'truncation-300': {
+        'report.csv': '92c042f8c08bdb84b4e6605171fee0175f20f39cdb415c5dacaf835442e3c38c',
+        'summary.json': 'a4d2343f587c10c59cc07b1b6e8204df2317107aa15fd1a903e6eb5087afc834',
     },
     'unique-partners': {
         'report.csv': 'ec1d1f1b1822d2fce38f8eca90b3006913e13dad5647f20859d8f71c8a137c51',

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,19 @@ def test_capacity_and_size_validation():
         ml.generate_market(0, 5, model=ml.linear_model(0.5), seed=1)
     with pytest.raises(ValueError):
         ml.generate_market(5, 5, cap_left=0, model=ml.linear_model(0.5), seed=1)
+
+
+def test_generate_refuses_market_larger_than_memory():
+    # 4 dense 200000 x 200000 float64 matrices need 1192 GiB; refused before
+    # any array is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"needs about 1192\.1 GiB .* than the [0-9.]+ GiB of physical memory"):
+            ml.generate_market(200_000, 200_000, model=ml.linear_model(0.5), seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_capacity_balance_flag():
