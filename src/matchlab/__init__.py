@@ -40,6 +40,7 @@ from .analysis import (
     LossReport,
     SelectedSetParams,
     acceptable_edges,
+    acceptable_entry_levels,
     achieved_utilities,
     benchmark,
     benchmark_vector,

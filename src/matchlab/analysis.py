@@ -22,7 +22,7 @@ from .engine import (
     extreme_matchings,
     worst_partner,
 )
-from .market import LEFT, RIGHT, Market, UtilityModel, other_side
+from .market import _BLOCK_ROWS, LEFT, RIGHT, Market, UtilityModel, other_side
 
 __all__ = [
     "InterviewParams",
@@ -31,6 +31,7 @@ __all__ = [
     "SelectedSetParams",
     "SideLossReport",
     "acceptable_edges",
+    "acceptable_entry_levels",
     "achieved_utilities",
     "benchmark",
     "benchmark_vector",
@@ -282,6 +283,66 @@ def acceptable_edges(market: Market, loss_cap_left: float, loss_cap_right: float
     return EdgeSet(_mutual_mask(market.n_left, market.n_right,
                                 _threshold_keep(market, LEFT, loss_cap_left, exempt_l),
                                 _threshold_keep(market, RIGHT, loss_cap_right, exempt_r)))
+
+
+def acceptable_entry_levels(market: Market, caps, sigmas_left, sigmas_right,
+                            edges: EdgeSet) -> tuple[np.ndarray, np.ndarray]:
+    """Where each edge of `edges` enters a nested family of acceptable sets.
+
+    Level k of the family is ``acceptable_edges(market, caps[k], caps[k],
+    sigmas_left[k], sigmas_right[k])``.  With `caps` increasing and the
+    sigmas non-decreasing, every test in it (``u >= bench - cap`` and
+    ``rating < range_lo + sigma``) is monotone in k, so the sets are nested
+    and an edge belongs to level k exactly when k is at least its entry
+    level.  Returns the row-major flat indices of the edges of `edges` and,
+    for each, the smallest such k (``len(caps)`` for an edge no level holds),
+    computed one block of left rows at a time.
+    """
+    caps = np.asarray(caps, dtype=float)
+    sides = {}
+    for side, sigmas in ((LEFT, sigmas_left), (RIGHT, sigmas_right)):
+        bench = benchmark_vector(market, side)
+        # the first level whose bottom zone holds the agent; agents without
+        # a benchmark keep every edge at every level
+        zone = market.rating_range(side)[0] + np.asarray(sigmas, dtype=float)
+        free = np.searchsorted(zone, market.ratings(side), side="right")
+        free[np.isnan(bench)] = 0
+        sides[side] = (market.utility_matrix(side), bench, free)
+
+    def entry(side, agents, partners):
+        u, bench, free = sides[side]
+        return np.minimum(free[agents], _first_cap(u[agents, partners], bench[agents], caps))
+
+    n_right = market.n_right
+    flats, levels = [], []
+    for lo in range(0, market.n_left, _BLOCK_ROWS):
+        flat = np.flatnonzero(edges.mask[lo:lo + _BLOCK_ROWS]) + lo * n_right
+        left, right = np.divmod(flat, n_right)
+        level = np.maximum(entry(LEFT, left, right), entry(RIGHT, right, left))
+        flats.append(flat)
+        levels.append(level.astype(np.min_scalar_type(caps.size)))
+    return np.concatenate(flats), np.concatenate(levels)
+
+
+def _first_cap(u: np.ndarray, bench: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Per entry, the smallest k with ``u >= bench - caps[k]`` (``caps.size``
+    where none holds, as for a NaN utility).
+
+    A sorted search for ``bench - u`` among the caps gives an estimate that
+    rounding may leave one step off; exact comparisons in the form the
+    acceptable-edge test uses then move each entry down or up until none moves.
+    """
+    with np.errstate(invalid="ignore"):
+        k = np.searchsorted(caps, bench - u)  # NaN sorts after every cap
+    while True:
+        down = np.flatnonzero(k > 0)
+        down = down[u[down] >= bench[down] - caps[k[down] - 1]]
+        k[down] -= 1
+        up = np.flatnonzero(k < caps.size)
+        up = up[~(u[up] >= bench[up] - caps[k[up]])]
+        k[up] += 1
+        if not (down.size or up.size):
+            return k
 
 
 def viable_edges(market: Market, edges: EdgeSet | None = None) -> EdgeSet:

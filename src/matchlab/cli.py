@@ -314,7 +314,7 @@ def cmd_edges(args) -> int:
     if edges is None:
         edges = EdgeSet.full(market.n_left, market.n_right)
     out = _out_dir(args, "edges-out")
-    rows = [{"left_index": int(i), "right_index": int(j)} for i, j in edges.pairs()]
+    rows = [{"left_index": i, "right_index": j} for i, j in edges.pairs().tolist()]
     _write_rows(rows, out / "edges", args.format)
 
     summary = {**provenance, "edge_kind": args.edges,

@@ -75,7 +75,7 @@ class EdgeSet:
 
     def pairs(self) -> np.ndarray:
         """(m, 2) array of (left, right) indices, lexicographically ordered."""
-        return np.argwhere(self.mask)
+        return np.column_stack(np.divmod(np.flatnonzero(self.mask), self.n_right))
 
     def issubset(self, other: "EdgeSet") -> bool:
         return bool(np.all(~self.mask | other.mask))

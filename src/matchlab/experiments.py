@@ -20,6 +20,7 @@ import numpy as np
 from .analysis import (
     InterviewParams,
     acceptable_edges,
+    acceptable_entry_levels,
     achieved_utilities,
     benchmark_vector,
     interview_edges,
@@ -30,8 +31,17 @@ from .analysis import (
     truncated_edges,
     _truncation_thresholds,
 )
-from .engine import max_bipartite_matching, run_da, verify_stability
-from .market import LEFT, RIGHT, MODEL_REGISTRY, Market, generate_market, linear_model, other_side
+from .engine import EdgeSet, max_bipartite_matching, run_da, verify_stability
+from .market import (
+    LEFT,
+    MODEL_REGISTRY,
+    RIGHT,
+    SIDES,
+    Market,
+    generate_market,
+    linear_model,
+    other_side,
+)
 
 __all__ = [
     "EXPERIMENTS",
@@ -109,6 +119,18 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.n_left < 1 or (self.n_right is not None and self.n_right < 1):
+            raise ValueError("both sides need at least one agent")
+        if self.proposing_side not in SIDES:
+            raise ValueError(f"proposing_side must be one of {SIDES}, got {self.proposing_side!r}")
+        if self.sigma_rule not in ("theory", "fixed"):
+            raise ValueError(f"sigma_rule must be 'theory' or 'fixed', got {self.sigma_rule!r}")
+        if not self.grid_step > 0:
+            raise ValueError(f"grid_step must be positive, got {self.grid_step}")
+        if self.grid_start > self.grid_stop:
+            raise ValueError(f"grid_start {self.grid_start} exceeds grid_stop {self.grid_stop}")
 
     def model(self):
         if self.model_name is not None:
@@ -304,26 +326,67 @@ def _loss_grid(config: ExperimentConfig) -> np.ndarray:
     return np.round(config.grid_start + config.grid_step * np.arange(count), 10)
 
 
-def _all_matched_at(market: Market, loss_cap: float, config: ExperimentConfig) -> bool:
+def _zone_widths(config: ExperimentConfig, market: Market, caps):
+    """Bottom-zone widths (left, right) that go with loss cap(s) `caps`, a
+    float or an array, under the config's sigma rule."""
     if config.sigma_rule == "theory":
-        sigma_l = sigma_r = 3.0 * loss_cap / (4.0 * market.model.mu)
-    elif config.sigma_rule == "fixed":
-        sigma_l, sigma_r = config.sigma_left, config.sigma_right
-    else:
-        raise ValueError("sigma_rule must be 'theory' or 'fixed'")
-    edges = acceptable_edges(market, loss_cap, loss_cap, sigma_l, sigma_r)
-    if (edges.degrees(LEFT) == 0).any() or (edges.degrees(RIGHT) == 0).any():
-        return False
-    matching = run_da(market, config.proposing_side, edges)
+        sigma = 3.0 * caps / (4.0 * market.model.mu)
+        return sigma, sigma
+    return np.full(np.shape(caps), config.sigma_left), np.full(np.shape(caps), config.sigma_right)
+
+
+def _everyone_matched(matching) -> bool:
     return bool(matching.matched_mask(LEFT).all() and matching.matched_mask(RIGHT).all())
 
 
+def _all_matched_at(market: Market, loss_cap: float, config: ExperimentConfig) -> bool:
+    sigma_l, sigma_r = _zone_widths(config, market, loss_cap)
+    edges = acceptable_edges(market, loss_cap, loss_cap, sigma_l, sigma_r)
+    if (edges.degrees(LEFT) == 0).any() or (edges.degrees(RIGHT) == 0).any():
+        return False
+    return _everyone_matched(run_da(market, config.proposing_side, edges))
+
+
+# the min-L scan's first span of grid indices; each later span is twice as long
+_FIRST_SPAN = 8
+
+
 def _min_L_run(config: ExperimentConfig, run_index: int) -> dict:
+    """First grid index whose acceptable set matches everyone in one market.
+
+    The acceptable sets grow with the grid value, so the scan builds one set
+    at the top of a span of grid indices and gives each of its edges the
+    index where it enters.  A level below some agent's first edge fails
+    `_all_matched_at`'s degree check and is skipped; every other level runs
+    DA on the edges entered by then, exactly as `_all_matched_at` would.
+    """
     market = config.make_market(run_index)
     grid = _loss_grid(config)
-    for idx, cap in enumerate(grid):
-        if _all_matched_at(market, float(cap), config):
-            return {"run": run_index, "first_L": float(cap), "grid_index": idx, "matched": True}
+    start, stop = 0, _FIRST_SPAN
+    while start < len(grid):
+        caps = grid[:stop]
+        top = caps.size - 1
+        sigma_l, sigma_r = _zone_widths(config, market, caps)
+        superset = acceptable_edges(market, float(caps[top]), float(caps[top]),
+                                    sigma_l[top], sigma_r[top])
+        flat, level = acceptable_entry_levels(market, caps, sigma_l, sigma_r, superset)
+        del superset
+        # each agent's first level with an edge; below the largest, some
+        # agent has none, so `_all_matched_at` fails its degree check there
+        first = {side: np.full(market.n(side), caps.size, dtype=level.dtype) for side in (LEFT, RIGHT)}
+        np.minimum.at(first[LEFT], flat // market.n_right, level)
+        np.minimum.at(first[RIGHT], flat % market.n_right, level)
+        lowest = int(max(first[LEFT].max(), first[RIGHT].max()))
+        # one flat mask grows in place from level to level and DA gets a
+        # read-only (n_left, n_right) view of it, so no level allocates a mask
+        mask = np.zeros(market.n_left * market.n_right, dtype=bool)
+        for idx in range(max(start, lowest), caps.size):
+            mask[flat[level <= idx]] = True
+            edges = EdgeSet(mask.reshape(market.n_left, market.n_right))
+            if _everyone_matched(run_da(market, config.proposing_side, edges)):
+                return {"run": run_index, "first_L": float(grid[idx]), "grid_index": idx,
+                        "matched": True}
+        start, stop = stop, 2 * stop
     return {"run": run_index, "first_L": float(grid[-1]), "grid_index": len(grid) - 1, "matched": False}
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -193,9 +194,10 @@ def rank_order(ratings) -> np.ndarray:
     return np.argsort(-np.asarray(ratings, dtype=float), kind="stable")
 
 
-# rows per block of preference_argsort, the utility matrices and the engine's
-# two-sided edge masks and proposer lists: 64 rows of 4000 float64 values take 2 MB, so a block
-# and its temporaries stay near a core's L2 cache instead of main memory
+# rows per block of preference_argsort, the utility matrices, the score-row
+# draws and the engine's two-sided edge masks and proposer lists: 64 rows of
+# 4000 float64 values take 2 MB, so a block and its temporaries stay near a
+# core's L2 cache instead of main memory
 _BLOCK_ROWS = 64
 
 
@@ -385,6 +387,44 @@ def _check_fits(n_left: int, n_right: int) -> None:
         )
 
 
+# score rows whose generators are built before the pool draws them
+_DRAW_CHUNK = 8 * _BLOCK_ROWS
+
+
+def _fill_score_rows(seed: int, targets) -> None:
+    """Fill row i of each (label, scores) target from stream (seed, label, i).
+
+    For each chunk of rows, this thread first builds the rows' generators,
+    which holds the GIL; a pool of up to two threads then draws the rows, a
+    block per task, and each bulk draw releases the GIL.  Building a chunk's
+    generators before its draws keeps the draws from waiting for the GIL,
+    and the chunk bounds how many generators are held at once.  Each row has
+    its own stream, so the bits do not depend on which thread draws it.  The
+    pool lives only for this call and is joined before it returns, so a
+    process forked afterwards inherits no threads.
+    """
+
+    def fill(rngs, rows: np.ndarray) -> None:
+        for rng, row in zip(rngs, rows):
+            rng.random(out=row)
+
+    with ThreadPoolExecutor(max_workers=min(2, _usable_cpus())) as pool:
+        for label, scores in targets:
+            for lo in range(0, scores.shape[0], _DRAW_CHUNK):
+                rows = scores[lo:lo + _DRAW_CHUNK]
+                rngs = [stream_rng(seed, label, lo + k) for k in range(rows.shape[0])]
+                blocks = range(0, rows.shape[0], _BLOCK_ROWS)
+                list(pool.map(fill, [rngs[b:b + _BLOCK_ROWS] for b in blocks],
+                              [rows[b:b + _BLOCK_ROWS] for b in blocks]))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def generate_market(
     n_left: int,
     n_right: int,
@@ -416,11 +456,8 @@ def generate_market(
     ratings_left = draw_ratings(0, n_left, range_left)
     ratings_right = draw_ratings(1, n_right, range_right)
     scores_left = np.empty((n_left, n_right))
-    for i in range(n_left):
-        scores_left[i] = stream_rng(seed, 2, i).random(n_right)
     scores_right = np.empty((n_right, n_left))
-    for j in range(n_right):
-        scores_right[j] = stream_rng(seed, 3, j).random(n_left)
+    _fill_score_rows(seed, ((2, scores_left), (3, scores_right)))
 
     return Market(
         n_left=n_left,

@@ -6,7 +6,7 @@ import pytest
 
 import matchlab as ml
 from matchlab.engine import worst_partner
-from matchlab.market import LEFT, RIGHT, other_side
+from matchlab.market import LEFT, RIGHT, other_side, stream_rng
 
 
 def make_manual_market(scores_left, scores_right, ratings_left=None, ratings_right=None,
@@ -207,6 +207,15 @@ def per_row_candidate_lists(market, side, edges):
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([r.size for r in rows], out=indptr[1:])
     return indptr, np.concatenate(rows)
+
+
+def serial_score_rows(seed, n_left, n_right):
+    """Both score matrices drawn one row after another, row i of each from
+    its own stream (seed, label, i): the oracle `generate_market` must
+    reproduce bit for bit."""
+    left = np.array([stream_rng(seed, 2, i).random(n_right) for i in range(n_left)])
+    right = np.array([stream_rng(seed, 3, j).random(n_left) for j in range(n_right)])
+    return left, right
 
 
 def cyclic_three_market():

@@ -4,8 +4,11 @@ Every builder that combines a left-side test with a right-side test fills
 its mask one block of left rows at a time.  These tests compare each one,
 bit for bit, with the dense formula it replaced (kept in conftest.py), on
 sizes below, at and across the block size, on unbalanced sides, and on
-coarse score grids where exact ties are common.
+coarse score grids where exact ties are common.  The min-L scan's entry
+levels are compared with `acceptable_edges` at every level of the grid.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 import matchlab as ml
 from matchlab.analysis import _truncation_thresholds
 from matchlab.engine import CutSpec, EdgeSet, _candidate_lists, double_cut_edges
+from matchlab.experiments import ExperimentConfig, _loss_grid
 from matchlab.market import _BLOCK_ROWS, LEFT, RIGHT
 
 from conftest import (
@@ -85,6 +89,53 @@ def test_acceptable_edges_match_dense(case, cap_l, cap_r, sigma_l, sigma_r):
     market, _ = case
     got = ml.acceptable_edges(market, cap_l, cap_r, sigma_l, sigma_r).mask
     assert np.array_equal(got, dense_acceptable_edges(market, cap_l, cap_r, sigma_l, sigma_r))
+
+
+def nan_mid_score(rating, score):
+    # NaN utility wherever the private score is exactly one half
+    return np.where(score == 0.5, np.nan, 0.5 * rating + 0.5 * score)
+
+
+NAN_MODEL = ml.custom_model("nan-mid-score", nan_mid_score, nan_mid_score,
+                            ratio_low=1.0, slope_cap=0.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coarse_markets(), st.sampled_from([0.0, 0.01, 0.05, 0.125]),
+       st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.125]), st.integers(1, 12),
+       st.sampled_from(["theory", "fixed"]), st.sampled_from([0.0, 0.25, 0.5]),
+       st.sampled_from(["half", "decimal", "nan"]), st.booleans())
+def test_acceptable_entry_levels_reproduce_every_level(case, start, step, count, rule, sigma,
+                                                       values, within_top):
+    market, rng = case
+    nl, nr = market.n_left, market.n_right
+    if values == "decimal":
+        # tenths at rating weight 0.8: losses and caps round inexactly
+        def tenths(*shape):
+            return rng.integers(0, 11, shape) / 10
+
+        market = replace(market, ratings_left=tenths(nl), ratings_right=tenths(nr),
+                         scores_left=tenths(nl, nr), scores_right=tenths(nr, nl),
+                         model=ml.linear_model(0.8))
+    elif values == "nan":
+        market = replace(market, model=NAN_MODEL)
+    caps = _loss_grid(ExperimentConfig("min-L", grid_start=start,
+                                       grid_stop=start + step * (count - 1), grid_step=step))
+    if rule == "theory":
+        sig_l = sig_r = 3.0 * caps / (4.0 * market.model.mu)
+    else:
+        sig_l, sig_r = np.full(caps.shape, sigma), np.full(caps.shape, sigma / 2)
+    masks = [ml.acceptable_edges(market, float(c), float(c), sl, sr).mask
+             for c, sl, sr in zip(caps, sig_l, sig_r)]
+    # the levels of the top set's edges (as the scan asks), or of every edge
+    edges = EdgeSet(masks[-1]) if within_top else EdgeSet.full(market.n_left, market.n_right)
+    flat, level = ml.acceptable_entry_levels(market, caps, sig_l, sig_r, edges)
+    assert np.array_equal(flat, np.flatnonzero(edges.mask))
+    levels = np.full(market.n_left * market.n_right, caps.size)
+    levels[flat] = level
+    levels = levels.reshape(market.n_left, market.n_right)
+    for k, mask in enumerate(masks):
+        assert np.array_equal(levels <= k, mask), f"level {k} of {caps.size}"
 
 
 @settings(max_examples=60, deadline=None)

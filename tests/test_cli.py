@@ -169,6 +169,15 @@ def test_experiment_min_l_cli(tmp_path, capsys):
     assert 0.1 <= summary["summary"]["min_L"] <= 1.0
 
 
+def test_experiment_reversed_grid_fails_early(tmp_path, capsys):
+    code = main(["experiment", "min-L", "--n", "20", "--runs", "1", "--grid-start", "0.5",
+                 "--grid-stop", "0.1", "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid_start 0.5 exceeds grid_stop 0.1")
+    assert "Traceback" not in err
+
+
 def test_experiment_unknown_id_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["experiment", "nonsense", "--n", "10"])

@@ -148,6 +148,16 @@ def test_edge_set_from_empty_pairs():
     assert EdgeSet.from_pairs([], 3, 4) == EdgeSet.empty(3, 4)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 4), (1, 1), (5, 7), (70, 3)])
+def test_edge_set_pairs_match_argwhere(shape):
+    rng = np.random.default_rng(sum(shape))
+    for mask in (rng.random(shape) < 0.4, np.zeros(shape, bool), np.ones(shape, bool)):
+        got = EdgeSet(mask).pairs()
+        want = np.argwhere(mask)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("nl,nr,cap_l,cap_r,density", [
     (120, 120, 1, 1, None),
     (150, 90, 1, 1, None),

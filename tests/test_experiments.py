@@ -35,6 +35,21 @@ def test_run_seeds_distinct_and_deterministic():
     assert seeds == [derive_run_seed(7, i) for i in range(50)]
 
 
+@pytest.mark.parametrize("bad,message", [
+    (dict(proposing_side="up"), "proposing_side"),
+    (dict(jobs=0), "jobs"),
+    (dict(n_left=0), "at least one agent"),
+    (dict(n_right=0), "at least one agent"),
+    (dict(sigma_rule="loose"), "sigma_rule"),
+    (dict(grid_step=0.0), "grid_step"),
+    (dict(grid_step=-0.01), "grid_step"),
+    (dict(grid_start=0.5, grid_stop=0.1), "grid_start"),
+])
+def test_config_rejects_invalid_fields(bad, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(experiment="min-L", **bad)
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(experiment="nope"))
@@ -85,20 +100,62 @@ def test_min_L_sentinel_when_grid_insufficient():
     assert report.summary["min_L"] == pytest.approx(0.002)
 
 
-def test_min_L_matches_naive_scan():
-    from matchlab.experiments import _all_matched_at, _loss_grid
+MIN_L_CASES = {
+    "theory": dict(grid_step=0.02),
+    "fixed": dict(grid_step=0.02, sigma_rule="fixed", sigma_left=0.1, sigma_right=0.05),
+    # first_L past the scan's first two spans of grid indices (0-7, 8-15)
+    "beyond-first-span": dict(grid_step=0.005),
+    "sentinel": dict(grid_start=0.001, grid_stop=0.002, grid_step=0.001, sigma_rule="fixed"),
+}
 
-    cfg = ExperimentConfig(experiment="min-L", n_left=80, weight=0.8, runs=3, seed=11,
-                           grid_start=0.02, grid_stop=0.5, grid_step=0.02)
-    report = exp_min_L(cfg)
-    grid = _loss_grid(cfg)
-    naive = None
-    markets = [cfg.make_market(i) for i in range(cfg.runs)]
-    for cap in grid:
-        if all(_all_matched_at(m, float(cap), cfg) for m in markets):
-            naive = float(cap)
-            break
-    assert report.summary["min_L"] == pytest.approx(naive)
+
+def test_min_L_matches_naive_scan(monkeypatch):
+    import matchlab.experiments as experiments
+    from matchlab.experiments import _all_matched_at, _loss_grid, _min_L_run
+
+    # every edge set DA runs on, in order
+    da_edges = []
+    run_da = experiments.run_da
+
+    def recording_run_da(market, side, edges):
+        da_edges.append(edges.mask.tobytes())
+        return run_da(market, side, edges)
+
+    monkeypatch.setattr(experiments, "run_da", recording_run_da)
+
+    for case, fields in MIN_L_CASES.items():
+        cfg = ExperimentConfig(experiment="min-L", n_left=80, weight=0.8, runs=3, seed=11,
+                               **{"grid_start": 0.02, "grid_stop": 0.5, **fields})
+        grid = _loss_grid(cfg)
+
+        def naive_run(run):
+            market = cfg.make_market(run)
+            for idx, cap in enumerate(grid):
+                if _all_matched_at(market, float(cap), cfg):
+                    return {"run": run, "first_L": float(cap), "grid_index": idx, "matched": True}
+            return {"run": run, "first_L": float(grid[-1]), "grid_index": len(grid) - 1,
+                    "matched": False}
+
+        for run in range(cfg.runs):
+            da_edges.clear()
+            want = naive_run(run)
+            naive_edges = da_edges.copy()
+            da_edges.clear()
+            assert _min_L_run(cfg, run) == want, case
+            assert da_edges == naive_edges, case  # DA runs on the same sets, no more, no fewer
+        if case == "beyond-first-span":
+            assert want["grid_index"] >= 16
+
+        report = exp_min_L(cfg)
+        markets = [cfg.make_market(i) for i in range(cfg.runs)]
+        naive = next((float(cap) for cap in grid
+                      if all(_all_matched_at(m, float(cap), cfg) for m in markets)), None)
+        if naive is None:
+            assert report.summary["sentinel"] and not report.summary["verified"], case
+            assert report.summary["min_L"] == pytest.approx(float(grid[-1])), case
+        else:
+            assert report.summary["verified"] and not report.summary["sentinel"], case
+            assert report.summary["min_L"] == pytest.approx(naive), case
 
 
 def test_min_L_reverification_holds_one_market_at_a_time(monkeypatch):
@@ -239,3 +296,12 @@ def test_loss_scaling_jobs_writes_same_bytes(tmp_path):
         report.write_json(tmp_path / f"summary-{jobs}.json")
     for name in ("report-{}.csv", "summary-{}.json"):
         assert (tmp_path / name.format(1)).read_bytes() == (tmp_path / name.format(2)).read_bytes()
+
+
+def test_min_L_jobs_writes_same_report(tmp_path):
+    from matchlab.cli import main
+
+    for jobs in (1, 2):
+        assert main(["experiment", "min-L", "--n", "60", "--runs", "3", "--grid-step", "0.02",
+                     "--seed", "17", "--jobs", str(jobs), "--out", str(tmp_path / str(jobs))]) == 0
+    assert (tmp_path / "1" / "report.csv").read_bytes() == (tmp_path / "2" / "report.csv").read_bytes()

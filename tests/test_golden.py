@@ -5,7 +5,9 @@ seed, and the SHA-256 of every file it writes must equal the digest in
 GOLDEN.  The digests were recorded by running
 `PYTHONPATH=src python tests/test_golden.py` on commit 667c8ef, where
 `Matching` still held tuples of tuples; the n = 300 cases were recorded on
-commit 5e98ff3, before the edge-set builders worked in row blocks.  That
+commit 5e98ff3, before the edge-set builders worked in row blocks; the
+min-L-300-fine and min-L-fixed cases were recorded on commit 08a4a7b,
+before min-L scanned its grid from one superset edge set.  That
 command prints the table below for the current tree.  A change that alters any artifact's bytes must say
 so and re-record them.
 """
@@ -38,6 +40,11 @@ CASES = {
     "edge-counts-300": ["experiment", "edge-counts", "--n", "300", "--runs", "2", "--L", "0.3",
                         "--sigma", "0.1"],
     "min-L-300": ["experiment", "min-L", "--n", "300", "--runs", "2", "--grid-step", "0.02"],
+    # the min-L scan works in spans of grid indices (0-7, 8-15, 16-31, ...);
+    # this grid puts both runs' first_L in the third span
+    "min-L-300-fine": ["experiment", "min-L", "--n", "300", "--runs", "2", "--grid-step", "0.005"],
+    "min-L-fixed": ["experiment", "min-L", "--n", "60", "--runs", "2", "--grid-step", "0.02",
+                    "--sigma-rule", "fixed", "--sigma", "0.05"],
     "truncation-300": ["experiment", "truncation", "--n", "300", "--runs", "2"],
     "run-acceptable-right-300": ["run", "--n", "300", "--edges", "acceptable", "--L", "0.3",
                                  "--sigma", "0.1", "--propose-side", "right"],
@@ -82,6 +89,14 @@ GOLDEN = {
     'min-L-300': {
         'report.csv': '597d50d1bf7df5aad54912065ca49dc389010358736d1a03d309559b37a5168e',
         'summary.json': '123b3b63f8074c1e32ad8abc870db9fe00a0ff10217c91002a0ecc4ce99ce0fe',
+    },
+    'min-L-300-fine': {
+        'report.csv': '72af0ef8ef6f8d6b03611f11214db7046c2ec958debefd00194edb2d7277ced2',
+        'summary.json': '53ef0a3c2e3f08b8bc9fb698e7f6a6e729cb7d59b2db55be1e89a9cd1cb644f9',
+    },
+    'min-L-fixed': {
+        'report.csv': '3f071e6c93cb901e11330a34aecf5044a57e14794a48cc47d5bcb8abd1aa0888',
+        'summary.json': 'e38a70cba5d32601b6deae536f3fbc3c85f8388ce31be36cc04e6c3e5dae6ed4',
     },
     'run-acceptable': {
         'audit.json': '90df71f667b67134047de0f4ca202c43fad2b234c56e703f53447d4c3b59bc0f',

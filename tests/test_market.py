@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import matchlab as ml
-from matchlab.market import LEFT, RIGHT, aligned_rank, preference_argsort, rank_order
+from matchlab.market import (
+    _BLOCK_ROWS,
+    _DRAW_CHUNK,
+    LEFT,
+    RIGHT,
+    aligned_rank,
+    preference_argsort,
+    rank_order,
+)
+
+from conftest import serial_score_rows
 
 
 def test_linear_utility_values():
@@ -115,6 +126,26 @@ def test_score_streams_independent_of_order():
     for j in (14, 3):
         row = stream_rng(77, 3, j).random(20)
         assert np.array_equal(row, m.scores_right[j])
+
+
+@pytest.mark.parametrize("n_left,n_right,cap_right", [
+    (1, 1, 1), (3, 3, 1), (3, 1, 3), (5, 3, 1),
+    # more rows than one block and one chunk of the threaded fill, and a
+    # multiple of neither
+    (2 * _BLOCK_ROWS + 1, 7, 1), (40, 2 * _BLOCK_ROWS + 3, 1),
+    (_DRAW_CHUNK + _BLOCK_ROWS + 1, 5, 1),
+])
+def test_scores_equal_serial_row_draws(n_left, n_right, cap_right):
+    m = ml.generate_market(n_left, n_right, cap_right=cap_right, model=ml.linear_model(0.5), seed=41)
+    left, right = serial_score_rows(41, n_left, n_right)
+    assert m.scores_left.tobytes() == left.tobytes()
+    assert m.scores_right.tobytes() == right.tobytes()
+
+
+def test_generate_leaves_no_thread_running():
+    before = threading.active_count()
+    ml.generate_market(2 * _BLOCK_ROWS + 1, 30, model=ml.linear_model(0.5), seed=42)
+    assert threading.active_count() == before
 
 
 def test_marginal_uniformity_ks():
