@@ -17,12 +17,13 @@ import numpy as np
 from .engine import (
     EdgeSet,
     Matching,
-    _mutual_mask,
+    _check_shape,
+    _mutual_edges,
     _prefers_to_worst,
     extreme_matchings,
     worst_partner,
 )
-from .market import _BLOCK_ROWS, LEFT, RIGHT, Market, UtilityModel, other_side
+from .market import LEFT, RIGHT, Market, UtilityModel, other_side
 
 __all__ = [
     "InterviewParams",
@@ -242,7 +243,7 @@ def loss_report(market: Market, matching: Matching, params: LossParams | None = 
 
 
 def _threshold_keep(market: Market, side: str, thresholds, exempt=None):
-    """`_mutual_mask` test: edges whose loss to `side` is within threshold.
+    """`_mutual_edges` test: edges whose loss to `side` is within threshold.
 
     NaN thresholds (agents without a benchmark) and `exempt` agents keep
     every edge.
@@ -264,9 +265,9 @@ def _threshold_keep(market: Market, side: str, thresholds, exempt=None):
 
 def loss_threshold_edges(market: Market, thresholds_left, thresholds_right) -> EdgeSet:
     """Edges whose loss stays within per-agent caps on both sides."""
-    return EdgeSet(_mutual_mask(market.n_left, market.n_right,
-                                _threshold_keep(market, LEFT, thresholds_left),
-                                _threshold_keep(market, RIGHT, thresholds_right)))
+    return _mutual_edges(market.n_left, market.n_right,
+                         _threshold_keep(market, LEFT, thresholds_left),
+                         _threshold_keep(market, RIGHT, thresholds_right))
 
 
 def acceptable_edges(market: Market, loss_cap_left: float, loss_cap_right: float,
@@ -280,9 +281,9 @@ def acceptable_edges(market: Market, loss_cap_left: float, loss_cap_right: float
     """
     exempt_l = market.ratings_left < market.rating_range_left[0] + sigma_left
     exempt_r = market.ratings_right < market.rating_range_right[0] + sigma_right
-    return EdgeSet(_mutual_mask(market.n_left, market.n_right,
-                                _threshold_keep(market, LEFT, loss_cap_left, exempt_l),
-                                _threshold_keep(market, RIGHT, loss_cap_right, exempt_r)))
+    return _mutual_edges(market.n_left, market.n_right,
+                         _threshold_keep(market, LEFT, loss_cap_left, exempt_l),
+                         _threshold_keep(market, RIGHT, loss_cap_right, exempt_r))
 
 
 def acceptable_entry_levels(market: Market, caps, sigmas_left, sigmas_right,
@@ -294,10 +295,10 @@ def acceptable_entry_levels(market: Market, caps, sigmas_left, sigmas_right,
     sigmas non-decreasing, every test in it (``u >= bench - cap`` and
     ``rating < range_lo + sigma``) is monotone in k, so the sets are nested
     and an edge belongs to level k exactly when k is at least its entry
-    level.  Returns the row-major flat indices of the edges of `edges` and,
-    for each, the smallest such k (``len(caps)`` for an edge no level holds),
-    computed one block of left rows at a time.
+    level.  Returns the flat indices of the edges of `edges` and, for each,
+    the smallest such k (``len(caps)`` for an edge no level holds).
     """
+    _check_shape(edges, market)
     caps = np.asarray(caps, dtype=float)
     sides = {}
     for side, sigmas in ((LEFT, sigmas_left), (RIGHT, sigmas_right)):
@@ -313,15 +314,16 @@ def acceptable_entry_levels(market: Market, caps, sigmas_left, sigmas_right,
         u, bench, free = sides[side]
         return np.minimum(free[agents], _first_cap(u[agents, partners], bench[agents], caps))
 
-    n_right = market.n_right
-    flats, levels = [], []
-    for lo in range(0, market.n_left, _BLOCK_ROWS):
-        flat = np.flatnonzero(edges.mask[lo:lo + _BLOCK_ROWS]) + lo * n_right
-        left, right = np.divmod(flat, n_right)
-        level = np.maximum(entry(LEFT, left, right), entry(RIGHT, right, left))
-        flats.append(flat)
-        levels.append(level.astype(np.min_scalar_type(caps.size)))
-    return np.concatenate(flats), np.concatenate(levels)
+    flat = edges.flat
+    level = np.empty(flat.size, dtype=np.min_scalar_type(caps.size))
+    for lo in range(0, flat.size, _EDGE_CHUNK):
+        left, right = np.divmod(flat[lo:lo + _EDGE_CHUNK], market.n_right)
+        level[lo:lo + _EDGE_CHUNK] = np.maximum(entry(LEFT, left, right), entry(RIGHT, right, left))
+    return flat, level
+
+
+# edges per chunk of `acceptable_entry_levels`, so its temporaries stay small
+_EDGE_CHUNK = 1 << 16
 
 
 def _first_cap(u: np.ndarray, bench: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -351,11 +353,12 @@ def viable_edges(market: Market, edges: EdgeSet | None = None) -> EdgeSet:
     Running deferred acceptance on the result reproduces the run on the
     input edge set exactly.
     """
+    _check_shape(edges, market)
     left_opt, right_opt = extreme_matchings(market, edges)
-    return EdgeSet(_mutual_mask(market.n_left, market.n_right,
-                                _prefers_to_worst(market, LEFT, right_opt, weak=True),
-                                _prefers_to_worst(market, RIGHT, left_opt, weak=True),
-                                within=None if edges is None else edges.mask))
+    viable = _mutual_edges(market.n_left, market.n_right,
+                           _prefers_to_worst(market, LEFT, right_opt, weak=True),
+                           _prefers_to_worst(market, RIGHT, left_opt, weak=True))
+    return viable if edges is None else viable & edges
 
 
 def cone_bounds(market: Market, params: LossParams, agent: int, side: str = LEFT) -> tuple[float, float]:
@@ -405,8 +408,8 @@ def interview_edges(market: Market, params: InterviewParams) -> EdgeSet:
         out &= sl[rows, cols] > params.cutoff_left
         return out
 
-    return EdgeSet(_mutual_mask(market.n_left, market.n_right, keep_left,
-                                lambda rows, cols: sr[rows, cols] > params.cutoff_right))
+    return _mutual_edges(market.n_left, market.n_right, keep_left,
+                         lambda rows, cols: sr[rows, cols] > params.cutoff_right)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +501,7 @@ def selected_edges(market: Market, params: SelectedSetParams, seed: int | None =
         threshold = 1.0 - np.sqrt(p)
         return (p > 0.0) & (scores_l[rows, cols] >= threshold) & (scores_r[cols, rows].T >= threshold)
 
-    return EdgeSet(_mutual_mask(n, n, keep, None))
+    return _mutual_edges(n, n, keep, None)
 
 
 def selected_degree_stats(market: Market, params: SelectedSetParams,

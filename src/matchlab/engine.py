@@ -25,72 +25,116 @@ __all__ = [
 
 
 class EdgeSet:
-    """Explicit subset of the complete bipartite edge set, as a dense mask."""
+    """Explicit subset of the complete bipartite edge set.
 
-    __slots__ = ("mask",)
+    The edges are held as one read-only, sorted int64 array of row-major
+    flat indices ``i * n_right + j``: left-major CSR whose row offsets are
+    derived on demand.  `csr(side)` is the way to read rows.
+    """
 
-    def __init__(self, mask) -> None:
-        mask = np.ascontiguousarray(mask, dtype=bool)
+    __slots__ = ("flat", "n_left", "n_right")
+
+    def __init__(self, flat, n_left: int, n_right: int) -> None:
+        flat = np.asarray(flat, dtype=np.int64).view()
+        if flat.ndim != 1:
+            raise ValueError("flat edge indices must be 1-dimensional")
+        if flat.size and (flat[0] < 0 or flat[-1] >= n_left * n_right
+                          or not (flat[1:] > flat[:-1]).all()):
+            raise ValueError("flat edge indices must be increasing and inside the market")
+        flat.setflags(write=False)
+        self.flat = flat
+        self.n_left = int(n_left)
+        self.n_right = int(n_right)
+
+    @classmethod
+    def from_mask(cls, mask) -> "EdgeSet":
+        mask = np.asarray(mask, dtype=bool)
         if mask.ndim != 2:
             raise ValueError("edge mask must be 2-dimensional (n_left, n_right)")
-        mask.setflags(write=False)
-        self.mask = mask
+        return cls(np.flatnonzero(mask), *mask.shape)
 
     @classmethod
     def full(cls, n_left: int, n_right: int) -> "EdgeSet":
-        return cls(np.ones((n_left, n_right), dtype=bool))
+        return cls(np.arange(n_left * n_right), n_left, n_right)
 
     @classmethod
     def empty(cls, n_left: int, n_right: int) -> "EdgeSet":
-        return cls(np.zeros((n_left, n_right), dtype=bool))
+        return cls(np.empty(0, dtype=np.int64), n_left, n_right)
 
     @classmethod
     def from_pairs(cls, pairs, n_left: int, n_right: int) -> "EdgeSet":
+        """Edge set of the given (left, right) pairs; duplicates count once."""
         pairs = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64).reshape(-1, 2)
-        mask = np.zeros((n_left, n_right), dtype=bool)
-        mask[pairs[:, 0], pairs[:, 1]] = True
-        return cls(mask)
+        if (pairs < 0).any() or (pairs >= (n_left, n_right)).any():
+            raise ValueError("edge index out of range")
+        return cls(np.unique(pairs[:, 0] * n_right + pairs[:, 1]), n_left, n_right)
 
     @property
-    def n_left(self) -> int:
-        return self.mask.shape[0]
-
-    @property
-    def n_right(self) -> int:
-        return self.mask.shape[1]
+    def mask(self) -> np.ndarray:
+        """Dense (n_left, n_right) boolean mask, built on every call: for the
+        brute-force oracle and the tests."""
+        out = np.zeros(self.n_left * self.n_right, dtype=bool)
+        out[self.flat] = True
+        return out.reshape(self.n_left, self.n_right)
 
     @property
     def edge_count(self) -> int:
-        return int(self.mask.sum())
+        return self.flat.size
 
     def contains(self, i: int, j: int) -> bool:
-        return bool(self.mask[i, j])
+        if not (0 <= i < self.n_left and 0 <= j < self.n_right):
+            raise IndexError(f"edge ({i}, {j}) out of range")
+        return bool(np.isin(i * self.n_right + j, self.flat))
 
     def is_full(self) -> bool:
-        return bool(self.mask.all())
+        return self.edge_count == self.n_left * self.n_right
 
     def degrees(self, side: str) -> np.ndarray:
-        axis = 1 if side == LEFT else 0
-        return self.mask.sum(axis=axis)
+        if side == LEFT:
+            return np.bincount(self.flat // self.n_right, minlength=self.n_left)
+        return np.bincount(self.flat % self.n_right, minlength=self.n_right)
+
+    def csr(self, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of the `side` agents' rows, partners ascending."""
+        agents, partners = np.divmod(self.flat, self.n_right)
+        if side != LEFT:
+            order = np.argsort(partners, kind="stable")
+            agents, partners = partners[order], agents[order]
+        indptr = np.zeros((self.n_left if side == LEFT else self.n_right) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(agents, minlength=indptr.size - 1), out=indptr[1:])
+        return indptr, partners
 
     def pairs(self) -> np.ndarray:
         """(m, 2) array of (left, right) indices, lexicographically ordered."""
-        return np.column_stack(np.divmod(np.flatnonzero(self.mask), self.n_right))
+        return np.column_stack(np.divmod(self.flat, self.n_right))
 
     def issubset(self, other: "EdgeSet") -> bool:
-        return bool(np.all(~self.mask | other.mask))
+        _check_shape(other, self)
+        return bool(np.isin(self.flat, other.flat, assume_unique=True).all())
 
     def __and__(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self.mask & other.mask)
+        _check_shape(other, self)
+        return EdgeSet(np.intersect1d(self.flat, other.flat, assume_unique=True),
+                       self.n_left, self.n_right)
 
     def __or__(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self.mask | other.mask)
+        _check_shape(other, self)
+        return EdgeSet(np.union1d(self.flat, other.flat), self.n_left, self.n_right)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, EdgeSet) and np.array_equal(self.mask, other.mask)
+        return (isinstance(other, EdgeSet) and self.n_left == other.n_left
+                and self.n_right == other.n_right and np.array_equal(self.flat, other.flat))
 
     def __repr__(self) -> str:
         return f"EdgeSet({self.n_left}x{self.n_right}, {self.edge_count} edges)"
+
+
+def _check_shape(edges: EdgeSet | None, other) -> None:
+    """Reject an edge set whose shape is not that of `other`, a market or
+    another edge set."""
+    if edges is not None and (edges.n_left, edges.n_right) != (other.n_left, other.n_right):
+        raise ValueError(f"edge set shape {edges.n_left}x{edges.n_right} disagrees with "
+                         f"{other.n_left}x{other.n_right}")
 
 
 @dataclass(frozen=True)
@@ -189,29 +233,29 @@ class Matching:
         return np.array_equal(self.pair_array, other.pair_array)
 
 
-def _mutual_mask(n_left: int, n_right: int, keep_left, keep_right,
-                 within: np.ndarray | None = None) -> np.ndarray:
-    """(n_left, n_right) mask of the edges both sides keep, and `within` has.
+def _mutual_edges(n_left: int, n_right: int, keep_left, keep_right) -> EdgeSet:
+    """The edges both sides keep.
 
     A side's test is called as ``keep(agents, partners)`` with two slices,
     its own agents first, and returns that block of its (n_side, n_other)
-    boolean test; None keeps every edge.  The mask is filled one block of
-    left rows at a time: the right-side test covers those left agents only,
-    so its transpose stays in cache and no full-size test is ever allocated.
+    boolean test; None keeps every edge.  The tests run one block of left
+    rows at a time: the right-side test covers those left agents only, so
+    its transpose stays in cache, and each block contributes the flat
+    indices of its kept edges, already in row-major order.
     """
-    out = np.empty((n_left, n_right), dtype=bool)
+    flats = [np.empty(0, dtype=np.int64)]
     every = slice(None)
     for lo in range(0, n_left, _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
         if keep_right is None:
-            out[rows] = keep_left(rows, every)
+            block = keep_left(rows, every)
         elif keep_left is None:
-            out[rows] = keep_right(every, rows).T
+            block = keep_right(every, rows).T
         else:
-            np.logical_and(keep_left(rows, every), keep_right(every, rows).T, out=out[rows])
-        if within is not None:
-            out[rows] &= within[rows]
-    return out
+            block = keep_left(rows, every)
+            block &= keep_right(every, rows).T
+        flats.append(np.flatnonzero(block) + lo * n_right)
+    return EdgeSet(np.concatenate(flats), n_left, n_right)
 
 
 def _candidate_lists(market: Market, proposing_side: str, edges: EdgeSet | None):
@@ -222,16 +266,13 @@ def _candidate_lists(market: Market, proposing_side: str, edges: EdgeSet | None)
         indptr = np.arange(n_p + 1, dtype=np.int64) * n_r
         return indptr, market.preference_order(proposing_side).ravel()
     u = market.utility_matrix(proposing_side)
-    counts = np.empty(n_p, dtype=np.int64)
-    indices = np.empty(np.count_nonzero(edges.mask), dtype=np.int64)
-    at = 0
-    # one block of proposers at a time, so temporaries stay block-sized
+    indptr, indices = edges.csr(proposing_side)
+    # one block of proposers at a time, so the sorts stay block-sized
     for lo in range(0, n_p, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n_p)
-        if proposing_side == LEFT:
-            prop, recv = np.divmod(np.flatnonzero(edges.mask[lo:hi]), n_r)
-        else:
-            recv, prop = np.divmod(np.flatnonzero(edges.mask[:, lo:hi]), hi - lo)
+        span = slice(indptr[lo], indptr[hi])
+        recv = indices[span]
+        prop = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
         key = -u[lo:hi][prop, recv]
         # Entries arrive receiver-ascending within each proposer.  An unstable
         # sort by key, then a stable (radix, for small row keys) sort by
@@ -246,11 +287,7 @@ def _candidate_lists(market: Market, proposing_side: str, edges: EdgeSet | None)
         if redo.any():
             again = np.flatnonzero(redo[prop])
             order[redo[rows]] = again[np.lexsort((key[again], prop[again]))]
-        indices[at:at + order.size] = recv[order]
-        at += order.size
-        counts[lo:hi] = np.bincount(prop, minlength=hi - lo)
-    indptr = np.zeros(n_p + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+        indices[span] = recv[order]
     return indptr, indices
 
 
@@ -275,9 +312,7 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
     recv = other_side(prop)
     n_p, n_r = market.n(prop), market.n(recv)
     cap_p, cap_r = market.cap(prop), market.cap(recv)
-    if edges is not None and edges.mask.shape != (market.n_left, market.n_right):
-        raise ValueError("edge set shape disagrees with the market")
-
+    _check_shape(edges, market)
     indptr, indices = _candidate_lists(market, prop, edges)
     end = np.diff(indptr)
     u_flat = market.utility_matrix(recv).ravel()  # [j * n_p + i]: receiver j's utility for i
@@ -368,7 +403,7 @@ def double_cut_edges(market: Market, proposing_side: str, cut: CutSpec) -> EdgeS
         return out
 
     tests = (keep, None) if prop == LEFT else (None, keep)
-    return EdgeSet(_mutual_mask(market.n_left, market.n_right, *tests))
+    return _mutual_edges(market.n_left, market.n_right, *tests)
 
 
 def run_double_cut_da(market: Market, proposing_side: str, cut: CutSpec) -> Matching:
@@ -421,7 +456,7 @@ def worst_partner(market: Market, side: str, matching: Matching,
 
 
 def _prefers_to_worst(market: Market, side: str, matching: Matching, weak: bool = False):
-    """`_mutual_mask` test: edges a `side` agent strictly prefers to its worst
+    """`_mutual_edges` test: edges a `side` agent strictly prefers to its worst
     held partner, with a free slot worse than any edge.  With `weak`, the
     worst partner itself qualifies too."""
     wu, wj = worst_partner(market, side, matching, spare_is_worst=True)
@@ -444,12 +479,14 @@ def verify_stability(market: Market, edges: EdgeSet | None, matching: Matching) 
     worst current assignment, with a free slot treated as worse than any
     edge in the set.
     """
-    block = _mutual_mask(market.n_left, market.n_right,
-                         _prefers_to_worst(market, LEFT, matching),
-                         _prefers_to_worst(market, RIGHT, matching),
-                         within=None if edges is None else edges.mask)
-    block[matching.pair_array[:, 0], matching.pair_array[:, 1]] = False
-    left, right = np.divmod(np.flatnonzero(block), market.n_right)
+    _check_shape(edges, market)
+    block = _mutual_edges(market.n_left, market.n_right,
+                          _prefers_to_worst(market, LEFT, matching),
+                          _prefers_to_worst(market, RIGHT, matching))
+    if edges is not None:
+        block &= edges
+    matched = matching.pair_array[:, 0] * market.n_right + matching.pair_array[:, 1]
+    left, right = np.divmod(np.setdiff1d(block.flat, matched, assume_unique=True), market.n_right)
     return list(zip(left.tolist(), right.tolist()))
 
 
@@ -544,78 +581,17 @@ def brute_force_stable_set(market: Market, edges: EdgeSet | None = None) -> list
 
 
 # ---------------------------------------------------------------------------
-# maximum bipartite matching (Hopcroft-Karp)
-
-_INF = float("inf")
+# maximum bipartite matching
 
 
-def max_bipartite_matching(edges: EdgeSet, n_left: int | None = None,
-                           n_right: int | None = None) -> int:
+def max_bipartite_matching(edges: EdgeSet) -> int:
     """Size of a maximum-cardinality matching of the edge set."""
-    mask = edges.mask
-    nl, nr = mask.shape
-    if (n_left is not None and n_left != nl) or (n_right is not None and n_right != nr):
-        raise ValueError("declared sizes disagree with the edge mask")
-    adj = [np.flatnonzero(mask[i]).tolist() for i in range(nl)]
-    match_l = [-1] * nl
-    match_r = [-1] * nr
-    dist = [0.0] * nl
+    # imported here: loading scipy.sparse.csgraph takes about 0.3 s and 33 MB,
+    # which no other call needs
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    from collections import deque
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in range(nl):
-            if match_l[u] == -1:
-                dist[u] = 0.0
-                queue.append(u)
-            else:
-                dist[u] = _INF
-        reachable_free = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1:
-                    reachable_free = True
-                elif dist[w] == _INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return reachable_free
-
-    def augment(root: int) -> bool:
-        # iterative DFS over the layered graph; frames are [vertex, edge idx, chosen v]
-        stack = [[root, 0, -1]]
-        while stack:
-            frame = stack[-1]
-            u = frame[0]
-            advanced = False
-            while frame[1] < len(adj[u]):
-                v = adj[u][frame[1]]
-                frame[1] += 1
-                w = match_r[v]
-                if w == -1:
-                    match_l[u] = v
-                    match_r[v] = u
-                    stack.pop()
-                    while stack:
-                        pu, _, pv = stack.pop()
-                        match_l[pu] = pv
-                        match_r[pv] = pu
-                    return True
-                if dist[w] == dist[u] + 1:
-                    frame[2] = v
-                    stack.append([w, 0, -1])
-                    advanced = True
-                    break
-            if not advanced:
-                dist[u] = _INF
-                stack.pop()
-        return False
-
-    size = 0
-    while bfs():
-        for u in range(nl):
-            if match_l[u] == -1 and augment(u):
-                size += 1
-    return size
+    indptr, indices = edges.csr(LEFT)
+    graph = csr_array((np.ones(indices.size, dtype=np.int8), indices, indptr),
+                      shape=(edges.n_left, edges.n_right))
+    return int((maximum_bipartite_matching(graph, perm_type="column") >= 0).sum())

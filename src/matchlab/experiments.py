@@ -370,19 +370,14 @@ def _min_L_run(config: ExperimentConfig, run_index: int) -> dict:
         superset = acceptable_edges(market, float(caps[top]), float(caps[top]),
                                     sigma_l[top], sigma_r[top])
         flat, level = acceptable_entry_levels(market, caps, sigma_l, sigma_r, superset)
-        del superset
         # each agent's first level with an edge; below the largest, some
         # agent has none, so `_all_matched_at` fails its degree check there
         first = {side: np.full(market.n(side), caps.size, dtype=level.dtype) for side in (LEFT, RIGHT)}
         np.minimum.at(first[LEFT], flat // market.n_right, level)
         np.minimum.at(first[RIGHT], flat % market.n_right, level)
         lowest = int(max(first[LEFT].max(), first[RIGHT].max()))
-        # one flat mask grows in place from level to level and DA gets a
-        # read-only (n_left, n_right) view of it, so no level allocates a mask
-        mask = np.zeros(market.n_left * market.n_right, dtype=bool)
         for idx in range(max(start, lowest), caps.size):
-            mask[flat[level <= idx]] = True
-            edges = EdgeSet(mask.reshape(market.n_left, market.n_right))
+            edges = EdgeSet(flat[level <= idx], market.n_left, market.n_right)
             if _everyone_matched(run_da(market, config.proposing_side, edges)):
                 return {"run": run_index, "first_L": float(grid[idx]), "grid_index": idx,
                         "matched": True}
@@ -654,9 +649,14 @@ def _lower_bound_run(config: ExperimentConfig, run_index: int) -> dict:
 
 def exp_lower_bound(config: ExperimentConfig) -> ExperimentReport:
     """Frequency of markets whose tight acceptable edge set admits no
-    perfect matching (observational probe of the loss-bound tightness)."""
+    perfect matching (observational probe of the loss-bound tightness).
+    The probe asks for a perfect one-to-one matching, so the market must be
+    square with unit capacities."""
+    n, n_right = config.sides()
+    if n != n_right or config.cap_left != 1 or config.cap_right != 1:
+        raise ValueError(f"lower-bound needs a square one-to-one market, got {n}x{n_right} "
+                         f"with capacities {config.cap_left}/{config.cap_right}")
     results = _map_runs(_lower_bound_run, config)
-    n = config.n_left
     rows = [dict(r) for r in results]
     no_perfect = sum(1 for r in results if not r["perfect"])
     summary = {

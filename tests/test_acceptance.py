@@ -55,7 +55,7 @@ def test_criterion_01_oracle_equivalence():
             edges = None
         else:
             n = 2 + idx % 4
-            edges = EdgeSet(rng.random((n, n)) < 0.65)
+            edges = EdgeSet.from_mask(rng.random((n, n)) < 0.65)
         m = ml.generate_market(n, n, model=ml.linear_model(float(rng.uniform(0.4, 0.9))),
                                seed=int(rng.integers(1 << 32)))
         stable = ml.brute_force_stable_set(m, edges)

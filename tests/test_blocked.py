@@ -65,7 +65,7 @@ def random_mask(rng, market, density):
     mask = rng.random((market.n_left, market.n_right)) < density
     mask[rng.integers(market.n_left)] = False
     mask[:, rng.integers(market.n_right)] = False
-    return EdgeSet(mask)
+    return EdgeSet.from_mask(mask)
 
 
 def random_matching(rng, market):
@@ -128,7 +128,7 @@ def test_acceptable_entry_levels_reproduce_every_level(case, start, step, count,
     masks = [ml.acceptable_edges(market, float(c), float(c), sl, sr).mask
              for c, sl, sr in zip(caps, sig_l, sig_r)]
     # the levels of the top set's edges (as the scan asks), or of every edge
-    edges = EdgeSet(masks[-1]) if within_top else EdgeSet.full(market.n_left, market.n_right)
+    edges = EdgeSet.from_mask(masks[-1]) if within_top else EdgeSet.full(market.n_left, market.n_right)
     flat, level = ml.acceptable_entry_levels(market, caps, sig_l, sig_r, edges)
     assert np.array_equal(flat, np.flatnonzero(edges.mask))
     levels = np.full(market.n_left * market.n_right, caps.size)
@@ -222,7 +222,7 @@ def test_candidate_lists_order_nan_utilities_last():
                        ratings_left=np.full(n, 0.5), ratings_right=rng.random(n),
                        scores_left=scores, scores_right=scores.T.copy(),
                        model=ml.linear_model(0.5), seed=None)
-    edges = EdgeSet(rng.random((n, n)) < 0.6)
+    edges = EdgeSet.from_mask(rng.random((n, n)) < 0.6)
     for side in (LEFT, RIGHT):
         got = _candidate_lists(market, side, edges)
         want = per_row_candidate_lists(market, side, edges)

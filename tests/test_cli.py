@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +179,27 @@ def test_experiment_reversed_grid_fails_early(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: grid_start 0.5 exceeds grid_stop 0.1")
     assert "Traceback" not in err
+
+
+def test_experiment_lower_bound_needs_square_one_to_one(tmp_path, capsys):
+    for sizes in (["--n-left", "60", "--n-right", "40"], ["--n", "40", "--cap-left", "2"]):
+        code = main(["experiment", "lower-bound", *sizes, "--runs", "3", "--seed", "1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lower-bound needs a square one-to-one market")
+        assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported inside max_bipartite_matching only, so startup does
+    # not pay for loading it
+    code = "import sys, matchlab.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    src = str(Path(ml.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_experiment_unknown_id_rejected(capsys):

@@ -40,7 +40,7 @@ def test_da_output_is_stable(small_market):
 def test_da_stable_on_restricted_sets(small_market):
     rng = np.random.default_rng(0)
     for _ in range(5):
-        edges = EdgeSet(rng.random((30, 30)) < 0.4)
+        edges = EdgeSet.from_mask(rng.random((30, 30)) < 0.4)
         matching = ml.run_da(small_market, LEFT, edges)
         assert ml.verify_stability(small_market, edges, matching) == []
 
@@ -79,7 +79,7 @@ def da_cases(draw):
         cap_right=draw(st.integers(1, 3)),
     )
     mask = draw(st.none() | arrays(bool, (nl, nr)))
-    edges = None if mask is None else EdgeSet(mask)
+    edges = None if mask is None else EdgeSet.from_mask(mask)
     return market, draw(st.sampled_from([LEFT, RIGHT])), edges
 
 
@@ -148,11 +148,85 @@ def test_edge_set_from_empty_pairs():
     assert EdgeSet.from_pairs([], 3, 4) == EdgeSet.empty(3, 4)
 
 
+def test_edge_set_from_pairs_rejects_out_of_range_and_drops_duplicates():
+    for bad in ([(0, -1), (1, 2)], [(-1, 0)], [(3, 0)], [(0, 4)]):
+        with pytest.raises(ValueError):
+            EdgeSet.from_pairs(bad, 3, 4)
+    edges = EdgeSet.from_pairs([(1, 2), (0, 3), (1, 2)], 3, 4)
+    assert edges.pairs().tolist() == [[0, 3], [1, 2]]
+    assert edges.edge_count == 2
+
+
+# shapes: empty sides, 1 x n and n x 1, and sizes around the 64-row block
+EDGE_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.tuples(st.just(1), st.integers(1, 130)),
+    st.tuples(st.integers(1, 130), st.just(1)),
+    st.tuples(st.sampled_from([63, 64, 65, 127, 128, 129]), st.integers(1, 9)),
+)
+
+
+@st.composite
+def mask_pairs(draw):
+    """Two masks of one shape, each empty, full, sparse or dense."""
+    shape = draw(EDGE_SHAPES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = []
+    for kind in draw(st.tuples(*[st.sampled_from(["empty", "full", "sparse", "dense"])] * 2)):
+        if kind in ("empty", "full"):
+            masks.append(np.full(shape, kind == "full"))
+        else:
+            masks.append(rng.random(shape) < (0.1 if kind == "sparse" else 0.7))
+    return masks[0], masks[1], rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_pairs())
+def test_edge_set_operations_equal_dense_formulas(case):
+    ma, mb, rng = case
+    nl, nr = ma.shape
+    a, b = EdgeSet.from_mask(ma), EdgeSet.from_mask(mb)
+    assert (a.n_left, a.n_right) == (nl, nr)
+    assert np.array_equal(a.mask, ma) and not a.flat.flags.writeable
+    assert a == EdgeSet.from_pairs(np.argwhere(ma).tolist(), nl, nr)
+    assert np.array_equal(a.pairs(), np.argwhere(ma))
+    assert a.edge_count == np.count_nonzero(ma)
+    assert np.array_equal(a.degrees(LEFT), ma.sum(axis=1))
+    assert np.array_equal(a.degrees(RIGHT), ma.sum(axis=0))
+    assert a.is_full() == ma.all()
+    if ma.size:
+        for i, j in zip(rng.integers(nl, size=10), rng.integers(nr, size=10)):
+            assert a.contains(int(i), int(j)) == ma[i, j]
+    assert np.array_equal((a & b).mask, ma & mb)
+    assert np.array_equal((a | b).mask, ma | mb)
+    assert a.issubset(b) == bool(np.all(~ma | mb))
+    assert (a == b) == np.array_equal(ma, mb)
+    for side, rows in ((LEFT, ma), (RIGHT, ma.T)):
+        indptr, indices = a.csr(side)
+        assert indptr[0] == 0 and np.array_equal(np.diff(indptr), rows.sum(axis=1))
+        assert np.array_equal(indices, np.nonzero(rows)[1])
+
+
+@pytest.mark.parametrize("consumer", ["run_da", "verify_stability", "viable_edges",
+                                      "acceptable_entry_levels"])
+def test_edge_set_of_another_shape_rejected(small_market, consumer):
+    m = small_market
+    edges = EdgeSet.full(m.n_left, m.n_right - 1)
+    call = {
+        "run_da": lambda: ml.run_da(m, LEFT, edges),
+        "verify_stability": lambda: ml.verify_stability(m, edges, ml.run_da(m, LEFT)),
+        "viable_edges": lambda: ml.viable_edges(m, edges),
+        "acceptable_entry_levels": lambda: ml.acceptable_entry_levels(m, [0.1], [0.0], [0.0], edges),
+    }[consumer]
+    with pytest.raises(ValueError, match="edge set shape 30x29 disagrees with 30x30"):
+        call()
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 4), (1, 1), (5, 7), (70, 3)])
 def test_edge_set_pairs_match_argwhere(shape):
     rng = np.random.default_rng(sum(shape))
     for mask in (rng.random(shape) < 0.4, np.zeros(shape, bool), np.ones(shape, bool)):
-        got = EdgeSet(mask).pairs()
+        got = EdgeSet.from_mask(mask).pairs()
         want = np.argwhere(mask)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -174,7 +248,7 @@ def test_kernel_matches_reference_on_generated_markets(nl, nr, cap_l, cap_r, den
         mask = np.random.default_rng(nl).random((nl, nr)) < density
         mask[0] = False
         mask[:, 1] = False
-        edges = EdgeSet(mask)
+        edges = EdgeSet.from_mask(mask)
     for side in (LEFT, RIGHT):
         assert_same_run(ml.run_da(m, side, edges), reference_da(m, side, edges))
 
@@ -274,7 +348,7 @@ def test_extreme_matchings_unmatched_sets_agree():
     rng = np.random.default_rng(17)
     for _ in range(10):
         m = ml.generate_market(60, 60, model=ml.linear_model(0.7), seed=int(rng.integers(1 << 32)))
-        edges = EdgeSet(rng.random((60, 60)) < 0.1)
+        edges = EdgeSet.from_mask(rng.random((60, 60)) < 0.1)
         left_opt, right_opt = ml.extreme_matchings(m, edges)
         assert set(left_opt.unmatched(LEFT)) == set(right_opt.unmatched(LEFT))
         assert set(left_opt.unmatched(RIGHT)) == set(right_opt.unmatched(RIGHT))
@@ -348,7 +422,7 @@ def test_empty_matching_blocks_everywhere():
     m = ml.generate_market(6, 6, model=ml.linear_model(0.5), seed=12)
     empty = ml.Matching.from_left_sets([[] for _ in range(6)], 6)
     rng = np.random.default_rng(0)
-    edges = EdgeSet(rng.random((6, 6)) < 0.5)
+    edges = EdgeSet.from_mask(rng.random((6, 6)) < 0.5)
     blocking = ml.verify_stability(m, edges, empty)
     assert sorted(blocking) == sorted(map(tuple, edges.pairs()))
 
@@ -397,7 +471,7 @@ def test_brute_force_unmatched_invariance_restricted():
     for _ in range(30):
         n = int(rng.integers(2, 6))
         m = ml.generate_market(n, n, model=ml.linear_model(0.5), seed=int(rng.integers(1 << 32)))
-        edges = EdgeSet(rng.random((n, n)) < 0.6)
+        edges = EdgeSet.from_mask(rng.random((n, n)) < 0.6)
         stable = ml.brute_force_stable_set(m, edges)
         assert stable, "a stable matching always exists"
         unmatched = {tuple(sorted(s.unmatched(LEFT))) for s in stable}
@@ -421,9 +495,4 @@ def test_max_matching_against_exhaustive():
         nl = int(rng.integers(1, 9))
         nr = int(rng.integers(1, 9))
         mask = rng.random((nl, nr)) < float(rng.uniform(0.1, 0.9))
-        assert ml.max_bipartite_matching(EdgeSet(mask)) == exhaustive_max_matching(mask)
-
-
-def test_max_matching_size_validation():
-    with pytest.raises(ValueError):
-        ml.max_bipartite_matching(EdgeSet.full(3, 3), n_left=4)
+        assert ml.max_bipartite_matching(EdgeSet.from_mask(mask)) == exhaustive_max_matching(mask)
