@@ -385,7 +385,7 @@ class InterviewParams:
     score_cutoff_right: float | None = None
 
     def __post_init__(self) -> None:
-        for v in (self.rating_window, self.score_cutoff):
+        for v in (self.rating_window, self.score_cutoff, self.cutoff_left, self.cutoff_right):
             if not 0.0 <= v <= 1.0:
                 raise ValueError("interview parameters live in [0, 1]")
 

@@ -3,7 +3,9 @@ and named experiment suites.
 
 Flag precedence is CLI over environment (MATCHLAB_SEED) over drawn
 defaults; the effective configuration, seed included, is echoed into every
-artifact so runs can be reproduced exactly.
+artifact so runs can be reproduced exactly.  Every flag that sets an
+`ExperimentConfig` field has that field as its `dest`, and none restates a
+field's default, so `experiment` fills the config by name.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import os
 import secrets
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .analysis import (
@@ -31,12 +34,13 @@ from .engine import EdgeSet, run_da, verify_stability
 from .experiments import (
     ExperimentConfig,
     EXPERIMENTS,
-    decile_labels,
+    _decile_stats,
+    agent_deciles,
     run_experiment,
     write_csv_rows,
     write_strict_json,
 )
-from .market import LEFT, RIGHT, generate_market, linear_model, load_market, save_market
+from .market import LEFT, RIGHT, SIDES, generate_market, linear_model, load_market, save_market
 
 EDGE_KINDS = ("full", "acceptable", "viable", "interview", "selected", "truncated")
 
@@ -62,6 +66,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _either(value, fallback):
+    return fallback if value is None else value
+
+
 def _resolve_seed(args) -> tuple[int, bool]:
     """Seed from --seed, else MATCHLAB_SEED, else a fresh random one."""
     if args.seed is not None:
@@ -76,17 +84,21 @@ def _resolve_seed(args) -> tuple[int, bool]:
 
 
 def _add_market_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=_positive_int, help="agents per side (balanced market), >= 1")
-    p.add_argument("--n-left", "--nw", dest="n_left", type=_positive_int,
+    p.add_argument("--n", type=_positive_int, default=None,
+                   help="agents per side (balanced market), >= 1")
+    p.add_argument("--n-left", "--nw", dest="n_left", type=_positive_int, default=None,
                    help="proposing-side agents (workers), >= 1")
-    p.add_argument("--n-right", "--nc", dest="n_right", type=_positive_int,
+    p.add_argument("--n-right", "--nc", dest="n_right", type=_positive_int, default=None,
                    help="receiving-side agents (companies), >= 1")
-    p.add_argument("--cap-left", type=_positive_int, default=1, help="per-agent capacity, left side, >= 1")
-    p.add_argument("--d", "--cap-right", dest="cap_right", type=_positive_int, default=1,
+    p.add_argument("--cap-left", type=_positive_int, default=ExperimentConfig.cap_left,
+                   help="per-agent capacity, left side, >= 1")
+    p.add_argument("--d", "--cap-right", dest="cap_right", type=_positive_int,
+                   default=ExperimentConfig.cap_right,
                    help="per-agent capacity, right side (company positions), >= 1")
-    p.add_argument("--lambda", dest="weight", type=_weight, default=0.8,
+    p.add_argument("--lambda", dest="weight", type=_weight, default=ExperimentConfig.weight,
                    help="rating weight of the linear utility model, in (0, 1)")
-    p.add_argument("--rating-ranges", choices=("auto", "unit", "scaled"), default="auto",
+    p.add_argument("--rating-ranges", choices=("auto", "unit", "scaled"),
+                   default=ExperimentConfig.rating_ranges,
                    help="rating ranges for unbalanced markets")
 
 
@@ -96,31 +108,40 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=None, help="output path (file or directory)")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="row output format; JSON summaries are always written")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="concurrent runs, >= 1")
+    p.add_argument("--jobs", type=_positive_int, default=ExperimentConfig.jobs,
+                   help="concurrent runs, >= 1")
 
 
-def _add_edge_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--edges", choices=EDGE_KINDS, default="full", help="edge-set construction")
+def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
+    """Edge-protocol parameters, read by `run`, `edges` and the suites."""
     p.add_argument("--L", dest="loss_cap", type=_unit_float, default=None,
                    help="loss cap for acceptable edges, both sides, in [0, 1]")
     p.add_argument("--L-left", dest="loss_cap_left", type=_unit_float, default=None,
                    help="left-side loss cap, in [0, 1]")
     p.add_argument("--L-right", dest="loss_cap_right", type=_unit_float, default=None,
                    help="right-side loss cap, in [0, 1]")
-    p.add_argument("--sigma", dest="sigma", type=_unit_float, default=0.0,
+    p.add_argument("--sigma", type=_unit_float, default=ExperimentConfig.sigma_left,
                    help="bottom-zone rating width for acceptable edges, in [0, 1]")
-    p.add_argument("--p", dest="rating_window", type=_unit_float, default=0.19,
-                   help="interview rating window, in [0, 1]")
-    p.add_argument("--q", dest="score_cutoff", type=_unit_float, default=0.60,
+    p.add_argument("--p", dest="rating_window", type=_unit_float,
+                   default=ExperimentConfig.rating_window, help="interview rating window, in [0, 1]")
+    p.add_argument("--q", dest="score_cutoff", type=_unit_float,
+                   default=ExperimentConfig.score_cutoff,
                    help="interview private-score cutoff, in [0, 1]")
+    p.add_argument("--c", dest="failure_exponent", type=_range_checked(float, 0.0, 100.0, "c"),
+                   default=ExperimentConfig.failure_exponent,
+                   help="failure-probability exponent for derived thresholds")
+
+
+def _add_edge_flags(p: argparse.ArgumentParser) -> None:
+    """The edge-set choice of `run` and `edges`; no suite reads these."""
+    p.add_argument("--edges", choices=EDGE_KINDS, default="full", help="edge-set construction")
     p.add_argument("--k", dest="expected_degree", type=_range_checked(float, 1.0, 1e9, "k"),
-                   default=15.0, help="selected-set expected interviews per agent, >= 1")
+                   default=ExperimentConfig.expected_degree,
+                   help="selected-set expected interviews per agent, >= 1")
     p.add_argument("--t-left", type=_range_checked(float, 1.0, 1e9, "t"), default=1.0,
                    help="left-side truncation relaxation, >= 1")
     p.add_argument("--t-right", type=_range_checked(float, 1.0, 1e9, "t"), default=1.0,
                    help="right-side truncation relaxation, >= 1")
-    p.add_argument("--c", dest="failure_exponent", type=_range_checked(float, 0.0, 100.0, "c"),
-                   default=1.0, help="failure-probability exponent for derived thresholds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,35 +160,41 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="run deferred acceptance on a market")
     r.add_argument("--market", type=Path, default=None, help="market file from `generate`")
     _add_market_flags(r)
-    r.add_argument("--propose-side", choices=(LEFT, RIGHT), default=LEFT)
+    r.add_argument("--propose-side", dest="proposing_side", choices=SIDES,
+                   default=ExperimentConfig.proposing_side)
+    _add_protocol_flags(r)
     _add_edge_flags(r)
     _add_common_flags(r)
 
     e = sub.add_parser("edges", help="build an edge set and export it")
     e.add_argument("--market", type=Path, default=None, help="market file from `generate`")
     _add_market_flags(e)
+    _add_protocol_flags(e)
     _add_edge_flags(e)
     _add_common_flags(e)
 
-    x = sub.add_parser("experiment", help="run a named experiment suite")
+    # a flag added here without a default stays out of the namespace when
+    # omitted, and ExperimentConfig supplies its field default
+    x = sub.add_parser("experiment", help="run a named experiment suite",
+                       argument_default=argparse.SUPPRESS)
     x.add_argument("experiment", choices=sorted(EXPERIMENTS), help="experiment id")
     _add_market_flags(x)
-    x.add_argument("--runs", type=_positive_int, default=20, help="Monte Carlo runs, >= 1")
-    x.add_argument("--propose-side", choices=(LEFT, RIGHT), default=LEFT)
-    _add_edge_flags(x)
-    x.add_argument("--grid-start", type=_unit_float, default=0.01)
-    x.add_argument("--grid-stop", type=_unit_float, default=0.50)
-    x.add_argument("--grid-step", type=_range_checked(float, 1e-6, 1.0, "grid step"), default=0.01)
-    x.add_argument("--sigma-rule", choices=("theory", "fixed"), default="theory",
+    x.add_argument("--runs", type=_positive_int, help="Monte Carlo runs, >= 1")
+    x.add_argument("--propose-side", dest="proposing_side", choices=SIDES)
+    _add_protocol_flags(x)
+    x.add_argument("--grid-start", type=_unit_float)
+    x.add_argument("--grid-stop", type=_unit_float)
+    x.add_argument("--grid-step", type=_range_checked(float, 1e-6, 1.0, "grid step"))
+    x.add_argument("--sigma-rule", choices=("theory", "fixed"),
                    help="bottom-zone rule for the min-L search")
-    x.add_argument("--n-values", type=_positive_int, nargs="+", default=[500, 4000],
+    x.add_argument("--n-values", type=_positive_int, nargs="+",
                    help="market sizes for loss scaling")
-    x.add_argument("--exceedance-n", type=_positive_int, default=2000)
-    x.add_argument("--nu", type=_range_checked(float, 1e-6, 1.0, "nu"), default=0.5,
+    x.add_argument("--exceedance-n", type=_positive_int)
+    x.add_argument("--nu", type=_range_checked(float, 1e-6, 1.0, "nu"),
                    help="receiver bottom-zone constant (truncation), in (0, 1]")
-    x.add_argument("--eta", type=_range_checked(float, 1.0, 100.0, "eta"), default=2.0,
+    x.add_argument("--eta", type=_range_checked(float, 1.0, 100.0, "eta"),
                    help="proposer bottom-zone constant (truncation), >= 1")
-    x.add_argument("--loss-bound", type=_unit_float, default=None,
+    x.add_argument("--loss-bound", type=_unit_float,
                    help="override the theoretical loss bound (truncation)")
     _add_common_flags(x)
 
@@ -175,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _market_sides(args) -> tuple[int, int]:
-    n_left = args.n_left if args.n_left is not None else args.n
-    n_right = args.n_right if args.n_right is not None else args.n
+    n_left, n_right = _either(args.n_left, args.n), _either(args.n_right, args.n)
     if n_left is None or n_right is None:
         raise SystemExit("market size missing: pass --n, or --n-left/--nw and --n-right/--nc")
     return n_left, n_right
@@ -184,15 +210,9 @@ def _market_sides(args) -> tuple[int, int]:
 
 def _generate(args, seed: int):
     n_left, n_right = _market_sides(args)
-    return generate_market(
-        n_left,
-        n_right,
-        args.cap_left,
-        args.cap_right,
-        model=linear_model(args.weight),
-        seed=seed,
-        rating_ranges=args.rating_ranges,
-    )
+    return generate_market(n_left, n_right, args.cap_left, args.cap_right,
+                           model=linear_model(args.weight), seed=seed,
+                           rating_ranges=args.rating_ranges)
 
 
 def _market_from_args(args):
@@ -210,8 +230,8 @@ def _build_edges(market, args):
     if kind == "full":
         return None
     if kind == "acceptable":
-        cap_l = args.loss_cap_left if args.loss_cap_left is not None else args.loss_cap
-        cap_r = args.loss_cap_right if args.loss_cap_right is not None else args.loss_cap
+        cap_l = _either(args.loss_cap_left, args.loss_cap)
+        cap_r = _either(args.loss_cap_right, args.loss_cap)
         if cap_l is None or cap_r is None:
             raise SystemExit("acceptable edges need --L (or --L-left/--L-right)")
         return acceptable_edges(market, cap_l, cap_r, args.sigma, args.sigma)
@@ -238,24 +258,18 @@ def _write_rows(rows: list[dict], path: Path, fmt: str) -> None:
 
 
 def _matching_rows(market, matching) -> list[dict]:
-    rows = []
-    for side in (LEFT, RIGHT):
-        rank = market.agent_rank(side)
-        proposing = side == matching.proposing_side
-        for a, partners in enumerate(matching.matches(side)):
-            rows.append({
-                "side": side,
-                "agent_index": a,
-                "public_rank": int(rank[a]),
-                "partner_indices": ";".join(str(p) for p in partners),
-                "proposals_made": int(matching.proposal_counts[a]) if proposing else 0,
-                "matched_flag": int(bool(partners)),
-            })
-    return rows
+    return [{
+        "side": side,
+        "agent_index": a,
+        "public_rank": int(market.agent_rank(side)[a]),
+        "partner_indices": ";".join(str(p) for p in partners),
+        "proposals_made": int(matching.proposal_counts[a]) if side == matching.proposing_side else 0,
+        "matched_flag": int(bool(partners)),
+    } for side in SIDES for a, partners in enumerate(matching.matches(side))]
 
 
 def _out_dir(args, default: str) -> Path:
-    out = args.out if args.out is not None else Path(default)
+    out = _either(args.out, Path(default))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -263,7 +277,7 @@ def _out_dir(args, default: str) -> Path:
 def cmd_generate(args) -> int:
     seed, drawn = _resolve_seed(args)
     market = _generate(args, seed)
-    out = args.out if args.out is not None else Path("market.npz")
+    out = _either(args.out, Path("market.npz"))
     save_market(market, out)
     meta = {
         "seed": seed,
@@ -283,11 +297,10 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     market, provenance = _market_from_args(args)
     edges = _build_edges(market, args)
-    matching = run_da(market, args.propose_side, edges)
+    matching = run_da(market, args.proposing_side, edges)
     blocking = verify_stability(market, edges, matching)
-    params = None
-    if args.loss_cap is not None:
-        params = loss_params_from_bound(args.loss_cap, market.model, args.failure_exponent)
+    params = (None if args.loss_cap is None
+              else loss_params_from_bound(args.loss_cap, market.model, args.failure_exponent))
     report = loss_report(market, matching, params)
 
     out = _out_dir(args, "run-out")
@@ -295,7 +308,7 @@ def cmd_run(args) -> int:
     _write_rows(report.rows(market), out / "losses", args.format)
     audit = {
         **provenance,
-        "propose_side": args.propose_side,
+        "propose_side": args.proposing_side,
         "edge_kind": args.edges,
         "edge_count": None if edges is None else edges.edge_count,
         "blocking_pairs": len(blocking),
@@ -317,14 +330,13 @@ def cmd_edges(args) -> int:
     rows = [{"left_index": i, "right_index": j} for i, j in edges.pairs().tolist()]
     _write_rows(rows, out / "edges", args.format)
 
-    summary = {**provenance, "edge_kind": args.edges,
-               "edge_count": edges.edge_count, "degrees_by_decile": {}}
-    for side in (LEFT, RIGHT):
-        deg = edges.degrees(side).astype(float)
-        dec = decile_labels(market.n(side))[market.agent_rank(side)]
-        summary["degrees_by_decile"][side] = [
-            float(deg[dec == d].mean()) if (dec == d).any() else float("nan") for d in range(10)
-        ]
+    degrees_by_decile = {
+        side: [st["mean"] for st in _decile_stats(edges.degrees(side).astype(float),
+                                                    agent_deciles(market, side))]
+        for side in SIDES
+    }
+    summary = {**provenance, "edge_kind": args.edges, "edge_count": edges.edge_count,
+               "degrees_by_decile": degrees_by_decile}
     write_strict_json(summary, out / "edge_summary.json")
     print(json.dumps({"edge_count": edges.edge_count, "out": str(out)}, sort_keys=True))
     return 0
@@ -332,42 +344,23 @@ def cmd_edges(args) -> int:
 
 def cmd_experiment(args) -> int:
     seed, drawn = _resolve_seed(args)
-    n_left, n_right = (args.n_left if args.n_left is not None else args.n,
-                       args.n_right if args.n_right is not None else args.n)
+    n_left = _either(args.n_left, args.n)
     if n_left is None:
         raise SystemExit("experiments need a market size: pass --n or --n-left/--nw")
-    loss_cap_left = args.loss_cap_left if args.loss_cap_left is not None else args.loss_cap
-    loss_cap_right = args.loss_cap_right if args.loss_cap_right is not None else args.loss_cap
-    config = ExperimentConfig(
-        experiment=args.experiment,
-        n_left=n_left,
-        n_right=n_right,
-        cap_left=args.cap_left,
-        cap_right=args.cap_right,
-        weight=args.weight,
-        runs=args.runs,
-        seed=seed,
-        jobs=args.jobs,
-        proposing_side=args.propose_side,
-        rating_ranges=args.rating_ranges,
-        loss_cap_left=loss_cap_left,
-        loss_cap_right=loss_cap_right,
-        sigma_left=args.sigma,
-        sigma_right=args.sigma,
-        sigma_rule=args.sigma_rule,
-        grid_start=args.grid_start,
-        grid_stop=args.grid_stop,
-        grid_step=args.grid_step,
-        rating_window=args.rating_window,
-        score_cutoff=args.score_cutoff,
-        n_values=tuple(args.n_values),
-        exceedance_n=args.exceedance_n,
-        failure_exponent=args.failure_exponent,
-        nu=args.nu,
-        eta=args.eta,
-        loss_bound=args.loss_bound,
-        expected_degree=args.expected_degree,
-    )
+    names = {f.name for f in fields(ExperimentConfig)}
+    named = {k: v for k, v in vars(args).items() if k in names}
+    if "n_values" in named:
+        named["n_values"] = tuple(named["n_values"])
+    config = ExperimentConfig(**{
+        **named,
+        "n_left": n_left,
+        "n_right": _either(args.n_right, args.n),
+        "loss_cap_left": _either(args.loss_cap_left, args.loss_cap),
+        "loss_cap_right": _either(args.loss_cap_right, args.loss_cap),
+        "sigma_left": args.sigma,
+        "sigma_right": args.sigma,
+        "seed": seed,
+    })
     report = run_experiment(config)
     report.config["seed_drawn"] = drawn
     out = _out_dir(args, f"experiment-{args.experiment}")
@@ -383,23 +376,17 @@ def cmd_experiment(args) -> int:
     return 0 if audits_ok else 1
 
 
+COMMANDS = {"generate": cmd_generate, "run": cmd_run, "edges": cmd_edges,
+            "experiment": cmd_experiment}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "edges":
-            return cmd_edges(args)
-        if args.command == "experiment":
-            return cmd_experiment(args)
+        return COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    parser.error("unknown command")
-    return 2
 
 
 if __name__ == "__main__":

@@ -47,6 +47,7 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentReport",
+    "agent_deciles",
     "decile_labels",
     "derive_run_seed",
     "exp_edge_counts",
@@ -69,6 +70,11 @@ def derive_run_seed(base_seed: int, run_index: int) -> int:
 def decile_labels(n: int) -> np.ndarray:
     """Rank position -> decile index 0..9 (0 = top); sizes differ by <= 1."""
     return (np.arange(n) * 10) // n
+
+
+def agent_deciles(market: Market, side: str) -> np.ndarray:
+    """Per-agent decile index 0..9 of `side` by public rating (0 = top)."""
+    return decile_labels(market.n(side))[market.agent_rank(side)]
 
 
 @dataclass(frozen=True)
@@ -144,15 +150,9 @@ class ExperimentConfig:
         nl, nr = self.sides()
         if n_left is not None:
             nl = nr = n_left
-        return generate_market(
-            nl,
-            nr,
-            self.cap_left,
-            self.cap_right,
-            model=self.model(),
-            seed=derive_run_seed(self.seed, run_index),
-            rating_ranges=self.rating_ranges,
-        )
+        return generate_market(nl, nr, self.cap_left, self.cap_right, model=self.model(),
+                               seed=derive_run_seed(self.seed, run_index),
+                               rating_ranges=self.rating_ranges)
 
 
 @dataclass
@@ -205,14 +205,9 @@ def _strict(value):
 
 
 def _plain(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
+    """A numpy scalar or array as the matching Python value or list."""
+    if isinstance(value, (np.generic, np.ndarray)):
         return value.tolist()
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
     return value
 
 
@@ -238,17 +233,31 @@ def _map_runs(worker, config: ExperimentConfig, tasks=None) -> list:
 
 
 def _decile_stats(values: np.ndarray, deciles: np.ndarray) -> list[dict]:
+    """Size, mean, min and max of `values` in each decile; NaN when empty."""
     out = []
     for d in range(10):
         sel = values[deciles == d]
-        out.append({
-            "decile": d + 1,
-            "size": int(sel.size),
-            "mean": float(sel.mean()) if sel.size else float("nan"),
-            "min": float(sel.min()) if sel.size else float("nan"),
-            "max": float(sel.max()) if sel.size else float("nan"),
-        })
+        mean, lo, hi = (sel.mean(), sel.min(), sel.max()) if sel.size else (np.nan,) * 3
+        out.append({"decile": d + 1, "size": sel.size,
+                    "mean": float(mean), "min": float(lo), "max": float(hi)})
     return out
+
+
+def _decile_counts(flags: np.ndarray, deciles: np.ndarray) -> tuple[list[int], list[int]]:
+    """Per-decile count of the flagged agents, and per-decile size."""
+    return (np.bincount(deciles[flags], minlength=10).tolist(),
+            np.bincount(deciles, minlength=10).tolist())
+
+
+def _decile_rows(results: list[dict], metric: str) -> list[dict]:
+    """One report row per (run, decile): the run's count as `metric`, and the
+    decile size."""
+    return [{"run": r["run"], "decile": d + 1, metric: r["per_decile"][d], "size": r["sizes"][d]}
+            for r in results for d in range(10)]
+
+
+def _mean_per_decile(results: list[dict]) -> list[float]:
+    return [float(np.mean([r["per_decile"][d] for r in results])) for d in range(10)]
 
 
 def _top_mask(rank: np.ndarray, frac: float) -> np.ndarray:
@@ -262,27 +271,22 @@ def _top_mask(rank: np.ndarray, frac: float) -> np.ndarray:
 
 def _edge_counts_run(config: ExperimentConfig, run_index: int) -> dict:
     market = config.make_market(run_index)
-    edges = acceptable_edges(
-        market,
-        config.loss_cap_left,
-        config.loss_cap_right if config.loss_cap_right is not None else config.loss_cap_left,
-        config.sigma_left,
-        config.sigma_right,
-    )
+    cap_right = config.loss_cap_left if config.loss_cap_right is None else config.loss_cap_right
+    edges = acceptable_edges(market, config.loss_cap_left, cap_right,
+                             config.sigma_left, config.sigma_right)
     prop = config.proposing_side
     degrees = edges.degrees(prop).astype(float)
     matching = run_da(market, prop, edges)
     proposals = matching.proposal_counts.astype(float)
-    rank = market.agent_rank(prop)
-    dec = decile_labels(market.n(prop))[rank]
-    top = _top_mask(rank, 1.0 - config.bottom_frac)
+    dec = agent_deciles(market, prop)
+    top = _top_mask(market.agent_rank(prop), 1.0 - config.bottom_frac)
     return {
         "run": run_index,
         "list_by_decile": _decile_stats(degrees, dec),
         "proposals_by_decile": _decile_stats(proposals, dec),
         "top_list_mean": float(degrees[top].mean()),
         "top_proposals_mean": float(proposals[top].mean()),
-        "all_matched": bool(matching.matched_mask(LEFT).all() and matching.matched_mask(RIGHT).all()),
+        "all_matched": _everyone_matched(matching),
         "blocking_pairs": len(verify_stability(market, edges, matching)),
     }
 
@@ -292,19 +296,16 @@ def exp_edge_counts(config: ExperimentConfig) -> ExperimentReport:
     if config.loss_cap_left is None:
         raise ValueError("edge-counts needs loss_cap_left (and optionally loss_cap_right)")
     results = _map_runs(_edge_counts_run, config)
-    rows = []
-    for res in results:
-        for kind, stats in (("list", res["list_by_decile"]), ("proposals", res["proposals_by_decile"])):
-            for st in stats:
-                rows.append({"run": res["run"], "metric": kind, **st})
+    kinds = ("list", "proposals")
+    rows = [{"run": res["run"], "metric": kind, **st}
+            for res in results for kind in kinds for st in res[f"{kind}_by_decile"]]
     decile_summary = []
     for d in range(10):
         entry = {"decile": d + 1}
-        for kind in ("list", "proposals"):
-            per_run = [r for r in rows if r["metric"] == kind and r["decile"] == d + 1]
-            entry[f"{kind}_mean"] = float(np.mean([r["mean"] for r in per_run]))
-            entry[f"{kind}_min"] = float(np.min([r["min"] for r in per_run]))
-            entry[f"{kind}_max"] = float(np.max([r["max"] for r in per_run]))
+        for kind in kinds:
+            per_run = [res[f"{kind}_by_decile"][d] for res in results]
+            for stat, reduce in (("mean", np.mean), ("min", np.min), ("max", np.max)):
+                entry[f"{kind}_{stat}"] = float(reduce([st[stat] for st in per_run]))
         decile_summary.append(entry)
     summary = {
         "deciles": decile_summary,
@@ -395,30 +396,21 @@ def exp_min_L(config: ExperimentConfig) -> ExperimentReport:
     """
     results = _map_runs(_min_L_run, config)
     grid = _loss_grid(config)
-    sentinel = not all(r["matched"] for r in results)
     idx = max(r["grid_index"] for r in results)
     verified = False
-    if not sentinel:
-        while idx < len(grid):
-            candidate = float(grid[idx])
-            ok = True
-            for r in results:
-                if r["grid_index"] == idx:
-                    continue  # already known to match at its own first_L
-                # no name holds the market, so it is freed before the next is made
-                if not _all_matched_at(config.make_market(r["run"]), candidate, config):
-                    ok = False
-                    break
-            if ok:
+    if all(r["matched"] for r in results):
+        for idx in range(idx, len(grid)):
+            # a run is known to match at its own first_L; no name holds a
+            # market, so each is freed before the next is made
+            if all(r["grid_index"] == idx
+                   or _all_matched_at(config.make_market(r["run"]), float(grid[idx]), config)
+                   for r in results):
                 verified = True
                 break
-            idx += 1
-        sentinel = not verified
-    min_L = float(grid[min(idx, len(grid) - 1)])
     rows = [{"run": r["run"], "first_L": r["first_L"], "matched": r["matched"]} for r in results]
     summary = {
-        "min_L": min_L,
-        "sentinel": sentinel,
+        "min_L": float(grid[idx]),
+        "sentinel": not verified,
         "verified": verified,
         "grid_start": config.grid_start,
         "grid_stop": config.grid_stop,
@@ -438,19 +430,14 @@ def _unique_partners_run(config: ExperimentConfig, run_index: int) -> dict:
     audit = len(verify_stability(market, None, left_opt)) + len(verify_stability(market, None, right_opt))
     side = other_side(config.proposing_side)  # reported side: the receivers
     multi = left_opt.partner(side) != right_opt.partner(side)
-    rank = market.agent_rank(side)
-    dec = decile_labels(market.n(side))[rank]
-    per_decile = [int(multi[dec == d].sum()) for d in range(10)]
-    sizes = [int((dec == d).sum()) for d in range(10)]
-    top90 = _top_mask(rank, 0.9)
+    per_decile, sizes = _decile_counts(multi, agent_deciles(market, side))
+    top90 = _top_mask(market.agent_rank(side), 0.9)
     return {
         "run": run_index,
         "per_decile": per_decile,
         "sizes": sizes,
         "top90_count": int(multi[top90].sum()),
         "top90_size": int(top90.sum()),
-        "bottom_decile_count": per_decile[9],
-        "bottom_decile_size": sizes[9],
         "blocking_pairs": audit,
     }
 
@@ -458,26 +445,15 @@ def _unique_partners_run(config: ExperimentConfig, run_index: int) -> dict:
 def exp_unique_partners(config: ExperimentConfig) -> ExperimentReport:
     """Counts of agents with more than one stable partner, by decile."""
     results = _map_runs(_unique_partners_run, config)
-    rows = []
-    for res in results:
-        for d in range(10):
-            rows.append({
-                "run": res["run"],
-                "decile": d + 1,
-                "multi_stable": res["per_decile"][d],
-                "size": res["sizes"][d],
-            })
-    total_top = sum(r["top90_count"] for r in results)
-    total_top_size = sum(r["top90_size"] for r in results)
-    total_bottom = sum(r["bottom_decile_count"] for r in results)
-    total_bottom_size = sum(r["bottom_decile_size"] for r in results)
     summary = {
-        "mean_per_decile": [float(np.mean([r["per_decile"][d] for r in results])) for d in range(10)],
-        "top90_fraction": total_top / total_top_size,
-        "bottom_decile_fraction": total_bottom / total_bottom_size,
+        "mean_per_decile": _mean_per_decile(results),
+        "top90_fraction": (sum(r["top90_count"] for r in results)
+                           / sum(r["top90_size"] for r in results)),
+        "bottom_decile_fraction": (sum(r["per_decile"][9] for r in results)
+                                   / sum(r["sizes"][9] for r in results)),
         "blocking_pairs_total": int(sum(r["blocking_pairs"] for r in results)),
     }
-    return _report(config, rows, summary)
+    return _report(config, _decile_rows(results, "multi_stable"), summary)
 
 
 # ---------------------------------------------------------------------------
@@ -486,16 +462,12 @@ def exp_unique_partners(config: ExperimentConfig) -> ExperimentReport:
 
 def _interview_run(config: ExperimentConfig, run_index: int) -> dict:
     market = config.make_market(run_index)
-    params = InterviewParams(config.rating_window, config.score_cutoff)
-    edges = interview_edges(market, params)
-    matching = run_da(market, config.proposing_side, edges)
-    audit = len(verify_stability(market, edges, matching))
     prop = config.proposing_side
+    edges = interview_edges(market, InterviewParams(config.rating_window, config.score_cutoff))
+    matching = run_da(market, prop, edges)
+    audit = len(verify_stability(market, edges, matching))
     unmatched = ~matching.matched_mask(prop)
-    rank = market.agent_rank(prop)
-    dec = decile_labels(market.n(prop))[rank]
-    per_decile = [int(unmatched[dec == d].sum()) for d in range(10)]
-    sizes = [int((dec == d).sum()) for d in range(10)]
+    per_decile, sizes = _decile_counts(unmatched, agent_deciles(market, prop))
     full = run_da(market, prop)
     diff = achieved_utilities(market, full, prop) - achieved_utilities(market, matching, prop)
     both = matching.matched_mask(prop) & full.matched_mask(prop)
@@ -503,10 +475,8 @@ def _interview_run(config: ExperimentConfig, run_index: int) -> dict:
         "run": run_index,
         "per_decile": per_decile,
         "sizes": sizes,
-        "unmatched": int(unmatched.sum()),
         "mean_degree": float(edges.degrees(prop).mean()),
         "diff_quantiles": [float(q) for q in np.quantile(diff[both], [0.5, 0.9, 0.99])] if both.any() else [],
-        "diff_max": float(diff[both].max()) if both.any() else float("nan"),
         "blocking_pairs": audit,
     }
 
@@ -515,30 +485,20 @@ def exp_interview(config: ExperimentConfig) -> ExperimentReport:
     """Unmatched counts by decile under the constant-list interview protocol,
     plus the utility gap against the full-edge proposer-optimal match."""
     results = _map_runs(_interview_run, config)
-    rows = []
-    for res in results:
-        for d in range(10):
-            rows.append({
-                "run": res["run"],
-                "decile": d + 1,
-                "unmatched": res["per_decile"][d],
-                "size": res["sizes"][d],
-            })
-    n_prop = config.n_left if config.proposing_side == LEFT else config.sides()[1]
-    total_unmatched = sum(r["unmatched"] for r in results)
+    total_unmatched = sum(sum(r["per_decile"]) for r in results)
     bottom_two = sum(r["per_decile"][8] + r["per_decile"][9] for r in results)
     summary = {
-        "unmatched_fraction": total_unmatched / (config.runs * n_prop),
+        "unmatched_fraction": total_unmatched / sum(sum(r["sizes"]) for r in results),
         "bottom_two_decile_share": (bottom_two / total_unmatched) if total_unmatched else float("nan"),
         "mean_degree": float(np.mean([r["mean_degree"] for r in results])),
-        "mean_per_decile": [float(np.mean([r["per_decile"][d] for r in results])) for d in range(10)],
+        "mean_per_decile": _mean_per_decile(results),
         "diff_quantiles_mean": [
             float(np.mean([r["diff_quantiles"][k] for r in results if r["diff_quantiles"]]))
             for k in range(3)
         ],
         "blocking_pairs_total": int(sum(r["blocking_pairs"] for r in results)),
     }
-    return _report(config, rows, summary)
+    return _report(config, _decile_rows(results, "unmatched"), summary)
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +539,8 @@ def exp_loss_scaling(config: ExperimentConfig) -> ExperimentReport:
     } for (run, n), vals in zip(scaling, pooled)]
     rows = [{"kind": "scaling", **r} for r in results]
 
-    medians = {}
-    for n in config.n_values:
-        maxes = [r["max_loss"] for r in results if r["n"] == n]
-        medians[n] = float(np.median(maxes))
+    medians = {n: float(np.median([r["max_loss"] for r in results if r["n"] == n]))
+               for n in config.n_values}
     n_small, n_large = min(config.n_values), max(config.n_values)
     ratio = medians[n_small] / medians[n_large] if medians[n_large] > 0 else float("inf")
     exponent = (
@@ -600,14 +558,8 @@ def exp_loss_scaling(config: ExperimentConfig) -> ExperimentReport:
                 threshold = loss_bound / 2**h
                 count = int((vals > threshold).sum())
                 counts[h].append(count)
-                rows.append({
-                    "kind": "exceedance",
-                    "run": run,
-                    "n": config.exceedance_n,
-                    "h": h,
-                    "threshold": threshold,
-                    "count": count,
-                })
+                rows.append({"kind": "exceedance", "run": run, "n": config.exceedance_n,
+                             "h": h, "threshold": threshold, "count": count})
         mean_counts = [float(np.mean(counts[h])) for h in config.h_values]
         # thresholds shrink as h grows, so exceedance counts cannot drop
         monotone = all(a <= b for a, b in zip(mean_counts, mean_counts[1:]))
@@ -698,12 +650,9 @@ def _truncation_run(config: ExperimentConfig, run_index: int) -> dict:
     floor = market.rating_range(other_side(prop))[0]
     bottom = np.isnan(aligned) | (aligned < floor + sigma_prop)
 
-    t_for_prop = t_left if prop == LEFT else t_right
-    thresholds = _truncation_thresholds(market, prop, shift * t_for_prop**2)
-    report = loss_report(market, matching, params)
-    loss_prop = report.side(prop).loss
-    matched_prop = matching.matched_mask(prop)
-    over = matched_prop & ~np.isnan(thresholds) & (loss_prop > thresholds + 1e-12)
+    thresholds = _truncation_thresholds(market, prop, shift * t_prop**2)
+    loss_prop = loss_report(market, matching, params).side(prop).loss
+    over = matching.matched_mask(prop) & ~np.isnan(thresholds) & (loss_prop > thresholds + 1e-12)
     return {
         "run": run_index,
         "match_rate": float(matched.mean()),

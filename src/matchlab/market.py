@@ -322,8 +322,11 @@ class Market:
         return out
 
     def preference_order(self, side: str) -> np.ndarray:
-        """Full preference lists: partners by descending utility, ties by index."""
-        return self._cached("pref", side, lambda s: preference_argsort(self.utility_matrix(s)))
+        """Full preference lists: partners by descending utility, ties by index.
+
+        Sorted on every call, not cached: no suite reads a side's full lists
+        twice, so a cached n x n int64 array would only hold memory."""
+        return preference_argsort(self.utility_matrix(side))
 
     # -- alignment ----------------------------------------------------------
     def aligned_agent(self, side: str, agent: int) -> int | None:

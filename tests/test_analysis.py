@@ -298,6 +298,14 @@ def test_interview_params_validation():
         ml.InterviewParams(1.2, 0.5)
 
 
+@pytest.mark.parametrize("cutoffs", [{"score_cutoff_left": 3.0}, {"score_cutoff_right": -0.1},
+                                     {"score_cutoff_left": 0.2, "score_cutoff_right": 1.5}])
+def test_interview_params_asymmetric_cutoffs_validated(cutoffs):
+    # an out-of-range side cutoff used to pass and yield an empty edge set
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ml.InterviewParams(0.2, 0.5, **cutoffs)
+
+
 # --- selected edges ---------------------------------------------------------------
 
 

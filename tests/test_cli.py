@@ -1,15 +1,19 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import matchlab as ml
+from matchlab import cli, experiments
 from matchlab.cli import main
+from matchlab.experiments import EXPERIMENTS, ExperimentConfig
 
 
 def run_cli(args, capsys=None):
@@ -205,6 +209,82 @@ def test_cli_import_leaves_scipy_unloaded():
 def test_experiment_unknown_id_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["experiment", "nonsense", "--n", "10"])
+
+
+@pytest.mark.parametrize("flag", [["--edges", "viable"], ["--t-left", "2"], ["--t-right", "2"],
+                                  ["--k", "5"]])
+def test_experiment_rejects_edge_set_flags(flag, tmp_path, capsys):
+    # no suite reads these, so `experiment` refuses them instead of ignoring them
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "unique-partners", "--n", "20", "--runs", "1", "--seed", "1", *flag,
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+# every `experiment` flag that sets a config field, a value other than the
+# field's default, and the fields it then holds; `--runs` and `--seed` are
+# set in every case, and `--nw` sets n_left
+FLAG_FIELDS = [
+    (["--n", "40"], {"n_right": 40}),
+    (["--n-left", "25"], {"n_left": 25}),
+    (["--n-right", "20"], {"n_right": 20}),
+    (["--nc", "20"], {"n_right": 20}),
+    (["--cap-left", "2"], {"cap_left": 2}),
+    (["--d", "3"], {"cap_right": 3}),
+    (["--cap-right", "3"], {"cap_right": 3}),
+    (["--lambda", "0.5"], {"weight": 0.5}),
+    (["--rating-ranges", "scaled"], {"rating_ranges": "scaled"}),
+    (["--propose-side", "right"], {"proposing_side": "right"}),
+    (["--jobs", "2"], {"jobs": 2}),
+    (["--L", "0.3"], {"loss_cap_left": 0.3, "loss_cap_right": 0.3}),
+    (["--L", "0.3", "--L-left", "0.2"], {"loss_cap_left": 0.2, "loss_cap_right": 0.3}),
+    (["--L-right", "0.4"], {"loss_cap_right": 0.4}),
+    (["--sigma", "0.1"], {"sigma_left": 0.1, "sigma_right": 0.1}),
+    (["--p", "0.3"], {"rating_window": 0.3}),
+    (["--q", "0.4"], {"score_cutoff": 0.4}),
+    (["--c", "2"], {"failure_exponent": 2.0}),
+    (["--grid-start", "0.05"], {"grid_start": 0.05}),
+    (["--grid-stop", "0.4"], {"grid_stop": 0.4}),
+    (["--grid-step", "0.02"], {"grid_step": 0.02}),
+    (["--sigma-rule", "fixed"], {"sigma_rule": "fixed"}),
+    (["--n-values", "40", "80"], {"n_values": [40, 80]}),
+    (["--exceedance-n", "60"], {"exceedance_n": 60}),
+    (["--nu", "0.3"], {"nu": 0.3}),
+    (["--eta", "3"], {"eta": 3.0}),
+    (["--loss-bound", "0.2"], {"loss_bound": 0.2}),
+]
+
+
+def echoed_config(monkeypatch, tmp_path, argv):
+    """The config that `experiment` echoes into summary.json for `argv`; the
+    suite itself is replaced by an empty report, so nothing is simulated."""
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda config: experiments._report(config, [{"run": 0}], {}))
+    out = tmp_path / "echo"
+    assert main(["experiment", *argv, "--out", str(out)]) == 0
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert config.pop("seed_drawn") is False
+    return config
+
+
+@pytest.mark.parametrize("suite", sorted(EXPERIMENTS))
+def test_experiment_flags_fill_config_by_name(suite, tmp_path, monkeypatch, capsys):
+    base = [suite, "--nw", "30", "--runs", "2", "--seed", "5"]
+    default = json.loads(json.dumps(asdict(ExperimentConfig(suite, n_left=30, seed=5, runs=2))))
+    assert echoed_config(monkeypatch, tmp_path, base) == default
+    for flag, fields in FLAG_FIELDS:
+        assert all(default[name] != value for name, value in fields.items()), flag
+        assert echoed_config(monkeypatch, tmp_path, base + flag) == {**default, **fields}, flag
+
+
+def test_flag_table_covers_every_experiment_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["experiment", "--help"])
+    listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
+    covered = {f for flag, _ in FLAG_FIELDS for f in flag if f.startswith("--")}
+    assert listed == covered | {"--help", "--nw", "--runs", "--seed", "--out", "--format"}
 
 
 def test_json_format_option(tmp_path, capsys):

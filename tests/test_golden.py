@@ -7,9 +7,10 @@ GOLDEN.  The digests were recorded by running
 `Matching` still held tuples of tuples; the n = 300 cases were recorded on
 commit 5e98ff3, before the edge-set builders worked in row blocks; the
 min-L-300-fine and min-L-fixed cases were recorded on commit 08a4a7b,
-before min-L scanned its grid from one superset edge set.  That
-command prints the table below for the current tree.  A change that alters any artifact's bytes must say
-so and re-record them.
+before min-L scanned its grid from one superset edge set; the ten-run
+cases were recorded on commit e4c0a70, before the suites shared one decile
+table.  That command prints the table below for the current tree.  A
+change that alters any artifact's bytes must say so and re-record them.
 """
 
 import hashlib
@@ -49,6 +50,13 @@ CASES = {
     "run-acceptable-right-300": ["run", "--n", "300", "--edges", "acceptable", "--L", "0.3",
                                  "--sigma", "0.1", "--propose-side", "right"],
     "edges-viable-300": ["edges", "--n", "300", "--edges", "viable"],
+    # ten runs put every per-run mean past numpy's 8-way unrolled sum, so a
+    # change in reduction order shows in the summary bytes
+    "edge-counts-10runs": ["experiment", "edge-counts", "--n", "60", "--runs", "10",
+                           "--L", "0.3", "--sigma", "0.1"],
+    "unique-partners-10runs": ["experiment", "unique-partners", "--n", "60", "--runs", "10"],
+    "interview-10runs": ["experiment", "interview", "--n", "60", "--runs", "10",
+                         "--p", "0.3", "--q", "0.4"],
 }
 
 SEED = "11"
@@ -57,6 +65,10 @@ GOLDEN = {
     'edge-counts': {
         'report.csv': '74d4267c05fef122989d93f4a98201dafdeb413e5ad91441c5f731259d648f03',
         'summary.json': '9201ee6f14d71b3a7dd29e03207ae8f7cce4f54923bbd9d44be53c387218d37e',
+    },
+    'edge-counts-10runs': {
+        'report.csv': '2040cd019756ac2a883f90c5237a44b59b36b2e220404c9ba531b36dd4e66652',
+        'summary.json': '86c70d04e34c81be5b302cb804c000e04a85f37ea1671a70de9595b9515e785e',
     },
     'edge-counts-300': {
         'report.csv': '235a53e79858582c31a8ae9dd88ced0681f78bb048fe7e11e8ea8a5411f7ddba',
@@ -73,6 +85,10 @@ GOLDEN = {
     'interview': {
         'report.csv': '3e36e62ef66deeec0fd81905d99d7c728a062251f641c4143293179ef10a2ad6',
         'summary.json': '03269883291310073ebb753328082a2aeec556bf2dac99b31f44e1dfe3e004b8',
+    },
+    'interview-10runs': {
+        'report.csv': '87c68573a374dd2778212be158c466779cba92e950a04fbb0d257b669db69ce2',
+        'summary.json': 'e4060229c16898205282014526615cb127f87573a2a244430ff4ba93f9294937',
     },
     'loss-scaling': {
         'report.csv': '345d05404baefa06b46371a65d5414632e92b74ea9ad6f522f057838fd889bf2',
@@ -129,6 +145,10 @@ GOLDEN = {
     'unique-partners': {
         'report.csv': 'ec1d1f1b1822d2fce38f8eca90b3006913e13dad5647f20859d8f71c8a137c51',
         'summary.json': '212d061abb3f38c9481fd397716c14d3724b42c77f369bd31017c27155052e1c',
+    },
+    'unique-partners-10runs': {
+        'report.csv': '8f5063a7f0c504122f4a5f318f9a3d3146fcfde72fbf8504d65a897f921b866c',
+        'summary.json': 'ce70a43073f58763b510a18dd476a3182be85aa84f06b2797e5f28ad2b2bd74a',
     },
 }
 

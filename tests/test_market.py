@@ -280,3 +280,17 @@ def test_preference_argsort_across_row_blocks():
     for side in (LEFT, RIGHT):
         want = np.argsort(-m.utility_matrix(side), axis=1, kind="stable")
         assert np.array_equal(m.preference_order(side), want)
+
+
+def test_full_list_da_leaves_no_preference_matrix_on_market():
+    # DA reads each side's full lists once, so the market keeps no n x n
+    # int64 preference order; the utility matrices it reads stay cached
+    m = ml.generate_market(50, 40, model=ml.linear_model(0.8), seed=6)
+    for side in (LEFT, RIGHT):
+        ml.run_da(m, side)
+    held = [a for value in vars(m).values()
+            for a in (value.values() if isinstance(value, dict) else (value,))
+            if isinstance(a, np.ndarray)]
+    assert not [a.shape for a in held if a.dtype == np.int64 and a.ndim == 2]
+    for side in (LEFT, RIGHT):
+        assert any(a is m.utility_matrix(side) for a in held)
