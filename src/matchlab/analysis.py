@@ -201,23 +201,27 @@ class LossReport:
         return self.left.rows(market) + self.right.rows(market)
 
 
+def _bottom_zone(market: Market, side: str, sigma: float | None) -> np.ndarray:
+    """Agents of `side` in the bottom zone: those without an aligned partner,
+    and, unless `sigma` is None, those whose aligned partner is rated below
+    the other side's rating floor plus `sigma`."""
+    aligned = market.aligned_ratings(side)
+    if sigma is None:
+        return np.isnan(aligned)
+    return np.isnan(aligned) | (aligned < market.rating_range(other_side(side))[0] + sigma)
+
+
 def _side_loss(market: Market, matching: Matching, side: str,
                sigma_bound: float | None) -> SideLossReport:
     bench = benchmark_vector(market, side)
     achieved = achieved_utilities(market, matching, side)
-    aligned = market.aligned_ratings(side)
-    opp_floor = market.rating_range(other_side(side))[0]
-    if sigma_bound is None:
-        bottom = np.isnan(aligned)
-    else:
-        bottom = np.isnan(aligned) | (aligned < opp_floor + sigma_bound)
     return SideLossReport(
         side=side,
         benchmark=bench,
         achieved=achieved,
         loss=bench - achieved,
-        aligned_rating=aligned,
-        bottom_zone=bottom,
+        aligned_rating=market.aligned_ratings(side),
+        bottom_zone=_bottom_zone(market, side, sigma_bound),
         matched=matching.matched_mask(side),
         match_count=matching.match_counts(side),
     )

@@ -3,9 +3,12 @@ and named experiment suites.
 
 Flag precedence is CLI over environment (MATCHLAB_SEED) over drawn
 defaults; the effective configuration, seed included, is echoed into every
-artifact so runs can be reproduced exactly.  Every flag that sets an
-`ExperimentConfig` field has that field as its `dest`, and none restates a
-field's default, so `experiment` fills the config by name.
+artifact so runs can be reproduced exactly.  Each flag that sets
+`ExperimentConfig` fields is declared once, in CONFIG_FLAGS, with those
+fields; `experiment <suite>` takes the flags whose fields the suite reads
+(`experiments.EXPERIMENTS`), refuses any other, and fills the config by
+name.  `generate` takes the market flags, `run` and `edges` also the
+edge-protocol ones, and none of the three takes `--jobs`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import json
 import os
 import secrets
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .analysis import (
@@ -34,6 +36,7 @@ from .engine import EdgeSet, run_da, verify_stability
 from .experiments import (
     ExperimentConfig,
     EXPERIMENTS,
+    SHARED_FIELDS,
     _decile_stats,
     agent_deciles,
     run_experiment,
@@ -83,53 +86,86 @@ def _resolve_seed(args) -> tuple[int, bool]:
     return secrets.randbits(63), True
 
 
-def _add_market_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=_positive_int, default=None,
-                   help="agents per side (balanced market), >= 1")
-    p.add_argument("--n-left", "--nw", dest="n_left", type=_positive_int, default=None,
-                   help="proposing-side agents (workers), >= 1")
-    p.add_argument("--n-right", "--nc", dest="n_right", type=_positive_int, default=None,
-                   help="receiving-side agents (companies), >= 1")
-    p.add_argument("--cap-left", type=_positive_int, default=ExperimentConfig.cap_left,
-                   help="per-agent capacity, left side, >= 1")
-    p.add_argument("--d", "--cap-right", dest="cap_right", type=_positive_int,
-                   default=ExperimentConfig.cap_right,
-                   help="per-agent capacity, right side (company positions), >= 1")
-    p.add_argument("--lambda", dest="weight", type=_weight, default=ExperimentConfig.weight,
-                   help="rating weight of the linear utility model, in (0, 1)")
-    p.add_argument("--rating-ranges", choices=("auto", "unit", "scaled"),
-                   default=ExperimentConfig.rating_ranges,
-                   help="rating ranges for unbalanced markets")
+# Every flag that fills `ExperimentConfig` fields: those fields, the flag's
+# names, and its other `add_argument` arguments.  Its destination is its one
+# field, and its default that field's default unless given here.  A flag
+# later in the table overrides what an earlier one filled.
+CONFIG_FLAGS = (
+    (("n_left", "n_right"), ("--n",), dict(
+        dest="n", type=_positive_int, default=None,
+        help="agents per side (balanced market), >= 1")),
+    (("n_left",), ("--n-left", "--nw"), dict(
+        type=_positive_int, default=None, help="proposing-side agents (workers), >= 1")),
+    (("n_right",), ("--n-right", "--nc"), dict(
+        type=_positive_int, help="receiving-side agents (companies), >= 1")),
+    (("cap_left",), ("--cap-left",), dict(
+        type=_positive_int, help="per-agent capacity, left side, >= 1")),
+    (("cap_right",), ("--d", "--cap-right"), dict(
+        type=_positive_int, help="per-agent capacity, right side (company positions), >= 1")),
+    (("weight",), ("--lambda",), dict(
+        type=_weight, help="rating weight of the linear utility model, in (0, 1)")),
+    (("rating_ranges",), ("--rating-ranges",), dict(
+        choices=("auto", "unit", "scaled"), help="rating ranges for unbalanced markets")),
+    (("runs",), ("--runs",), dict(type=_positive_int, help="Monte Carlo runs, >= 1")),
+    (("jobs",), ("--jobs",), dict(type=_positive_int, help="concurrent runs, >= 1")),
+    (("proposing_side",), ("--propose-side",), dict(choices=SIDES)),
+    (("loss_cap_left", "loss_cap_right"), ("--L",), dict(
+        dest="loss_cap", type=_unit_float,
+        help="loss cap for acceptable edges, both sides, in [0, 1]")),
+    (("loss_cap_left",), ("--L-left",), dict(type=_unit_float, help="left-side loss cap, in [0, 1]")),
+    (("loss_cap_right",), ("--L-right",), dict(
+        type=_unit_float, help="right-side loss cap, in [0, 1]")),
+    (("sigma_left", "sigma_right"), ("--sigma",), dict(
+        dest="sigma", type=_unit_float,
+        help="bottom-zone rating width for acceptable edges, in [0, 1]")),
+    (("rating_window",), ("--p",), dict(type=_unit_float, help="interview rating window, in [0, 1]")),
+    (("score_cutoff",), ("--q",), dict(
+        type=_unit_float, help="interview private-score cutoff, in [0, 1]")),
+    (("failure_exponent",), ("--c",), dict(
+        type=_range_checked(float, 0.0, 100.0, "c"),
+        help="failure-probability exponent for derived thresholds")),
+    (("grid_start",), ("--grid-start",), dict(type=_unit_float)),
+    (("grid_stop",), ("--grid-stop",), dict(type=_unit_float)),
+    (("grid_step",), ("--grid-step",), dict(type=_range_checked(float, 1e-6, 1.0, "grid step"))),
+    (("sigma_rule",), ("--sigma-rule",), dict(
+        choices=("theory", "fixed"), help="bottom-zone rule for the min-L search")),
+    (("n_values",), ("--n-values",), dict(
+        type=_positive_int, nargs="+", help="market sizes for loss scaling")),
+    (("exceedance_n",), ("--exceedance-n",), dict(type=_positive_int)),
+    (("nu",), ("--nu",), dict(
+        type=_range_checked(float, 1e-6, 1.0, "nu"),
+        help="receiver bottom-zone constant (truncation), in (0, 1]")),
+    (("eta",), ("--eta",), dict(
+        type=_range_checked(float, 1.0, 100.0, "eta"),
+        help="proposer bottom-zone constant (truncation), >= 1")),
+    (("loss_bound",), ("--loss-bound",), dict(
+        type=_unit_float, help="override the theoretical loss bound (truncation)")),
+)
+
+MARKET_FIELDS = {"n_left", "n_right", "cap_left", "cap_right", "weight", "rating_ranges"}
+# the edge-protocol fields `run` and `edges` read
+PROTOCOL_FIELDS = {"loss_cap_left", "loss_cap_right", "sigma_left", "sigma_right",
+                   "rating_window", "score_cutoff", "failure_exponent"}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, names, **overrides) -> None:
+    """Add every CONFIG_FLAGS flag whose fields all lie in `names`."""
+    for filled, flags, kwargs in CONFIG_FLAGS:
+        if set(filled) <= set(names):
+            p.add_argument(*flags, **{"dest": filled[0],
+                                      "default": getattr(ExperimentConfig, filled[0]),
+                                      **kwargs, **overrides})
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="base seed (64-bit); defaults to MATCHLAB_SEED, else drawn and echoed")
     p.add_argument("--out", type=Path, default=None, help="output path (file or directory)")
+
+
+def _add_format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="row output format; JSON summaries are always written")
-    p.add_argument("--jobs", type=_positive_int, default=ExperimentConfig.jobs,
-                   help="concurrent runs, >= 1")
-
-
-def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
-    """Edge-protocol parameters, read by `run`, `edges` and the suites."""
-    p.add_argument("--L", dest="loss_cap", type=_unit_float, default=None,
-                   help="loss cap for acceptable edges, both sides, in [0, 1]")
-    p.add_argument("--L-left", dest="loss_cap_left", type=_unit_float, default=None,
-                   help="left-side loss cap, in [0, 1]")
-    p.add_argument("--L-right", dest="loss_cap_right", type=_unit_float, default=None,
-                   help="right-side loss cap, in [0, 1]")
-    p.add_argument("--sigma", type=_unit_float, default=ExperimentConfig.sigma_left,
-                   help="bottom-zone rating width for acceptable edges, in [0, 1]")
-    p.add_argument("--p", dest="rating_window", type=_unit_float,
-                   default=ExperimentConfig.rating_window, help="interview rating window, in [0, 1]")
-    p.add_argument("--q", dest="score_cutoff", type=_unit_float,
-                   default=ExperimentConfig.score_cutoff,
-                   help="interview private-score cutoff, in [0, 1]")
-    p.add_argument("--c", dest="failure_exponent", type=_range_checked(float, 0.0, 100.0, "c"),
-                   default=ExperimentConfig.failure_exponent,
-                   help="failure-probability exponent for derived thresholds")
 
 
 def _add_edge_flags(p: argparse.ArgumentParser) -> None:
@@ -154,49 +190,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate and save a market")
-    _add_market_flags(g)
+    _add_config_flags(g, MARKET_FIELDS)
     _add_common_flags(g)
 
     r = sub.add_parser("run", help="run deferred acceptance on a market")
     r.add_argument("--market", type=Path, default=None, help="market file from `generate`")
-    _add_market_flags(r)
-    r.add_argument("--propose-side", dest="proposing_side", choices=SIDES,
-                   default=ExperimentConfig.proposing_side)
-    _add_protocol_flags(r)
+    _add_config_flags(r, MARKET_FIELDS | PROTOCOL_FIELDS | {"proposing_side"})
     _add_edge_flags(r)
     _add_common_flags(r)
+    _add_format_flag(r)
 
     e = sub.add_parser("edges", help="build an edge set and export it")
     e.add_argument("--market", type=Path, default=None, help="market file from `generate`")
-    _add_market_flags(e)
-    _add_protocol_flags(e)
+    _add_config_flags(e, MARKET_FIELDS | PROTOCOL_FIELDS)
     _add_edge_flags(e)
     _add_common_flags(e)
+    _add_format_flag(e)
 
-    # a flag added here without a default stays out of the namespace when
-    # omitted, and ExperimentConfig supplies its field default
-    x = sub.add_parser("experiment", help="run a named experiment suite",
-                       argument_default=argparse.SUPPRESS)
-    x.add_argument("experiment", choices=sorted(EXPERIMENTS), help="experiment id")
-    _add_market_flags(x)
-    x.add_argument("--runs", type=_positive_int, help="Monte Carlo runs, >= 1")
-    x.add_argument("--propose-side", dest="proposing_side", choices=SIDES)
-    _add_protocol_flags(x)
-    x.add_argument("--grid-start", type=_unit_float)
-    x.add_argument("--grid-stop", type=_unit_float)
-    x.add_argument("--grid-step", type=_range_checked(float, 1e-6, 1.0, "grid step"))
-    x.add_argument("--sigma-rule", choices=("theory", "fixed"),
-                   help="bottom-zone rule for the min-L search")
-    x.add_argument("--n-values", type=_positive_int, nargs="+",
-                   help="market sizes for loss scaling")
-    x.add_argument("--exceedance-n", type=_positive_int)
-    x.add_argument("--nu", type=_range_checked(float, 1e-6, 1.0, "nu"),
-                   help="receiver bottom-zone constant (truncation), in (0, 1]")
-    x.add_argument("--eta", type=_range_checked(float, 1.0, 100.0, "eta"),
-                   help="proposer bottom-zone constant (truncation), >= 1")
-    x.add_argument("--loss-bound", type=_unit_float,
-                   help="override the theoretical loss bound (truncation)")
-    _add_common_flags(x)
+    x = sub.add_parser("experiment", help="run a named experiment suite")
+    suites = x.add_subparsers(dest="experiment", metavar="experiment", required=True)
+    for name, suite in sorted(EXPERIMENTS.items()):
+        # an omitted flag stays out of the namespace, and ExperimentConfig
+        # supplies its field's default; no abbreviations, so a flag the
+        # suite does not read is refused rather than taken for a prefix
+        s = suites.add_parser(name, help=suite.run.__doc__.split(".")[0], allow_abbrev=False)
+        _add_config_flags(s, SHARED_FIELDS + suite.fields, default=argparse.SUPPRESS)
+        _add_common_flags(s)
+        _add_format_flag(s)
 
     return parser
 
@@ -344,23 +364,17 @@ def cmd_edges(args) -> int:
 
 def cmd_experiment(args) -> int:
     seed, drawn = _resolve_seed(args)
-    n_left = _either(args.n_left, args.n)
-    if n_left is None:
+    given = vars(args)
+    values = {}
+    for filled, _, kwargs in CONFIG_FLAGS:
+        dest = kwargs.get("dest", filled[0])
+        if dest in given:
+            values.update(dict.fromkeys(filled, given[dest]))
+    if "n_left" not in values:
         raise SystemExit("experiments need a market size: pass --n or --n-left/--nw")
-    names = {f.name for f in fields(ExperimentConfig)}
-    named = {k: v for k, v in vars(args).items() if k in names}
-    if "n_values" in named:
-        named["n_values"] = tuple(named["n_values"])
-    config = ExperimentConfig(**{
-        **named,
-        "n_left": n_left,
-        "n_right": _either(args.n_right, args.n),
-        "loss_cap_left": _either(args.loss_cap_left, args.loss_cap),
-        "loss_cap_right": _either(args.loss_cap_right, args.loss_cap),
-        "sigma_left": args.sigma,
-        "sigma_right": args.sigma,
-        "seed": seed,
-    })
+    if "n_values" in values:
+        values["n_values"] = tuple(values["n_values"])
+    config = ExperimentConfig(args.experiment, **values, seed=seed)
     report = run_experiment(config)
     report.config["seed_drawn"] = drawn
     out = _out_dir(args, f"experiment-{args.experiment}")

@@ -129,11 +129,12 @@ class EdgeSet:
         return f"EdgeSet({self.n_left}x{self.n_right}, {self.edge_count} edges)"
 
 
-def _check_shape(edges: EdgeSet | None, other) -> None:
-    """Reject an edge set whose shape is not that of `other`, a market or
-    another edge set."""
-    if edges is not None and (edges.n_left, edges.n_right) != (other.n_left, other.n_right):
-        raise ValueError(f"edge set shape {edges.n_left}x{edges.n_right} disagrees with "
+def _check_shape(part: "EdgeSet | Matching | None", other) -> None:
+    """Reject an edge set or matching whose shape is not that of `other`, a
+    market or an edge set."""
+    if part is not None and (part.n_left, part.n_right) != (other.n_left, other.n_right):
+        kind = "matching" if isinstance(part, Matching) else "edge set"
+        raise ValueError(f"{kind} shape {part.n_left}x{part.n_right} disagrees with "
                          f"{other.n_left}x{other.n_right}")
 
 
@@ -442,6 +443,7 @@ def worst_partner(market: Market, side: str, matching: Matching,
     Agents without a partner get (-inf, n_other).  With `spare_is_worst`, so
     do agents below capacity: an empty slot is worse than any edge.
     """
+    _check_shape(matching, market)
     agents, partners, n = matching._columns(side)
     us = market.utility_matrix(side)[agents, partners]
     order = np.lexsort((-partners, us, agents))

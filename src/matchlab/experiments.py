@@ -13,7 +13,8 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .analysis import (
     lower_bound_loss_level,
     theoretical_loss_params,
     truncated_edges,
+    _bottom_zone,
     _truncation_thresholds,
 )
 from .engine import EdgeSet, max_bipartite_matching, run_da, verify_stability
@@ -45,6 +47,7 @@ from .market import (
 
 __all__ = [
     "EXPERIMENTS",
+    "SHARED_FIELDS",
     "ExperimentConfig",
     "ExperimentReport",
     "agent_deciles",
@@ -77,9 +80,16 @@ def agent_deciles(market: Market, side: str) -> np.ndarray:
     return decile_labels(market.n(side))[market.agent_rank(side)]
 
 
+# the market and run fields every suite reads; EXPERIMENTS lists the rest
+SHARED_FIELDS = ("n_left", "n_right", "cap_left", "cap_right", "weight", "model_name",
+                 "rating_ranges", "runs", "seed", "jobs")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared configuration; each experiment reads the fields it needs."""
+    """One suite's configuration.  A suite reads SHARED_FIELDS and the fields
+    EXPERIMENTS lists for it; every other field must keep its default.  All
+    fields are echoed into the report's config."""
 
     experiment: str
     n_left: int = 1000
@@ -123,6 +133,14 @@ class ExperimentConfig:
     expected_degree: float = 15.0
 
     def __post_init__(self) -> None:
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}; "
+                             f"known: {', '.join(sorted(EXPERIMENTS))}")
+        reads = SHARED_FIELDS + EXPERIMENTS[self.experiment].fields
+        for f in fields(self)[1:]:  # past the suite name
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.experiment} does not read {f.name}; "
+                                 f"leave it at {f.default!r}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         if self.jobs < 1:
@@ -260,6 +278,18 @@ def _mean_per_decile(results: list[dict]) -> list[float]:
     return [float(np.mean([r["per_decile"][d] for r in results])) for d in range(10)]
 
 
+def _fraction(part, whole) -> float:
+    """`part / whole`; NaN when `whole` is zero."""
+    return part / whole if whole else float("nan")
+
+
+def _nanmean(values) -> float:
+    """Mean of the values that are not NaN; NaN, with no numpy warning, when
+    none are."""
+    values = np.asarray(values, dtype=float)
+    return float(np.nanmean(values)) if not np.isnan(values).all() else float("nan")
+
+
 def _top_mask(rank: np.ndarray, frac: float) -> np.ndarray:
     """Agents in the top `frac` of ranks (rank 0 = best)."""
     return rank < int(len(rank) * frac)
@@ -284,8 +314,8 @@ def _edge_counts_run(config: ExperimentConfig, run_index: int) -> dict:
         "run": run_index,
         "list_by_decile": _decile_stats(degrees, dec),
         "proposals_by_decile": _decile_stats(proposals, dec),
-        "top_list_mean": float(degrees[top].mean()),
-        "top_proposals_mean": float(proposals[top].mean()),
+        "top_list_mean": _nanmean(degrees[top]),
+        "top_proposals_mean": _nanmean(proposals[top]),
         "all_matched": _everyone_matched(matching),
         "blocking_pairs": len(verify_stability(market, edges, matching)),
     }
@@ -447,10 +477,10 @@ def exp_unique_partners(config: ExperimentConfig) -> ExperimentReport:
     results = _map_runs(_unique_partners_run, config)
     summary = {
         "mean_per_decile": _mean_per_decile(results),
-        "top90_fraction": (sum(r["top90_count"] for r in results)
-                           / sum(r["top90_size"] for r in results)),
-        "bottom_decile_fraction": (sum(r["per_decile"][9] for r in results)
-                                   / sum(r["sizes"][9] for r in results)),
+        "top90_fraction": _fraction(sum(r["top90_count"] for r in results),
+                                    sum(r["top90_size"] for r in results)),
+        "bottom_decile_fraction": _fraction(sum(r["per_decile"][9] for r in results),
+                                            sum(r["sizes"][9] for r in results)),
         "blocking_pairs_total": int(sum(r["blocking_pairs"] for r in results)),
     }
     return _report(config, _decile_rows(results, "multi_stable"), summary)
@@ -489,11 +519,11 @@ def exp_interview(config: ExperimentConfig) -> ExperimentReport:
     bottom_two = sum(r["per_decile"][8] + r["per_decile"][9] for r in results)
     summary = {
         "unmatched_fraction": total_unmatched / sum(sum(r["sizes"]) for r in results),
-        "bottom_two_decile_share": (bottom_two / total_unmatched) if total_unmatched else float("nan"),
+        "bottom_two_decile_share": _fraction(bottom_two, total_unmatched),
         "mean_degree": float(np.mean([r["mean_degree"] for r in results])),
         "mean_per_decile": _mean_per_decile(results),
         "diff_quantiles_mean": [
-            float(np.mean([r["diff_quantiles"][k] for r in results if r["diff_quantiles"]]))
+            _nanmean([r["diff_quantiles"][k] for r in results if r["diff_quantiles"]])
             for k in range(3)
         ],
         "blocking_pairs_total": int(sum(r["blocking_pairs"] for r in results)),
@@ -514,10 +544,7 @@ def _non_bottom_losses(config: ExperimentConfig, run_index: int, n: int) -> np.n
     pooled = []
     for side in (LEFT, RIGHT):
         loss = benchmark_vector(market, side) - achieved_utilities(market, pessimal[side], side)
-        aligned = market.aligned_ratings(side)
-        floor = market.rating_range(other_side(side))[0]
-        keep = ~np.isnan(aligned) & (aligned >= floor + cutoff)
-        vals = loss[keep]
+        vals = loss[~_bottom_zone(market, side, cutoff)]
         pooled.append(vals[~np.isnan(vals)])
     return np.concatenate(pooled)
 
@@ -646,9 +673,7 @@ def _truncation_run(config: ExperimentConfig, run_index: int) -> dict:
 
     matched = np.concatenate([matching.matched_mask(LEFT), matching.matched_mask(RIGHT)])
     proposals = matching.proposal_counts.astype(float)
-    aligned = market.aligned_ratings(prop)
-    floor = market.rating_range(other_side(prop))[0]
-    bottom = np.isnan(aligned) | (aligned < floor + sigma_prop)
+    bottom = _bottom_zone(market, prop, sigma_prop)
 
     thresholds = _truncation_thresholds(market, prop, shift * t_prop**2)
     loss_prop = loss_report(market, matching, params).side(prop).loss
@@ -673,8 +698,8 @@ def exp_truncation(config: ExperimentConfig) -> ExperimentReport:
     rows = [dict(r) for r in results]
     summary = {
         "match_rate_mean": float(np.mean([r["match_rate"] for r in results])),
-        "bottom_mean_proposals": float(np.nanmean([r["bottom_mean_proposals"] for r in results])),
-        "rest_mean_proposals": float(np.nanmean([r["rest_mean_proposals"] for r in results])),
+        "bottom_mean_proposals": _nanmean([r["bottom_mean_proposals"] for r in results]),
+        "rest_mean_proposals": _nanmean([r["rest_mean_proposals"] for r in results]),
         "over_threshold_total": int(sum(r["over_threshold"] for r in results)),
         "blocking_pairs_total": int(sum(r["blocking_pairs"] for r in results)),
         "t_left": results[0]["t_left"],
@@ -683,22 +708,27 @@ def exp_truncation(config: ExperimentConfig) -> ExperimentReport:
     return _report(config, rows, summary)
 
 
+class Suite(NamedTuple):
+    run: Callable[[ExperimentConfig], ExperimentReport]
+    # the config fields it reads beyond SHARED_FIELDS
+    fields: tuple[str, ...]
+
+
 EXPERIMENTS = {
-    "edge-counts": exp_edge_counts,
-    "min-L": exp_min_L,
-    "unique-partners": exp_unique_partners,
-    "interview": exp_interview,
-    "loss-scaling": exp_loss_scaling,
-    "lower-bound": exp_lower_bound,
-    "truncation": exp_truncation,
+    "edge-counts": Suite(exp_edge_counts, ("proposing_side", "loss_cap_left", "loss_cap_right",
+                                           "sigma_left", "sigma_right", "bottom_frac")),
+    "min-L": Suite(exp_min_L, ("proposing_side", "sigma_rule", "sigma_left", "sigma_right",
+                               "grid_start", "grid_stop", "grid_step")),
+    "unique-partners": Suite(exp_unique_partners, ("proposing_side",)),
+    "interview": Suite(exp_interview, ("proposing_side", "rating_window", "score_cutoff")),
+    "loss-scaling": Suite(exp_loss_scaling, ("n_values", "exceedance_n", "h_values",
+                                             "failure_exponent", "bottom_sigma", "bottom_frac")),
+    "lower-bound": Suite(exp_lower_bound, ()),
+    "truncation": Suite(exp_truncation, ("proposing_side", "failure_exponent", "nu", "eta",
+                                         "loss_bound")),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Dispatch a named experiment."""
-    try:
-        fn = EXPERIMENTS[config.experiment]
-    except KeyError:
-        raise ValueError(f"unknown experiment {config.experiment!r}; "
-                         f"known: {', '.join(sorted(EXPERIMENTS))}") from None
-    return fn(config)
+    """Run the suite `config` names."""
+    return EXPERIMENTS[config.experiment].run(config)

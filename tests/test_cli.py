@@ -13,7 +13,7 @@ import pytest
 import matchlab as ml
 from matchlab import cli, experiments
 from matchlab.cli import main
-from matchlab.experiments import EXPERIMENTS, ExperimentConfig
+from matchlab.experiments import EXPERIMENTS, SHARED_FIELDS, ExperimentConfig
 
 
 def run_cli(args, capsys=None):
@@ -26,7 +26,7 @@ def test_help_lists_flags(capsys):
         main(["run", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for flag in ("--seed", "--out", "--format", "--jobs", "--edges", "--L",
+    for flag in ("--seed", "--out", "--format", "--edges", "--L",
                  "--sigma", "--p", "--q", "--k", "--propose-side", "--lambda"):
         assert flag in out
     assert "[0, 1]" in out  # ranges documented
@@ -223,6 +223,16 @@ def test_experiment_rejects_edge_set_flags(flag, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv", [["generate", "--jobs", "2"], ["generate", "--format", "json"],
+                                  ["run", "--jobs", "2"], ["edges", "--jobs", "2"]])
+def test_commands_reject_flags_they_do_not_read(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n", "10", "--seed", "1", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # every `experiment` flag that sets a config field, a value other than the
 # field's default, and the fields it then holds; `--runs` and `--seed` are
 # set in every case, and `--nw` sets n_left
@@ -239,6 +249,7 @@ FLAG_FIELDS = [
     (["--propose-side", "right"], {"proposing_side": "right"}),
     (["--jobs", "2"], {"jobs": 2}),
     (["--L", "0.3"], {"loss_cap_left": 0.3, "loss_cap_right": 0.3}),
+    (["--L-left", "0.2"], {"loss_cap_left": 0.2}),
     (["--L", "0.3", "--L-left", "0.2"], {"loss_cap_left": 0.2, "loss_cap_right": 0.3}),
     (["--L-right", "0.4"], {"loss_cap_right": 0.4}),
     (["--sigma", "0.1"], {"sigma_left": 0.1, "sigma_right": 0.1}),
@@ -255,6 +266,25 @@ FLAG_FIELDS = [
     (["--eta", "3"], {"eta": 3.0}),
     (["--loss-bound", "0.2"], {"loss_bound": 0.2}),
 ]
+
+
+def reads(suite, fields):
+    """Whether `suite` reads every one of `fields`."""
+    return set(fields) <= set(SHARED_FIELDS + EXPERIMENTS[suite].fields)
+
+
+UNREAD_FLAGS = [(suite, flag) for suite in sorted(EXPERIMENTS) for flag, fields in FLAG_FIELDS
+                if sum(f.startswith("--") for f in flag) == 1 and not reads(suite, fields)]
+
+
+@pytest.mark.parametrize("suite,flag", UNREAD_FLAGS)
+def test_experiment_rejects_flags_its_suite_does_not_read(suite, flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", suite, "--n", "20", "--runs", "1", "--seed", "1", *flag,
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def echoed_config(monkeypatch, tmp_path, argv):
@@ -275,16 +305,22 @@ def test_experiment_flags_fill_config_by_name(suite, tmp_path, monkeypatch, caps
     default = json.loads(json.dumps(asdict(ExperimentConfig(suite, n_left=30, seed=5, runs=2))))
     assert echoed_config(monkeypatch, tmp_path, base) == default
     for flag, fields in FLAG_FIELDS:
-        assert all(default[name] != value for name, value in fields.items()), flag
-        assert echoed_config(monkeypatch, tmp_path, base + flag) == {**default, **fields}, flag
+        if reads(suite, fields):
+            assert all(default[name] != value for name, value in fields.items()), flag
+            assert echoed_config(monkeypatch, tmp_path, base + flag) == {**default, **fields}, flag
 
 
 def test_flag_table_covers_every_experiment_flag(capsys):
-    with pytest.raises(SystemExit):
-        main(["experiment", "--help"])
-    listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
-    covered = {f for flag, _ in FLAG_FIELDS for f in flag if f.startswith("--")}
-    assert listed == covered | {"--help", "--nw", "--runs", "--seed", "--out", "--format"}
+    pairs = 0
+    for suite in sorted(EXPERIMENTS):
+        with pytest.raises(SystemExit):
+            main(["experiment", suite, "--help"])
+        listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
+        covered = {f for flag, fields in FLAG_FIELDS if reads(suite, fields)
+                   for f in flag if f.startswith("--")}
+        assert listed == covered | {"--help", "--nw", "--runs", "--seed", "--out", "--format"}
+        pairs += len(listed - {"--help", "--nw", "--nc", "--cap-right"})  # aliases count once
+    assert pairs == 107
 
 
 def test_json_format_option(tmp_path, capsys):
@@ -339,6 +375,29 @@ def test_edges_artifacts_strict_json(tmp_path, capsys):
     summary = strict_json(out / "edge_summary.json")
     assert None in summary["degrees_by_decile"]["left"]
     assert len(strict_json(out / "edges.json")) == summary["edge_count"] == 25
+
+
+@pytest.mark.parametrize("argv,nulls", [
+    (["unique-partners", "--n", "1"], ["top90_fraction", "bottom_decile_fraction"]),
+    (["unique-partners", "--n", "5"], ["bottom_decile_fraction"]),
+    (["edge-counts", "--n", "1", "--L", "0.3"], ["top_list_mean", "top_proposals_mean"]),
+    # no interview edges, so no run has a pair matched under both protocols
+    (["interview", "--n", "1", "--p", "0", "--q", "1"], ["diff_quantiles_mean"]),
+    (["interview", "--n", "5", "--p", "0", "--q", "1"], ["diff_quantiles_mean"]),
+    (["interview", "--nw", "30", "--nc", "5", "--d", "6", "--p", "0", "--q", "1"],
+     ["diff_quantiles_mean"]),
+    (["truncation", "--n", "2"], ["rest_mean_proposals"]),
+    (["truncation", "--n", "5"], ["rest_mean_proposals"]),
+    (["truncation", "--nw", "30", "--nc", "5", "--d", "6"], []),
+])
+def test_experiment_summaries_over_empty_sets_are_null(argv, nulls, tmp_path, capsys):
+    # Tier-1 turns a numpy RuntimeWarning into an error, so none is emitted
+    out = tmp_path / "exp"
+    assert main(["experiment", *argv, "--runs", "2", "--seed", "1", "--out", str(out)]) == 0
+    summary = strict_json(out / "summary.json")["summary"]
+    empty = {key for key, value in summary.items()
+             if value is None or value == [None] * 3}
+    assert empty == set(nulls)
 
 
 def test_experiment_artifacts_strict_json(tmp_path, capsys):

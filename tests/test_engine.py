@@ -208,17 +208,24 @@ def test_edge_set_operations_equal_dense_formulas(case):
 
 
 @pytest.mark.parametrize("consumer", ["run_da", "verify_stability", "viable_edges",
-                                      "acceptable_entry_levels"])
+                                      "acceptable_entry_levels", "achieved_utilities",
+                                      "verify_stability-matching", "loss_report"])
 def test_edge_set_of_another_shape_rejected(small_market, consumer):
     m = small_market
     edges = EdgeSet.full(m.n_left, m.n_right - 1)
-    call = {
-        "run_da": lambda: ml.run_da(m, LEFT, edges),
-        "verify_stability": lambda: ml.verify_stability(m, edges, ml.run_da(m, LEFT)),
-        "viable_edges": lambda: ml.viable_edges(m, edges),
-        "acceptable_entry_levels": lambda: ml.acceptable_entry_levels(m, [0.1], [0.0], [0.0], edges),
+    # a stable matching of a smaller market
+    other = ml.run_da(ml.generate_market(m.n_left, m.n_right - 1, model=m.model, seed=1), LEFT)
+    call, kind = {
+        "run_da": (lambda: ml.run_da(m, LEFT, edges), "edge set"),
+        "verify_stability": (lambda: ml.verify_stability(m, edges, ml.run_da(m, LEFT)), "edge set"),
+        "viable_edges": (lambda: ml.viable_edges(m, edges), "edge set"),
+        "acceptable_entry_levels": (
+            lambda: ml.acceptable_entry_levels(m, [0.1], [0.0], [0.0], edges), "edge set"),
+        "achieved_utilities": (lambda: ml.achieved_utilities(m, other, LEFT), "matching"),
+        "verify_stability-matching": (lambda: ml.verify_stability(m, None, other), "matching"),
+        "loss_report": (lambda: ml.loss_report(m, other), "matching"),
     }[consumer]
-    with pytest.raises(ValueError, match="edge set shape 30x29 disagrees with 30x30"):
+    with pytest.raises(ValueError, match=f"{kind} shape 30x29 disagrees with 30x30"):
         call()
 
 

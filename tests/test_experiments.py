@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import weakref
 
@@ -5,7 +6,10 @@ import numpy as np
 import pytest
 
 import matchlab as ml
+from matchlab import experiments
 from matchlab.experiments import (
+    EXPERIMENTS,
+    SHARED_FIELDS,
     ExperimentConfig,
     decile_labels,
     derive_run_seed,
@@ -35,6 +39,20 @@ def test_run_seeds_distinct_and_deterministic():
     assert seeds == [derive_run_seed(7, i) for i in range(50)]
 
 
+# a value other than the default for every field some suite does not read
+OFF_DEFAULT = dict(
+    proposing_side=RIGHT, bottom_frac=0.3, loss_cap_left=0.3, loss_cap_right=0.3,
+    sigma_left=0.1, sigma_right=0.1, sigma_rule="fixed", grid_start=0.02, grid_stop=0.4,
+    grid_step=0.02, rating_window=0.3, score_cutoff=0.4, n_values=(40, 80), exceedance_n=60,
+    h_values=(0, 1), failure_exponent=2.0, bottom_sigma=0.1, nu=0.3, eta=3.0, loss_bound=0.2,
+    expected_degree=5.0,
+)
+UNREAD_FIELDS = [(dict(experiment=suite, **{name: value}), f"{suite} does not read {name};")
+                 for suite, declared in sorted(EXPERIMENTS.items())
+                 for name, value in OFF_DEFAULT.items()
+                 if name not in SHARED_FIELDS + declared.fields]
+
+
 @pytest.mark.parametrize("bad,message", [
     (dict(proposing_side="up"), "proposing_side"),
     (dict(jobs=0), "jobs"),
@@ -44,10 +62,53 @@ def test_run_seeds_distinct_and_deterministic():
     (dict(grid_step=0.0), "grid_step"),
     (dict(grid_step=-0.01), "grid_step"),
     (dict(grid_start=0.5, grid_stop=0.1), "grid_start"),
+    (dict(experiment="nope"), "unknown experiment 'nope'"),
+    *UNREAD_FIELDS,
 ])
 def test_config_rejects_invalid_fields(bad, message):
     with pytest.raises(ValueError, match=message):
-        ExperimentConfig(experiment="min-L", **bad)
+        ExperimentConfig(**{"experiment": "min-L", **bad})
+
+
+def test_every_config_field_has_an_off_default_value():
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(OFF_DEFAULT) == names - {"experiment", *SHARED_FIELDS}
+    assert all(getattr(ExperimentConfig, name) != value for name, value in OFF_DEFAULT.items())
+
+
+# configurations under which, between them, each suite reads every field
+READ_CASES = {
+    "edge-counts": [dict(loss_cap_left=0.3)],
+    "min-L": [dict(grid_step=0.05), dict(grid_step=0.05, sigma_rule="fixed")],
+    "unique-partners": [{}],
+    "interview": [{}],
+    "loss-scaling": [dict(n_values=(20, 40), exceedance_n=20)],
+    "lower-bound": [{}],
+    "truncation": [{}],
+}
+
+
+def test_suites_read_exactly_the_fields_they_declare(monkeypatch):
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    read = set()
+
+    class Recording(ExperimentConfig):
+        def __getattribute__(self, name):
+            if name in names:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    # the report echoes every field; the suite itself is what is under test
+    monkeypatch.setattr(experiments, "_report", lambda config, rows, summary: None)
+    assert set(READ_CASES) == set(EXPERIMENTS)
+    for suite, cases in READ_CASES.items():
+        seen = set()
+        for case in cases:
+            config = Recording(suite, n_left=20, runs=2, seed=3, **case)
+            read.clear()  # construction checks every field
+            EXPERIMENTS[suite].run(config)
+            seen |= read
+        assert seen == {*SHARED_FIELDS, *EXPERIMENTS[suite].fields}, suite
 
 
 def test_unknown_experiment_rejected():
@@ -110,7 +171,6 @@ MIN_L_CASES = {
 
 
 def test_min_L_matches_naive_scan(monkeypatch):
-    import matchlab.experiments as experiments
     from matchlab.experiments import _all_matched_at, _loss_grid, _min_L_run
 
     # every edge set DA runs on, in order
