@@ -458,20 +458,32 @@ def worst_partner(market: Market, side: str, matching: Matching,
 
 
 def _prefers_to_worst(market: Market, side: str, matching: Matching, weak: bool = False):
-    """`_mutual_edges` test: edges a `side` agent strictly prefers to its worst
-    held partner, with a free slot worse than any edge.  With `weak`, the
-    worst partner itself qualifies too."""
+    """Test of the edges a `side` agent strictly prefers to its worst held
+    partner, with a free slot worse than any edge.  With `weak`, the worst
+    partner itself qualifies too.
+
+    Called as ``keep(agents, partners)`` either with two slices, for the
+    block of the (n_side, n_other) test that `_mutual_edges` asks for, or
+    with two equal-length index arrays, for those edges only."""
     wu, wj = worst_partner(market, side, matching, spare_is_worst=True)
     bound = wj + 1 if weak else wj
     u = market.utility_matrix(side)
-    idx = np.arange(market.n(other_side(side)))
 
-    def keep(rows, cols):
-        ub, w = u[rows, cols], wu[rows, None]
+    def keep(agents, partners):
+        ub = u[agents, partners]
+        if isinstance(agents, slice):
+            agents = np.arange(market.n(side))[agents, None]
+            partners = np.arange(market.n(other_side(side)))[partners]
+        w = wu[agents]
         # an equal utility goes by partner index
-        return (ub > w) | ((ub == w) & (idx[cols] < bound[rows, None]))
+        return (ub > w) | ((ub == w) & (partners < bound[agents]))
 
     return keep
+
+
+# edges per chunk of a restricted stability audit: each int64 temporary
+# stays at 2 MB
+_EDGE_CHUNK = 1 << 18
 
 
 def verify_stability(market: Market, edges: EdgeSet | None, matching: Matching) -> list[tuple[int, int]]:
@@ -479,16 +491,23 @@ def verify_stability(market: Market, edges: EdgeSet | None, matching: Matching) 
 
     An edge blocks when both endpoints strictly prefer each other to their
     worst current assignment, with a free slot treated as worse than any
-    edge in the set.
+    edge in the set.  A restricted set is tested edge by edge, so the cost
+    tracks its edge count; the complete set is tested in row blocks.
     """
     _check_shape(edges, market)
-    block = _mutual_edges(market.n_left, market.n_right,
-                          _prefers_to_worst(market, LEFT, matching),
-                          _prefers_to_worst(market, RIGHT, matching))
-    if edges is not None:
-        block &= edges
+    keep_left = _prefers_to_worst(market, LEFT, matching)
+    keep_right = _prefers_to_worst(market, RIGHT, matching)
+    if edges is None or edges.is_full():
+        block = _mutual_edges(market.n_left, market.n_right, keep_left, keep_right).flat
+    else:
+        chunks = [np.empty(0, dtype=np.int64)]
+        for lo in range(0, edges.edge_count, _EDGE_CHUNK):
+            flat = edges.flat[lo:lo + _EDGE_CHUNK]
+            i, j = np.divmod(flat, market.n_right)
+            chunks.append(flat[keep_left(i, j) & keep_right(j, i)])
+        block = np.concatenate(chunks)
     matched = matching.pair_array[:, 0] * market.n_right + matching.pair_array[:, 1]
-    left, right = np.divmod(np.setdiff1d(block.flat, matched, assume_unique=True), market.n_right)
+    left, right = np.divmod(np.setdiff1d(block, matched, assume_unique=True), market.n_right)
     return list(zip(left.tolist(), right.tolist()))
 
 

@@ -155,6 +155,9 @@ class ExperimentConfig:
             raise ValueError(f"grid_step must be positive, got {self.grid_step}")
         if self.grid_start > self.grid_stop:
             raise ValueError(f"grid_start {self.grid_start} exceeds grid_stop {self.grid_stop}")
+        if self.exceedance_n is not None and self.exceedance_n < 2:
+            raise ValueError(f"exceedance_n must be at least 2, the smallest n with a loss "
+                             f"bound, got {self.exceedance_n}")
 
     def model(self):
         if self.model_name is not None:
@@ -549,6 +552,15 @@ def _non_bottom_losses(config: ExperimentConfig, run_index: int, n: int) -> np.n
     return np.concatenate(pooled)
 
 
+def _loss_stats(vals: np.ndarray) -> dict:
+    """Max, median and 90th percentile of one run's pooled losses; NaN,
+    written as null, when every matched agent sits in the bottom zone."""
+    if not vals.size:
+        return {"max_loss": math.nan, "q50": math.nan, "q90": math.nan}
+    return {"max_loss": float(vals.max()), "q50": float(np.quantile(vals, 0.5)),
+            "q90": float(np.quantile(vals, 0.9))}
+
+
 def exp_loss_scaling(config: ExperimentConfig) -> ExperimentReport:
     """Max/quantile pessimal losses of non-bottom agents across market sizes,
     plus the exceedance histogram against halving loss thresholds."""
@@ -556,20 +568,15 @@ def exp_loss_scaling(config: ExperimentConfig) -> ExperimentReport:
     exceedance_runs = [] if config.exceedance_n is None else [
         (run, config.exceedance_n) for run in range(config.runs)]
     pooled = _map_runs(_non_bottom_losses, config, scaling + exceedance_runs)
-    results = [{
-        "run": run,
-        "n": n,
-        "max_loss": float(vals.max()),
-        "q50": float(np.quantile(vals, 0.5)),
-        "q90": float(np.quantile(vals, 0.9)),
-        "non_bottom": int(vals.size),
-    } for (run, n), vals in zip(scaling, pooled)]
+    results = [{"run": run, "n": n, **_loss_stats(vals), "non_bottom": int(vals.size)}
+               for (run, n), vals in zip(scaling, pooled)]
     rows = [{"kind": "scaling", **r} for r in results]
 
     medians = {n: float(np.median([r["max_loss"] for r in results if r["n"] == n]))
                for n in config.n_values}
     n_small, n_large = min(config.n_values), max(config.n_values)
-    ratio = medians[n_small] / medians[n_large] if medians[n_large] > 0 else float("inf")
+    large = medians[n_large]
+    ratio = medians[n_small] / large if large > 0 or math.isnan(large) else float("inf")
     exponent = (
         math.log(ratio) / math.log(n_large / n_small) if n_small != n_large else float("nan")
     )

@@ -9,6 +9,7 @@ score for that partner through a strictly increasing utility function.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -71,7 +72,10 @@ class UtilityModel:
     rating and score partials from below.  Declarations are trusted but can
     be spot-checked with :func:`monotonicity_audit`.  A custom callable
     must be elementwise: markets evaluate it on blocks of rows, so an entry
-    may depend only on its own (rating, score) pair.
+    may depend only on its own (rating, score) pair.  `utility` takes an
+    optional `out` array: the linear kind computes into it, and a custom
+    callable's result is assigned into it, so markets fill their utility
+    matrices in place.
     """
 
     kind: str
@@ -114,16 +118,22 @@ class UtilityModel:
             return self.weight
         return self.slope_floor if self.slope_floor is not None else self.slope_cap
 
-    def utility(self, side: str, rating, score):
+    def utility(self, side: str, rating, score, out=None):
+        """`side`'s utility for partners of public `rating` that it scores
+        `score`, broadcast elementwise.  With `out`, the result is written
+        into that array and returned; the bits are the same either way."""
         if self.kind == "linear":
-            return self.weight * rating + (1.0 - self.weight) * score
+            return np.add(self.weight * rating, np.multiply(1.0 - self.weight, score, out=out), out=out)
         fn = self.fn_left if side == LEFT else self.fn_right
-        return fn(rating, score)
+        if out is None:
+            return fn(rating, score)
+        out[...] = fn(rating, score)
+        return out
 
     def utility_extended(self, side: str, rating, score):
         """Utility with the rating axis linearly extended below zero."""
         if self.kind == "linear":
-            return self.weight * rating + (1.0 - self.weight) * score
+            return self.utility(side, rating, score)
         r = np.asarray(rating, dtype=float)
         base = self.utility(side, np.maximum(r, 0.0), score)
         return base + self.mu_floor * np.minimum(r, 0.0)
@@ -155,7 +165,9 @@ def custom_model(
     """Custom monotone utility pair with declared derivative bounds.
 
     Both callables must be elementwise in (rating, score): utility matrices
-    are evaluated on blocks of rows, not on whole matrices.  Registered
+    are evaluated on blocks of rows, not on whole matrices.  A callable
+    returns a new array; when `UtilityModel.utility` is given `out`, that
+    result is assigned into `out`, so the callable never sees it.  Registered
     models can round-trip through market files; unregistered ones only live
     in memory.
     """
@@ -312,13 +324,14 @@ class Market:
         return self._cached("utility", side, self._utility_matrix)
 
     def _utility_matrix(self, side: str) -> np.ndarray:
-        # one block of rows at a time, so no full-size temporary is allocated
+        # written in place one block of rows at a time, so no temporary is
+        # larger than a block
         rating = self.ratings(other_side(side))[None, :]
         scores = self.scores(side)
         out = np.empty(scores.shape)
         for lo in range(0, scores.shape[0], _BLOCK_ROWS):
             rows = slice(lo, lo + _BLOCK_ROWS)
-            out[rows] = self.model.utility(side, rating, scores[rows])
+            self.model.utility(side, rating, scores[rows], out=out[rows])
         return out
 
     def preference_order(self, side: str) -> np.ndarray:
@@ -390,35 +403,93 @@ def _check_fits(n_left: int, n_right: int) -> None:
         )
 
 
-# score rows whose generators are built before the pool draws them
-_DRAW_CHUNK = 8 * _BLOCK_ROWS
+# SeedSequence's hash constants (numpy.random.bit_generator)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _philox_keys(seed: int, label: int, rows) -> np.ndarray:
+    """(len(rows), 2) uint64 Philox keys of the streams (seed, label, row).
+
+    Row r gets ``np.random.SeedSequence(entropy=seed, spawn_key=(label, r))
+    .generate_state(2, np.uint64)``, the key `stream_rng` seeds its Philox
+    with.  This is numpy's SeedSequence hash (a pool of four 32-bit words)
+    run once for all rows: words that do not depend on the row stay Python
+    ints masked to 32 bits, and the row word, mixed in last, turns the pool
+    into uint32 arrays whose arithmetic wraps.  `label` and the rows must be
+    below 2**32, so each is one word.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    words = []
+    while seed or not words:  # 32-bit words, least significant first; 0 is one word
+        words.append(seed & _MASK32)
+        seed >>= 32
+    # a spawn key follows, so the seed's words are zero-padded to the pool size
+    entropy = words + [0] * (4 - len(words)) + [label, np.asarray(rows, dtype=np.uint32)]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for value in pool:
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    # two little-endian words make one uint64, as in generate_state
+    return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _fill_score_rows(seed: int, targets) -> None:
     """Fill row i of each (label, scores) target from stream (seed, label, i).
 
-    For each chunk of rows, this thread first builds the rows' generators,
-    which holds the GIL; a pool of up to two threads then draws the rows, a
-    block per task, and each bulk draw releases the GIL.  Building a chunk's
-    generators before its draws keeps the draws from waiting for the GIL,
-    and the chunk bounds how many generators are held at once.  Each row has
-    its own stream, so the bits do not depend on which thread draws it.  The
+    Each matrix's stream keys are hashed in one vectorised pass.  A pool of
+    up to two threads then fills one block of rows of either matrix per
+    task: it resets one Philox to each row's key, with counter 0 and an
+    empty buffer, and draws the row.  That is the state `stream_rng(seed,
+    label, i)` starts in, so the bits equal its draws.  The bulk draws
+    release the GIL; the resets are the only Python work left per row.  The
     pool lives only for this call and is joined before it returns, so a
     process forked afterwards inherits no threads.
     """
 
-    def fill(rngs, rows: np.ndarray) -> None:
-        for rng, row in zip(rngs, rows):
-            rng.random(out=row)
+    def fill(keys: list, rows: np.ndarray) -> None:
+        bitgen = np.random.Philox(0)  # reset to each row's stream below
+        draw = np.random.Generator(bitgen)
+        for key, row in zip(keys, rows):
+            bitgen.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+                            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            draw.random(out=row)
 
+    blocks = []
+    for label, scores in targets:
+        keys = _philox_keys(seed, label, np.arange(scores.shape[0])).tolist()
+        blocks += [(keys[lo:lo + _BLOCK_ROWS], scores[lo:lo + _BLOCK_ROWS])
+                   for lo in range(0, scores.shape[0], _BLOCK_ROWS)]
     with ThreadPoolExecutor(max_workers=min(2, _usable_cpus())) as pool:
-        for label, scores in targets:
-            for lo in range(0, scores.shape[0], _DRAW_CHUNK):
-                rows = scores[lo:lo + _DRAW_CHUNK]
-                rngs = [stream_rng(seed, label, lo + k) for k in range(rows.shape[0])]
-                blocks = range(0, rows.shape[0], _BLOCK_ROWS)
-                list(pool.map(fill, [rngs[b:b + _BLOCK_ROWS] for b in blocks],
-                              [rows[b:b + _BLOCK_ROWS] for b in blocks]))
+        list(pool.map(fill, *zip(*blocks)))
 
 
 def _usable_cpus() -> int:

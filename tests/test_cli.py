@@ -195,6 +195,41 @@ def test_experiment_lower_bound_needs_square_one_to_one(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_loss_scaling_refuses_exceedance_n_without_loss_bound(tmp_path, capsys):
+    code = main(["experiment", "loss-scaling", "--n", "1", "--n-values", "1", "3",
+                 "--exceedance-n", "1", "--runs", "2", "--seed", "1", "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: exceedance_n must be at least 2")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_loss_scaling_writes_null_for_empty_non_bottom_pool(tmp_path, capsys):
+    # at n = 1 and seed 1, run 1 has every matched agent in the bottom zone
+    out = tmp_path / "ls"
+    code = main(["experiment", "loss-scaling", "--n", "1", "--n-values", "1", "3",
+                 "--exceedance-n", "3", "--runs", "2", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    with open(out / "report.csv", newline="") as fh:
+        scaling = [r for r in csv.DictReader(fh) if r["kind"] == "scaling"]
+    empty = [r for r in scaling if r["non_bottom"] == "0"]
+    assert [(r["run"], r["n"]) for r in empty] == [("1", "1")]
+    assert all(r[k] == "nan" for r in empty for k in ("max_loss", "q50", "q90"))
+    assert all(float(r["max_loss"]) >= 0 for r in scaling if r not in empty)
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["median_max_loss"]["1"] is None and summary["median_max_loss"]["3"] > 0
+    assert summary["ratio_small_over_large"] is None and summary["fitted_exponent"] is None
+
+
+def test_generate_refuses_negative_seed(tmp_path, capsys):
+    code = main(["generate", "--n", "3", "--seed", "-1", "--out", str(tmp_path / "m.npz")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is imported inside max_bipartite_matching only, so startup does
     # not pay for loading it

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import matchlab as ml
+from matchlab import market as market_module
 from matchlab.market import (
     _BLOCK_ROWS,
-    _DRAW_CHUNK,
     LEFT,
     RIGHT,
+    _philox_keys,
     aligned_rank,
     preference_argsort,
     rank_order,
@@ -59,6 +60,19 @@ def test_custom_model_monotonicity_grid():
 
     broken = ml.custom_model("broken", bad, bad, ratio_low=1.0, slope_cap=1.0)
     assert not ml.monotonicity_audit(broken, LEFT)
+
+
+@pytest.mark.parametrize("model", [ml.linear_model(0.3), ml.linear_model(0.8), curved_model()],
+                         ids=["linear-0.3", "linear-0.8", "curved"])
+def test_utility_into_out_equals_allocating_call(model):
+    rating = np.array([[0.0, 0.25, 1.0, 0.5, -0.0]])
+    score = np.array([[0.5, np.nan, -0.0, 0.0, 1.0],
+                      [-0.0, 0.75, np.nan, 1.0, 0.0]])
+    for side in (LEFT, RIGHT):
+        want = model.utility(side, rating, score)
+        block = np.full(score.shape, 7.0)
+        assert model.utility(side, rating, score, out=block) is block
+        assert block.tobytes() == np.asarray(want).tobytes()
 
 
 def test_rank_order_examples():
@@ -130,16 +144,49 @@ def test_score_streams_independent_of_order():
 
 @pytest.mark.parametrize("n_left,n_right,cap_right", [
     (1, 1, 1), (3, 3, 1), (3, 1, 3), (5, 3, 1),
-    # more rows than one block and one chunk of the threaded fill, and a
-    # multiple of neither
+    # more rows than one block of the threaded fill, and not a multiple of it
     (2 * _BLOCK_ROWS + 1, 7, 1), (40, 2 * _BLOCK_ROWS + 3, 1),
-    (_DRAW_CHUNK + _BLOCK_ROWS + 1, 5, 1),
+    (8 * _BLOCK_ROWS + _BLOCK_ROWS + 1, 5, 1),
 ])
 def test_scores_equal_serial_row_draws(n_left, n_right, cap_right):
     m = ml.generate_market(n_left, n_right, cap_right=cap_right, model=ml.linear_model(0.5), seed=41)
     left, right = serial_score_rows(41, n_left, n_right)
     assert m.scores_left.tobytes() == left.tobytes()
     assert m.scores_right.tobytes() == right.tobytes()
+
+
+def test_scores_do_not_depend_on_worker_count(monkeypatch):
+    bytes_by_workers = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(market_module, "_usable_cpus", lambda: cpus)
+        m = ml.generate_market(3 * _BLOCK_ROWS + 5, 2 * _BLOCK_ROWS + 1, model=ml.linear_model(0.5), seed=43)
+        bytes_by_workers.append((m.scores_left.tobytes(), m.scores_right.tobytes()))
+    assert bytes_by_workers[0] == bytes_by_workers[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 12345]),
+                      st.integers(0, 2**200)),
+       label=st.integers(0, 5),
+       rows=st.lists(st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+                     min_size=1, max_size=8))
+def test_philox_keys_equal_seed_sequence(seed, label, rows):
+    want = [np.random.SeedSequence(entropy=seed, spawn_key=(label, r)).generate_state(2, np.uint64)
+            for r in rows]
+    assert np.array_equal(_philox_keys(seed, label, np.array(rows)), np.array(want))
+
+
+@pytest.mark.parametrize("seed,error", [(-1, ValueError), (1.5, TypeError), (-(2**70), ValueError)])
+def test_philox_keys_refuse_what_seed_sequence_refuses(seed, error):
+    with pytest.raises(error):
+        np.random.SeedSequence(entropy=seed, spawn_key=(2, 0))
+    with pytest.raises(error):
+        _philox_keys(seed, 2, np.arange(3))
+
+
+def test_generate_refuses_negative_seed():
+    with pytest.raises(ValueError):
+        ml.generate_market(3, 3, model=ml.linear_model(0.5), seed=-1)
 
 
 def test_generate_leaves_no_thread_running():
