@@ -18,6 +18,7 @@ from .engine import (
     EdgeSet,
     Matching,
     _check_shape,
+    _edge_chunks,
     _mutual_edges,
     _prefers_to_worst,
     extreme_matchings,
@@ -269,8 +270,7 @@ def _threshold_keep(market: Market, side: str, thresholds, exempt=None):
 
 def loss_threshold_edges(market: Market, thresholds_left, thresholds_right) -> EdgeSet:
     """Edges whose loss stays within per-agent caps on both sides."""
-    return _mutual_edges(market.n_left, market.n_right,
-                         _threshold_keep(market, LEFT, thresholds_left),
+    return _mutual_edges(market, _threshold_keep(market, LEFT, thresholds_left),
                          _threshold_keep(market, RIGHT, thresholds_right))
 
 
@@ -285,8 +285,7 @@ def acceptable_edges(market: Market, loss_cap_left: float, loss_cap_right: float
     """
     exempt_l = market.ratings_left < market.rating_range_left[0] + sigma_left
     exempt_r = market.ratings_right < market.rating_range_right[0] + sigma_right
-    return _mutual_edges(market.n_left, market.n_right,
-                         _threshold_keep(market, LEFT, loss_cap_left, exempt_l),
+    return _mutual_edges(market, _threshold_keep(market, LEFT, loss_cap_left, exempt_l),
                          _threshold_keep(market, RIGHT, loss_cap_right, exempt_r))
 
 
@@ -318,16 +317,10 @@ def acceptable_entry_levels(market: Market, caps, sigmas_left, sigmas_right,
         u, bench, free = sides[side]
         return np.minimum(free[agents], _first_cap(u[agents, partners], bench[agents], caps))
 
-    flat = edges.flat
-    level = np.empty(flat.size, dtype=np.min_scalar_type(caps.size))
-    for lo in range(0, flat.size, _EDGE_CHUNK):
-        left, right = np.divmod(flat[lo:lo + _EDGE_CHUNK], market.n_right)
-        level[lo:lo + _EDGE_CHUNK] = np.maximum(entry(LEFT, left, right), entry(RIGHT, right, left))
-    return flat, level
-
-
-# edges per chunk of `acceptable_entry_levels`, so its temporaries stay small
-_EDGE_CHUNK = 1 << 16
+    dtype = np.min_scalar_type(caps.size)
+    level = [np.maximum(entry(LEFT, i, j), entry(RIGHT, j, i)).astype(dtype)
+             for _, i, j in _edge_chunks(edges)]
+    return edges.flat, np.concatenate([np.empty(0, dtype=dtype), *level])
 
 
 def _first_cap(u: np.ndarray, bench: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -357,12 +350,9 @@ def viable_edges(market: Market, edges: EdgeSet | None = None) -> EdgeSet:
     Running deferred acceptance on the result reproduces the run on the
     input edge set exactly.
     """
-    _check_shape(edges, market)
     left_opt, right_opt = extreme_matchings(market, edges)
-    viable = _mutual_edges(market.n_left, market.n_right,
-                           _prefers_to_worst(market, LEFT, right_opt, weak=True),
-                           _prefers_to_worst(market, RIGHT, left_opt, weak=True))
-    return viable if edges is None else viable & edges
+    return _mutual_edges(market, _prefers_to_worst(market, LEFT, right_opt, weak=True),
+                         _prefers_to_worst(market, RIGHT, left_opt, weak=True), edges)
 
 
 def cone_bounds(market: Market, params: LossParams, agent: int, side: str = LEFT) -> tuple[float, float]:
@@ -412,8 +402,7 @@ def interview_edges(market: Market, params: InterviewParams) -> EdgeSet:
         out &= sl[rows, cols] > params.cutoff_left
         return out
 
-    return _mutual_edges(market.n_left, market.n_right, keep_left,
-                         lambda rows, cols: sr[rows, cols] > params.cutoff_right)
+    return _mutual_edges(market, keep_left, lambda rows, cols: sr[rows, cols] > params.cutoff_right)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +494,7 @@ def selected_edges(market: Market, params: SelectedSetParams, seed: int | None =
         threshold = 1.0 - np.sqrt(p)
         return (p > 0.0) & (scores_l[rows, cols] >= threshold) & (scores_r[cols, rows].T >= threshold)
 
-    return _mutual_edges(n, n, keep, None)
+    return _mutual_edges(market, keep, None)
 
 
 def selected_degree_stats(market: Market, params: SelectedSetParams,

@@ -262,6 +262,8 @@ def _build_edges(market, args):
     if kind == "selected":
         return selected_edges(market, SelectedSetParams(args.expected_degree))
     if kind == "truncated":
+        if args.loss_cap_left is not None or args.loss_cap_right is not None:
+            raise ValueError("truncated edges read one loss bound: pass --L, not --L-left/--L-right")
         if args.loss_cap is not None:
             params = loss_params_from_bound(args.loss_cap, market.model, args.failure_exponent)
         else:

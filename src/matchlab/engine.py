@@ -178,11 +178,15 @@ class Matching:
         if (pairs < 0).any() or (pairs >= (self.n_left, self.n_right)).any():
             raise ValueError("matched pair index out of range")
         pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        if (pairs[1:] == pairs[:-1]).all(axis=1).any():
+            raise ValueError("a matched pair appears more than once")
         pairs.setflags(write=False)
         self.pair_array = pairs
         n_prop = self.n_left if self.proposing_side == LEFT else self.n_right
         self.proposal_counts = (np.zeros(n_prop, dtype=np.int64) if self.proposal_counts is None
                                 else np.asarray(self.proposal_counts, dtype=np.int64))
+        if self.proposal_counts.shape != (n_prop,):
+            raise ValueError(f"proposal_counts needs one entry per proposing agent ({n_prop})")
 
     @classmethod
     def from_left_sets(cls, sets_left, n_right: int, proposing_side: str = LEFT,
@@ -234,16 +238,37 @@ class Matching:
         return np.array_equal(self.pair_array, other.pair_array)
 
 
-def _mutual_edges(n_left: int, n_right: int, keep_left, keep_right) -> EdgeSet:
-    """The edges both sides keep.
+# edges per chunk of a restricted edge set's per-edge tests, so each int64
+# temporary stays at 512 kB
+_EDGE_CHUNK = 1 << 16
 
-    A side's test is called as ``keep(agents, partners)`` with two slices,
-    its own agents first, and returns that block of its (n_side, n_other)
-    boolean test; None keeps every edge.  The tests run one block of left
-    rows at a time: the right-side test covers those left agents only, so
-    its transpose stays in cache, and each block contributes the flat
-    indices of its kept edges, already in row-major order.
+
+def _edge_chunks(edges: EdgeSet):
+    """(flat indices, left agents, right agents) of `edges`, one chunk of at
+    most `_EDGE_CHUNK` edges at a time, in flat order."""
+    for lo in range(0, edges.edge_count, _EDGE_CHUNK):
+        flat = edges.flat[lo:lo + _EDGE_CHUNK]
+        yield (flat, *np.divmod(flat, edges.n_right))
+
+
+def _mutual_edges(market: Market, keep_left, keep_right, edges: EdgeSet | None = None) -> EdgeSet:
+    """The edges of `edges` (None: every edge) that both sides keep.
+
+    A side's test is called as ``keep(agents, partners)``, its own agents
+    first.  On the complete set the tests run one block of left rows at a
+    time with two slices, returning that block of the side's
+    (n_side, n_other) boolean test, and None keeps every edge: the
+    right-side test covers those left agents only, so its transpose stays
+    in cache, and each block contributes the flat indices of its kept
+    edges, already in row-major order.  A restricted set is tested edge by
+    edge, one chunk at a time, with two equal-length index arrays, so the
+    cost tracks its edge count; it needs both tests.
     """
+    _check_shape(edges, market)
+    n_left, n_right = market.n_left, market.n_right
+    if edges is not None and not edges.is_full():
+        kept = [flat[keep_left(i, j) & keep_right(j, i)] for flat, i, j in _edge_chunks(edges)]
+        return EdgeSet(np.concatenate([np.empty(0, dtype=np.int64), *kept]), n_left, n_right)
     flats = [np.empty(0, dtype=np.int64)]
     every = slice(None)
     for lo in range(0, n_left, _BLOCK_ROWS):
@@ -404,7 +429,7 @@ def double_cut_edges(market: Market, proposing_side: str, cut: CutSpec) -> EdgeS
         return out
 
     tests = (keep, None) if prop == LEFT else (None, keep)
-    return _mutual_edges(market.n_left, market.n_right, *tests)
+    return _mutual_edges(market, *tests)
 
 
 def run_double_cut_da(market: Market, proposing_side: str, cut: CutSpec) -> Matching:
@@ -481,31 +506,15 @@ def _prefers_to_worst(market: Market, side: str, matching: Matching, weak: bool 
     return keep
 
 
-# edges per chunk of a restricted stability audit: each int64 temporary
-# stays at 2 MB
-_EDGE_CHUNK = 1 << 18
-
-
 def verify_stability(market: Market, edges: EdgeSet | None, matching: Matching) -> list[tuple[int, int]]:
     """Every edge of `edges` that blocks `matching`; empty list iff stable.
 
     An edge blocks when both endpoints strictly prefer each other to their
     worst current assignment, with a free slot treated as worse than any
-    edge in the set.  A restricted set is tested edge by edge, so the cost
-    tracks its edge count; the complete set is tested in row blocks.
+    edge in the set.
     """
-    _check_shape(edges, market)
-    keep_left = _prefers_to_worst(market, LEFT, matching)
-    keep_right = _prefers_to_worst(market, RIGHT, matching)
-    if edges is None or edges.is_full():
-        block = _mutual_edges(market.n_left, market.n_right, keep_left, keep_right).flat
-    else:
-        chunks = [np.empty(0, dtype=np.int64)]
-        for lo in range(0, edges.edge_count, _EDGE_CHUNK):
-            flat = edges.flat[lo:lo + _EDGE_CHUNK]
-            i, j = np.divmod(flat, market.n_right)
-            chunks.append(flat[keep_left(i, j) & keep_right(j, i)])
-        block = np.concatenate(chunks)
+    block = _mutual_edges(market, _prefers_to_worst(market, LEFT, matching),
+                          _prefers_to_worst(market, RIGHT, matching), edges).flat
     matched = matching.pair_array[:, 0] * market.n_right + matching.pair_array[:, 1]
     left, right = np.divmod(np.setdiff1d(block, matched, assume_unique=True), market.n_right)
     return list(zip(left.tolist(), right.tolist()))

@@ -356,7 +356,9 @@ def exp_edge_counts(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _loss_grid(config: ExperimentConfig) -> np.ndarray:
-    count = int(round((config.grid_stop - config.grid_start) / config.grid_step)) + 1
+    # steps up to grid_stop, never past it; the tolerance keeps a stop that
+    # division lands just short of: (0.50 - 0.01) / 0.01 = 48.99999999999999
+    count = math.floor((config.grid_stop - config.grid_start) / config.grid_step + 1e-9) + 1
     return np.round(config.grid_start + config.grid_step * np.arange(count), 10)
 
 
@@ -373,31 +375,26 @@ def _everyone_matched(matching) -> bool:
     return bool(matching.matched_mask(LEFT).all() and matching.matched_mask(RIGHT).all())
 
 
-def _all_matched_at(market: Market, loss_cap: float, config: ExperimentConfig) -> bool:
-    sigma_l, sigma_r = _zone_widths(config, market, loss_cap)
-    edges = acceptable_edges(market, loss_cap, loss_cap, sigma_l, sigma_r)
-    if (edges.degrees(LEFT) == 0).any() or (edges.degrees(RIGHT) == 0).any():
-        return False
-    return _everyone_matched(run_da(market, config.proposing_side, edges))
-
-
 # the min-L scan's first span of grid indices; each later span is twice as long
 _FIRST_SPAN = 8
 
 
-def _min_L_run(config: ExperimentConfig, run_index: int) -> dict:
-    """First grid index whose acceptable set matches everyone in one market.
+def _min_L_run(config: ExperimentConfig, run_index: int, start: int = 0) -> dict:
+    """First grid index at or above `start` whose acceptable set matches
+    everyone in one market.
 
     The acceptable sets grow with the grid value, so the scan builds one set
     at the top of a span of grid indices and gives each of its edges the
-    index where it enters.  A level below some agent's first edge fails
-    `_all_matched_at`'s degree check and is skipped; every other level runs
-    DA on the edges entered by then, exactly as `_all_matched_at` would.
+    index where it enters.  A level below some agent's first edge leaves
+    that agent without an edge and is skipped; every other level runs DA on
+    the edges entered by then, the set `acceptable_edges` builds there.
     """
     market = config.make_market(run_index)
     grid = _loss_grid(config)
-    start, stop = 0, _FIRST_SPAN
-    while start < len(grid):
+    lo, stop = 0, _FIRST_SPAN
+    while stop <= start:  # on to the span that holds `start`
+        lo, stop = stop, 2 * stop
+    while lo < len(grid):
         caps = grid[:stop]
         top = caps.size - 1
         sigma_l, sigma_r = _zone_widths(config, market, caps)
@@ -405,17 +402,17 @@ def _min_L_run(config: ExperimentConfig, run_index: int) -> dict:
                                     sigma_l[top], sigma_r[top])
         flat, level = acceptable_entry_levels(market, caps, sigma_l, sigma_r, superset)
         # each agent's first level with an edge; below the largest, some
-        # agent has none, so `_all_matched_at` fails its degree check there
+        # agent has none and stays unmatched
         first = {side: np.full(market.n(side), caps.size, dtype=level.dtype) for side in (LEFT, RIGHT)}
         np.minimum.at(first[LEFT], flat // market.n_right, level)
         np.minimum.at(first[RIGHT], flat % market.n_right, level)
         lowest = int(max(first[LEFT].max(), first[RIGHT].max()))
-        for idx in range(max(start, lowest), caps.size):
+        for idx in range(max(lo, start, lowest), caps.size):
             edges = EdgeSet(flat[level <= idx], market.n_left, market.n_right)
             if _everyone_matched(run_da(market, config.proposing_side, edges)):
                 return {"run": run_index, "first_L": float(grid[idx]), "grid_index": idx,
                         "matched": True}
-        start, stop = stop, 2 * stop
+        lo, stop = stop, 2 * stop
     return {"run": run_index, "first_L": float(grid[-1]), "grid_index": len(grid) - 1, "matched": False}
 
 
@@ -423,23 +420,24 @@ def exp_min_L(config: ExperimentConfig) -> ExperimentReport:
     """Smallest grid loss threshold that matches every agent in every run.
 
     Returns the grid maximum as a sentinel when no grid value suffices.
-    Each run is scanned upward to its first sufficient threshold; the
-    overall candidate (the max over runs) is then re-verified against every
-    run, walking further up the grid if needed.
+    Each run is scanned upward to its first sufficient threshold.  The
+    candidate, the largest of these, is then re-verified: every run whose
+    last scan stopped below it is scanned again from the candidate, the
+    candidate moves to the largest index those scans return, and this
+    repeats until every run matches at the candidate.
     """
     results = _map_runs(_min_L_run, config)
     grid = _loss_grid(config)
-    idx = max(r["grid_index"] for r in results)
-    verified = False
-    if all(r["matched"] for r in results):
-        for idx in range(idx, len(grid)):
-            # a run is known to match at its own first_L; no name holds a
-            # market, so each is freed before the next is made
-            if all(r["grid_index"] == idx
-                   or _all_matched_at(config.make_market(r["run"]), float(grid[idx]), config)
-                   for r in results):
-                verified = True
-                break
+    latest = list(results)  # each run's last scan
+    idx = max(r["grid_index"] for r in latest)
+    while all(r["matched"] for r in latest):
+        below = [(r["run"], idx) for r in latest if r["grid_index"] < idx]
+        if not below:
+            break
+        for r in _map_runs(_min_L_run, config, below):
+            latest[r["run"]] = r
+        idx = max(r["grid_index"] for r in latest)
+    verified = all(r["matched"] for r in latest)
     rows = [{"run": r["run"], "first_L": r["first_L"], "matched": r["matched"]} for r in results]
     summary = {
         "min_L": float(grid[idx]),

@@ -6,8 +6,11 @@ bit for bit, with the dense formula it replaced (kept in conftest.py), on
 sizes below, at and across the block size, on unbalanced sides, and on
 coarse score grids where exact ties are common.  The min-L scan's entry
 levels are compared with `acceptable_edges` at every level of the grid.
+The per-edge tests on restricted sets run at their default chunk size and
+at a tiny one, so chunk boundaries fall inside most sets.
 """
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matchlab as ml
+from matchlab import engine
 from matchlab.analysis import _truncation_thresholds
 from matchlab.engine import CutSpec, EdgeSet, _candidate_lists, double_cut_edges
 from matchlab.experiments import ExperimentConfig, _loss_grid
@@ -36,6 +40,16 @@ from conftest import (
 B = _BLOCK_ROWS
 SIZES = [1, 3, B - 1, B, B + 1, 2 * B + 1]
 GRID = [0.0, 0.1, 0.25, 0.5, 1.0]
+# edges per chunk of the per-edge tests on restricted sets: the default, and
+# a size small enough that most restricted sets here span several chunks
+CHUNKS = st.sampled_from([engine._EDGE_CHUNK, 5])
+
+
+@contextmanager
+def edge_chunk(size):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_EDGE_CHUNK", size)
+        yield
 
 
 @st.composite
@@ -104,9 +118,9 @@ NAN_MODEL = ml.custom_model("nan-mid-score", nan_mid_score, nan_mid_score,
 @given(coarse_markets(), st.sampled_from([0.0, 0.01, 0.05, 0.125]),
        st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.125]), st.integers(1, 12),
        st.sampled_from(["theory", "fixed"]), st.sampled_from([0.0, 0.25, 0.5]),
-       st.sampled_from(["half", "decimal", "nan"]), st.booleans())
+       st.sampled_from(["half", "decimal", "nan"]), st.booleans(), CHUNKS)
 def test_acceptable_entry_levels_reproduce_every_level(case, start, step, count, rule, sigma,
-                                                       values, within_top):
+                                                       values, within_top, chunk):
     market, rng = case
     nl, nr = market.n_left, market.n_right
     if values == "decimal":
@@ -129,7 +143,8 @@ def test_acceptable_entry_levels_reproduce_every_level(case, start, step, count,
              for c, sl, sr in zip(caps, sig_l, sig_r)]
     # the levels of the top set's edges (as the scan asks), or of every edge
     edges = EdgeSet.from_mask(masks[-1]) if within_top else EdgeSet.full(market.n_left, market.n_right)
-    flat, level = ml.acceptable_entry_levels(market, caps, sig_l, sig_r, edges)
+    with edge_chunk(chunk):
+        flat, level = ml.acceptable_entry_levels(market, caps, sig_l, sig_r, edges)
     assert np.array_equal(flat, np.flatnonzero(edges.mask))
     levels = np.full(market.n_left * market.n_right, caps.size)
     levels[flat] = level
@@ -157,11 +172,13 @@ def test_loss_threshold_and_truncated_edges_match_dense(case, t_left, t_right):
 
 
 @settings(max_examples=40, deadline=None)
-@given(coarse_markets(), st.sampled_from([None, 0.2, 0.7]))
-def test_viable_edges_match_dense(case, density):
+@given(coarse_markets(), st.sampled_from([None, 0.2, 0.7]), CHUNKS)
+def test_viable_edges_match_dense(case, density, chunk):
     market, rng = case
     edges = None if density is None else random_mask(rng, market, density)
-    assert np.array_equal(ml.viable_edges(market, edges).mask, dense_viable_edges(market, edges))
+    with edge_chunk(chunk):
+        got = ml.viable_edges(market, edges)
+    assert np.array_equal(got.mask, dense_viable_edges(market, edges))
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,12 +204,13 @@ def test_double_cut_edges_match_dense(case, side, target, floor, with_target):
 
 
 @settings(max_examples=60, deadline=None)
-@given(coarse_markets(), st.sampled_from([None, 0.3, 0.8]), st.booleans())
-def test_verify_stability_matches_dense(case, density, stable):
+@given(coarse_markets(), st.sampled_from([None, 0.3, 0.8]), st.booleans(), CHUNKS)
+def test_verify_stability_matches_dense(case, density, stable, chunk):
     market, rng = case
     edges = None if density is None else random_mask(rng, market, density)
     matching = ml.run_da(market, LEFT, edges) if stable else random_matching(rng, market)
-    got = ml.verify_stability(market, edges, matching)
+    with edge_chunk(chunk):
+        got = ml.verify_stability(market, edges, matching)
     want = dense_verify_stability(market, edges, matching)
     assert got == want  # same pairs, same order
     assert all(type(i) is int and type(j) is int for i, j in got)

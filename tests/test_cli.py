@@ -176,6 +176,19 @@ def test_experiment_min_l_cli(tmp_path, capsys):
     assert 0.1 <= summary["summary"]["min_L"] <= 1.0
 
 
+@pytest.mark.parametrize("command", ["run", "edges"])
+@pytest.mark.parametrize("flag", ["--L-left", "--L-right"])
+def test_truncated_edges_refuse_one_sided_loss_caps(command, flag, tmp_path, capsys):
+    # the truncation strategy reads one loss bound, --L
+    code = main([command, "--n", "30", "--seed", "1", "--edges", "truncated", flag, "0.3",
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: truncated edges read one loss bound")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_experiment_reversed_grid_fails_early(tmp_path, capsys):
     code = main(["experiment", "min-L", "--n", "20", "--runs", "1", "--grid-start", "0.5",
                  "--grid-stop", "0.1", "--out", str(tmp_path / "x")])

@@ -144,6 +144,17 @@ def test_matching_views_match_per_agent_loops(case):
         assert np.array_equal(ml.achieved_utilities(market, m, side), want, equal_nan=True)
 
 
+@pytest.mark.parametrize("pairs,kwargs,message", [
+    ([[0, 0], [1, 1]], dict(proposal_counts=[1, 2]), "proposal_counts"),
+    ([[0, 0]], dict(proposing_side=RIGHT, proposal_counts=[1, 2, 0, 0]), "proposal_counts"),
+    ([[0, 0], [0, 0]], {}, "more than once"),
+    ([[2, 1], [0, 0], [2, 1]], {}, "more than once"),
+])
+def test_matching_rejects_bad_input(pairs, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ml.Matching(pairs, 3, 3, **kwargs)
+
+
 def test_edge_set_from_empty_pairs():
     assert EdgeSet.from_pairs([], 3, 4) == EdgeSet.empty(3, 4)
 

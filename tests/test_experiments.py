@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import matchlab as ml
 from matchlab import experiments
@@ -11,6 +13,7 @@ from matchlab.experiments import (
     EXPERIMENTS,
     SHARED_FIELDS,
     ExperimentConfig,
+    _loss_grid,
     decile_labels,
     derive_run_seed,
     exp_edge_counts,
@@ -161,17 +164,51 @@ def test_min_L_sentinel_when_grid_insufficient():
     assert report.summary["min_L"] == pytest.approx(0.002)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1000), st.integers(0, 1000), st.integers(1, 1000))
+@example(0, 1000, 350)  # 0.35 does not divide [0, 1]: the grid ends at 0.7
+@example(10, 500, 10)  # (0.50 - 0.01) / 0.01 = 48.99999999999999, yet 0.5 stays
+def test_loss_grid_ends_within_one_step_of_grid_stop(a, b, c):
+    # decimal grids in thousandths
+    start, stop = sorted((a / 1000, b / 1000))
+    step = c / 1000
+    grid = _loss_grid(ExperimentConfig("min-L", grid_start=start, grid_stop=stop, grid_step=step))
+    assert grid[0] == start
+    assert np.allclose(np.diff(grid), step)
+    assert grid.max() <= stop < grid[-1] + step - 1e-9
+
+
+def all_matched_at(market, loss_cap, config):
+    """Naive oracle: does DA on the acceptable set at `loss_cap` match
+    everyone?  An agent without an edge fails without a DA run."""
+    sigma_l, sigma_r = experiments._zone_widths(config, market, loss_cap)
+    edges = ml.acceptable_edges(market, loss_cap, loss_cap, sigma_l, sigma_r)
+    if (edges.degrees(LEFT) == 0).any() or (edges.degrees(RIGHT) == 0).any():
+        return False
+    return experiments._everyone_matched(experiments.run_da(market, config.proposing_side, edges))
+
+
 MIN_L_CASES = {
     "theory": dict(grid_step=0.02),
     "fixed": dict(grid_step=0.02, sigma_rule="fixed", sigma_left=0.1, sigma_right=0.05),
     # first_L past the scan's first two spans of grid indices (0-7, 8-15)
     "beyond-first-span": dict(grid_step=0.005),
     "sentinel": dict(grid_start=0.001, grid_stop=0.002, grid_step=0.001, sigma_rule="fixed"),
+    # found by search: with spare capacity a larger acceptable set can leave
+    # an agent unmatched, so a run that matched below the first candidate
+    # fails there and re-verification takes more than one round
+    "multi-round": dict(n_left=30, cap_left=2, cap_right=2, seed=16, grid_step=0.02),
 }
 
 
+def min_L_config(case, **extra):
+    return ExperimentConfig(**{"experiment": "min-L", "n_left": 80, "weight": 0.8, "runs": 3,
+                               "seed": 11, "grid_start": 0.02, "grid_stop": 0.5,
+                               **MIN_L_CASES[case], **extra})
+
+
 def test_min_L_matches_naive_scan(monkeypatch):
-    from matchlab.experiments import _all_matched_at, _loss_grid, _min_L_run
+    from matchlab.experiments import _min_L_run
 
     # every edge set DA runs on, in order
     da_edges = []
@@ -182,16 +219,24 @@ def test_min_L_matches_naive_scan(monkeypatch):
         return run_da(market, side, edges)
 
     monkeypatch.setattr(experiments, "run_da", recording_run_da)
+    # the grid index each re-verification scan starts from
+    rescans = []
 
-    for case, fields in MIN_L_CASES.items():
-        cfg = ExperimentConfig(experiment="min-L", n_left=80, weight=0.8, runs=3, seed=11,
-                               **{"grid_start": 0.02, "grid_stop": 0.5, **fields})
+    def recording_min_L_run(config, run_index, start=0):
+        if start > 0:
+            rescans.append(start)
+        return _min_L_run(config, run_index, start)
+
+    monkeypatch.setattr(experiments, "_min_L_run", recording_min_L_run)
+
+    for case in MIN_L_CASES:
+        cfg = min_L_config(case)
         grid = _loss_grid(cfg)
 
         def naive_run(run):
             market = cfg.make_market(run)
             for idx, cap in enumerate(grid):
-                if _all_matched_at(market, float(cap), cfg):
+                if all_matched_at(market, float(cap), cfg):
                     return {"run": run, "first_L": float(cap), "grid_index": idx, "matched": True}
             return {"run": run, "first_L": float(grid[-1]), "grid_index": len(grid) - 1,
                     "matched": False}
@@ -206,10 +251,13 @@ def test_min_L_matches_naive_scan(monkeypatch):
         if case == "beyond-first-span":
             assert want["grid_index"] >= 16
 
+        rescans.clear()
         report = exp_min_L(cfg)
+        if case == "multi-round":
+            assert len(set(rescans)) > 1, rescans  # rescans from more than one candidate
         markets = [cfg.make_market(i) for i in range(cfg.runs)]
         naive = next((float(cap) for cap in grid
-                      if all(_all_matched_at(m, float(cap), cfg) for m in markets)), None)
+                      if all(all_matched_at(m, float(cap), cfg) for m in markets)), None)
         if naive is None:
             assert report.summary["sentinel"] and not report.summary["verified"], case
             assert report.summary["min_L"] == pytest.approx(float(grid[-1])), case
@@ -361,7 +409,17 @@ def test_loss_scaling_jobs_writes_same_bytes(tmp_path):
 def test_min_L_jobs_writes_same_report(tmp_path):
     from matchlab.cli import main
 
-    for jobs in (1, 2):
-        assert main(["experiment", "min-L", "--n", "60", "--runs", "3", "--grid-step", "0.02",
-                     "--seed", "17", "--jobs", str(jobs), "--out", str(tmp_path / str(jobs))]) == 0
-    assert (tmp_path / "1" / "report.csv").read_bytes() == (tmp_path / "2" / "report.csv").read_bytes()
+    cases = {
+        "one-round": ["--n", "60", "--runs", "3", "--grid-step", "0.02", "--seed", "17"],
+        # MIN_L_CASES["multi-round"]: re-verification rescans in parallel too
+        "multi-round": ["--n", "30", "--cap-left", "2", "--d", "2", "--runs", "3", "--seed", "16",
+                        "--grid-start", "0.02", "--grid-step", "0.02"],
+    }
+    for case, argv in cases.items():
+        one, two = (tmp_path / case / str(jobs) for jobs in (1, 2))
+        for jobs, out in ((1, one), (2, two)):
+            assert main(["experiment", "min-L", *argv, "--jobs", str(jobs), "--out", str(out)]) == 0
+        assert (one / "report.csv").read_bytes() == (two / "report.csv").read_bytes(), case
+        # the same summary apart from the echo of --jobs itself
+        summary = (two / "summary.json").read_text().replace('"jobs": 2,', '"jobs": 1,')
+        assert summary == (one / "summary.json").read_text(), case
