@@ -194,6 +194,7 @@ class LossReport:
     left: SideLossReport
     right: SideLossReport
     params: LossParams | None = None
+    params_right: LossParams | None = None
 
     def side(self, side: str) -> SideLossReport:
         return self.left if side == LEFT else self.right
@@ -228,18 +229,23 @@ def _side_loss(market: Market, matching: Matching, side: str,
     )
 
 
-def loss_report(market: Market, matching: Matching, params: LossParams | None = None) -> LossReport:
+def loss_report(market: Market, matching: Matching, params: LossParams | None = None,
+                params_right: LossParams | None = None) -> LossReport:
     """Per-agent benchmark/achieved/loss report for both sides.
 
     Unmatched agents carry NaN achieved utility and loss; the bottom-zone
     flag marks agents whose aligned partner's rating falls below the
-    params' sigma bound (or who have no aligned partner at all).
+    params' sigma bound (or who have no aligned partner at all).  `params`
+    serves both sides unless `params_right` is given for the right side.
     """
-    sigma = params.sigma_bound if params is not None else None
+    if params_right is None:
+        params_right = params
     return LossReport(
-        left=_side_loss(market, matching, LEFT, sigma),
-        right=_side_loss(market, matching, RIGHT, sigma),
+        left=_side_loss(market, matching, LEFT, None if params is None else params.sigma_bound),
+        right=_side_loss(market, matching, RIGHT,
+                         None if params_right is None else params_right.sigma_bound),
         params=params,
+        params_right=params_right,
     )
 
 

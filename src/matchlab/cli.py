@@ -245,13 +245,17 @@ def _market_from_args(args):
     return _generate(args, seed), {"seed": seed, "seed_drawn": drawn, "market_file": None}
 
 
+def _loss_caps(args) -> tuple[float | None, float | None]:
+    """(left, right) loss caps: --L-left / --L-right, each falling back to --L."""
+    return _either(args.loss_cap_left, args.loss_cap), _either(args.loss_cap_right, args.loss_cap)
+
+
 def _build_edges(market, args):
     kind = args.edges
     if kind == "full":
         return None
     if kind == "acceptable":
-        cap_l = _either(args.loss_cap_left, args.loss_cap)
-        cap_r = _either(args.loss_cap_right, args.loss_cap)
+        cap_l, cap_r = _loss_caps(args)
         if cap_l is None or cap_r is None:
             raise SystemExit("acceptable edges need --L (or --L-left/--L-right)")
         return acceptable_edges(market, cap_l, cap_r, args.sigma, args.sigma)
@@ -321,9 +325,10 @@ def cmd_run(args) -> int:
     edges = _build_edges(market, args)
     matching = run_da(market, args.proposing_side, edges)
     blocking = verify_stability(market, edges, matching)
-    params = (None if args.loss_cap is None
-              else loss_params_from_bound(args.loss_cap, market.model, args.failure_exponent))
-    report = loss_report(market, matching, params)
+    # each side's bottom zone follows the loss cap its edges were built with
+    params = [None if cap is None else loss_params_from_bound(cap, market.model, args.failure_exponent)
+              for cap in _loss_caps(args)]
+    report = loss_report(market, matching, *params)
 
     out = _out_dir(args, "run-out")
     _write_rows(_matching_rows(market, matching), out / "matching", args.format)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import _BLOCK_ROWS, LEFT, RIGHT, Market, other_side
+from .market import _BLOCK_ROWS, LEFT, RIGHT, Market, _map_blocks, other_side
 
 __all__ = [
     "CutSpec",
@@ -260,18 +260,20 @@ def _mutual_edges(market: Market, keep_left, keep_right, edges: EdgeSet | None =
     (n_side, n_other) boolean test, and None keeps every edge: the
     right-side test covers those left agents only, so its transpose stays
     in cache, and each block contributes the flat indices of its kept
-    edges, already in row-major order.  A restricted set is tested edge by
-    edge, one chunk at a time, with two equal-length index arrays, so the
-    cost tracks its edge count; it needs both tests.
+    edges, already in row-major order.  The blocks run through
+    `_map_blocks`, so a test may raise but must not write to shared state.
+    A restricted set is tested edge by edge, one chunk at a time, with two
+    equal-length index arrays, so the cost tracks its edge count; it needs
+    both tests.
     """
     _check_shape(edges, market)
     n_left, n_right = market.n_left, market.n_right
     if edges is not None and not edges.is_full():
         kept = [flat[keep_left(i, j) & keep_right(j, i)] for flat, i, j in _edge_chunks(edges)]
         return EdgeSet(np.concatenate([np.empty(0, dtype=np.int64), *kept]), n_left, n_right)
-    flats = [np.empty(0, dtype=np.int64)]
     every = slice(None)
-    for lo in range(0, n_left, _BLOCK_ROWS):
+
+    def kept(lo: int) -> np.ndarray:
         rows = slice(lo, lo + _BLOCK_ROWS)
         if keep_right is None:
             block = keep_left(rows, every)
@@ -280,8 +282,10 @@ def _mutual_edges(market: Market, keep_left, keep_right, edges: EdgeSet | None =
         else:
             block = keep_left(rows, every)
             block &= keep_right(every, rows).T
-        flats.append(np.flatnonzero(block) + lo * n_right)
-    return EdgeSet(np.concatenate(flats), n_left, n_right)
+        return np.flatnonzero(block) + lo * n_right
+
+    return EdgeSet(np.concatenate([np.empty(0, dtype=np.int64), *_map_blocks(kept, n_left)]),
+                   n_left, n_right)
 
 
 def _candidate_lists(market: Market, proposing_side: str, edges: EdgeSet | None):

@@ -387,14 +387,24 @@ def _min_L_run(config: ExperimentConfig, run_index: int, start: int = 0) -> dict
     at the top of a span of grid indices and gives each of its edges the
     index where it enters.  A level below some agent's first edge leaves
     that agent without an edge and is skipped; every other level runs DA on
-    the edges entered by then, the set `acceptable_edges` builds there.
+    the edges entered by then, the set `acceptable_edges` builds there.  A
+    rescan (`start` above 0) first tests the set at `start` alone, which a
+    one-to-one market always passes, and scans on from `start + 1` only
+    when it fails.
     """
     market = config.make_market(run_index)
     grid = _loss_grid(config)
+    if start > 0:
+        sigma_l, sigma_r = _zone_widths(config, market, grid[start])
+        edges = acceptable_edges(market, float(grid[start]), float(grid[start]), sigma_l, sigma_r)
+        if _everyone_matched(run_da(market, config.proposing_side, edges)):
+            return {"run": run_index, "first_L": float(grid[start]), "grid_index": start,
+                    "matched": True}
+        start += 1
     lo, stop = 0, _FIRST_SPAN
     while stop <= start:  # on to the span that holds `start`
         lo, stop = stop, 2 * stop
-    while lo < len(grid):
+    while max(lo, start) < len(grid):
         caps = grid[:stop]
         top = caps.size - 1
         sigma_l, sigma_r = _zone_widths(config, market, caps)

@@ -9,6 +9,7 @@ score for that partner through a strictly increasing utility function.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -213,16 +214,50 @@ def rank_order(ratings) -> np.ndarray:
 _BLOCK_ROWS = 64
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run blocks on: one in a multiprocessing worker
+    (a `--jobs` process), whose sibling workers keep the other CPUs busy;
+    else every CPU it has affinity for."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _map_blocks(fn: Callable[[int], object], n_rows: int) -> list:
+    """``[fn(lo) for lo in range(0, n_rows, _BLOCK_ROWS)]``, on up to two threads.
+
+    Each call gets its own pool, joined before it returns, so a process
+    forked afterwards (the `--jobs` workers) inherits no threads.  One block,
+    or one usable CPU (as in each `--jobs` worker), runs inline and starts
+    no thread.  `fn` must touch
+    only its own block's rows of any array it writes; the results come back
+    in block order, so the output does not depend on the number of threads.
+    The bulk numpy work in each block releases the GIL, which is what lets
+    two blocks run at once.
+    """
+    starts = range(0, n_rows, _BLOCK_ROWS)
+    workers = min(2, _usable_cpus(), len(starts))
+    if workers < 2:
+        return [fn(lo) for lo in starts]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, starts))
+
+
 def preference_argsort(u: np.ndarray) -> np.ndarray:
     """Row-wise ``np.argsort(-u, axis=1, kind="stable")``, computed cheaper.
 
     Each block of rows gets an unstable sort; a row whose sorted values hold
     an exact repeat or a NaN, where the order of equal keys matters, is sorted
     again stably.  Working block by block keeps the temporaries small instead
-    of allocating a full negated copy of `u`.
+    of allocating a full negated copy of `u`, and lets `_map_blocks` sort two
+    blocks at once.
     """
     out = np.empty(u.shape, dtype=np.int64)
-    for lo in range(0, u.shape[0], _BLOCK_ROWS):
+
+    def sort(lo: int) -> None:
         neg = -u[lo:lo + _BLOCK_ROWS]
         idx = np.argsort(neg, axis=1)
         vals = np.take_along_axis(neg, idx, axis=1)
@@ -230,6 +265,8 @@ def preference_argsort(u: np.ndarray) -> np.ndarray:
         for r in np.flatnonzero(redo):
             idx[r] = np.argsort(neg[r], kind="stable")
         out[lo:lo + idx.shape[0]] = idx
+
+    _map_blocks(sort, u.shape[0])
     return out
 
 
@@ -329,9 +366,12 @@ class Market:
         rating = self.ratings(other_side(side))[None, :]
         scores = self.scores(side)
         out = np.empty(scores.shape)
-        for lo in range(0, scores.shape[0], _BLOCK_ROWS):
+
+        def fill(lo: int) -> None:
             rows = slice(lo, lo + _BLOCK_ROWS)
             self.model.utility(side, rating, scores[rows], out=out[rows])
+
+        _map_blocks(fill, scores.shape[0])
         return out
 
     def preference_order(self, side: str) -> np.ndarray:
@@ -465,38 +505,25 @@ def _philox_keys(seed: int, label: int, rows) -> np.ndarray:
 def _fill_score_rows(seed: int, targets) -> None:
     """Fill row i of each (label, scores) target from stream (seed, label, i).
 
-    Each matrix's stream keys are hashed in one vectorised pass.  A pool of
-    up to two threads then fills one block of rows of either matrix per
-    task: it resets one Philox to each row's key, with counter 0 and an
-    empty buffer, and draws the row.  That is the state `stream_rng(seed,
-    label, i)` starts in, so the bits equal its draws.  The bulk draws
-    release the GIL; the resets are the only Python work left per row.  The
-    pool lives only for this call and is joined before it returns, so a
-    process forked afterwards inherits no threads.
+    Each matrix's stream keys are hashed in one vectorised pass.  Its blocks
+    of rows then go through `_map_blocks`: a block resets one Philox to each
+    row's key, with counter 0 and an empty buffer, and draws the row.  That
+    is the state `stream_rng(seed, label, i)` starts in, so the bits equal
+    its draws.  The bulk draws release the GIL; the resets are the only
+    Python work left per row.
     """
-
-    def fill(keys: list, rows: np.ndarray) -> None:
-        bitgen = np.random.Philox(0)  # reset to each row's stream below
-        draw = np.random.Generator(bitgen)
-        for key, row in zip(keys, rows):
-            bitgen.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
-                            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-            draw.random(out=row)
-
-    blocks = []
     for label, scores in targets:
         keys = _philox_keys(seed, label, np.arange(scores.shape[0])).tolist()
-        blocks += [(keys[lo:lo + _BLOCK_ROWS], scores[lo:lo + _BLOCK_ROWS])
-                   for lo in range(0, scores.shape[0], _BLOCK_ROWS)]
-    with ThreadPoolExecutor(max_workers=min(2, _usable_cpus())) as pool:
-        list(pool.map(fill, *zip(*blocks)))
 
+        def fill(lo: int) -> None:
+            bitgen = np.random.Philox(0)  # reset to each row's stream below
+            draw = np.random.Generator(bitgen)
+            for key, row in zip(keys[lo:lo + _BLOCK_ROWS], scores[lo:lo + _BLOCK_ROWS]):
+                bitgen.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+                                "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+                draw.random(out=row)
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
+        _map_blocks(fill, scores.shape[0])
 
 
 def generate_market(

@@ -189,6 +189,32 @@ def test_truncated_edges_refuse_one_sided_loss_caps(command, flag, tmp_path, cap
     assert not (tmp_path / "x").exists()
 
 
+def test_run_bottom_zone_follows_loss_caps_however_spelled(tmp_path, capsys):
+    base = ["run", "--n", "30", "--seed", "1", "--edges", "acceptable"]
+    spellings = {
+        "both": ["--L", "0.3"],
+        "sides": ["--L-left", "0.3", "--L-right", "0.3"],
+        "one-side": ["--L", "0.3", "--L-right", "0.3"],
+        # each side's zone from its own cap
+        "split": ["--L-left", "0.3", "--L-right", "0.05"],
+        "narrow": ["--L", "0.05"],
+    }
+    losses = {}
+    for name, caps in spellings.items():
+        out = tmp_path / name
+        assert main(base + caps + ["--out", str(out)]) == 0
+        losses[name] = (out / "losses.csv").read_bytes()
+    assert losses["sides"] == losses["one-side"] == losses["both"]
+
+    def zone(name, side):
+        with open(tmp_path / name / "losses.csv") as fh:
+            return [r["bottom_zone"] for r in csv.DictReader(fh) if r["side"] == side]
+
+    assert zone("both", "left").count("True") + zone("both", "right").count("True") == 16
+    assert zone("split", "left") == zone("both", "left")
+    assert zone("split", "right") == zone("narrow", "right") != zone("both", "right")
+
+
 def test_experiment_reversed_grid_fails_early(tmp_path, capsys):
     code = main(["experiment", "min-L", "--n", "20", "--runs", "1", "--grid-start", "0.5",
                  "--grid-stop", "0.1", "--out", str(tmp_path / "x")])

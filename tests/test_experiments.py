@@ -266,6 +266,42 @@ def test_min_L_matches_naive_scan(monkeypatch):
             assert report.summary["min_L"] == pytest.approx(naive), case
 
 
+def test_min_L_rescan_tests_its_start_first(monkeypatch):
+    # a rescan whose start matches everyone computes no entry levels; one
+    # that fails there scans on to the naive oracle's answer
+    from matchlab.experiments import _min_L_run
+
+    entry_calls = []
+    entry_levels = experiments.acceptable_entry_levels
+
+    def counting_entry_levels(*args):
+        entry_calls.append(args)
+        return entry_levels(*args)
+
+    monkeypatch.setattr(experiments, "acceptable_entry_levels", counting_entry_levels)
+    failed_starts = 0
+    for case in ("theory", "fixed", "multi-round"):
+        cfg = min_L_config(case)
+        grid = _loss_grid(cfg)
+        for run in range(cfg.runs):
+            market = cfg.make_market(run)
+            matched = [all_matched_at(market, float(cap), cfg) for cap in grid]
+            for start in range(_min_L_run(cfg, run)["grid_index"] + 1, len(grid)):
+                entry_calls.clear()
+                got = _min_L_run(cfg, run, start)
+                idx = next((k for k in range(start, len(grid)) if matched[k]), None)
+                want = ({"run": run, "first_L": float(grid[idx]), "grid_index": idx, "matched": True}
+                        if idx is not None else {"run": run, "first_L": float(grid[-1]),
+                                                 "grid_index": len(grid) - 1, "matched": False})
+                assert got == want, (case, run, start)
+                if matched[start]:
+                    assert not entry_calls, (case, run, start)
+                else:
+                    failed_starts += 1
+                    assert entry_calls or start == len(grid) - 1, (case, run, start)
+    assert failed_starts  # the multi-round case rescans from a start that fails
+
+
 def test_min_L_reverification_holds_one_market_at_a_time(monkeypatch):
     made = []
     make_market = ExperimentConfig.make_market

@@ -1,5 +1,9 @@
+import ast
+import inspect
 import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from matchlab.market import (
 )
 
 from conftest import serial_score_rows
+
+B = _BLOCK_ROWS
 
 
 def test_linear_utility_values():
@@ -155,13 +161,40 @@ def test_scores_equal_serial_row_draws(n_left, n_right, cap_right):
     assert m.scores_right.tobytes() == right.tobytes()
 
 
-def test_scores_do_not_depend_on_worker_count(monkeypatch):
-    bytes_by_workers = []
+def tied_nan_model():
+    # coarse steps make exact ties; a low score gives a NaN utility
+    def u(r, s):
+        return np.where(s < 0.05, np.nan, np.floor(4.0 * (r + s)) / 4.0)
+
+    return ml.custom_model("tied-nan", u, u, ratio_low=1.0, slope_cap=1.0)
+
+
+def pooled_outputs(m):
+    """Bytes of every pass that runs through `_map_blocks`, on market `m`."""
+    out = [m.scores_left.tobytes(), m.scores_right.tobytes()]
+    for side in (LEFT, RIGHT):
+        u = m.utility_matrix(side)
+        order = m.preference_order(side)
+        assert np.array_equal(order, np.argsort(-u, axis=1, kind="stable"))
+        out += [u.tobytes(), order.tobytes()]
+    # a matching that many edges block, so the audit has blocks to report
+    k = min(m.n_left, m.n_right)
+    shifted = ml.Matching(np.column_stack((np.arange(k), (np.arange(k) + 1) % m.n_right)),
+                          m.n_left, m.n_right)
+    for matching in (ml.run_da(m, LEFT), ml.run_da(m, RIGHT), shifted):
+        out += [matching.pair_array.tobytes(), repr(ml.verify_stability(m, None, matching))]
+    return out + [ml.acceptable_edges(m, 0.3, 0.2, 0.1, 0.0).flat.tobytes()]
+
+
+@pytest.mark.parametrize("model", [ml.linear_model(0.5), tied_nan_model()], ids=["linear", "tied-nan"])
+@pytest.mark.parametrize("n_left,n_right", [(1, B + 1), (B - 1, 2 * B + 1), (B, 1), (B + 1, B),
+                                            (2 * B + 1, B - 1)])
+def test_pooled_output_does_not_depend_on_worker_count(monkeypatch, n_left, n_right, model):
+    by_workers = []
     for cpus in (1, 2):
         monkeypatch.setattr(market_module, "_usable_cpus", lambda: cpus)
-        m = ml.generate_market(3 * _BLOCK_ROWS + 5, 2 * _BLOCK_ROWS + 1, model=ml.linear_model(0.5), seed=43)
-        bytes_by_workers.append((m.scores_left.tobytes(), m.scores_right.tobytes()))
-    assert bytes_by_workers[0] == bytes_by_workers[1]
+        by_workers.append(pooled_outputs(ml.generate_market(n_left, n_right, model=model, seed=43)))
+    assert by_workers[0] == by_workers[1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,10 +222,48 @@ def test_generate_refuses_negative_seed():
         ml.generate_market(3, 3, model=ml.linear_model(0.5), seed=-1)
 
 
-def test_generate_leaves_no_thread_running():
+@pytest.mark.parametrize("call", [
+    lambda m: ml.generate_market(2 * B + 1, B + 2, model=ml.linear_model(0.5), seed=42),
+    lambda m: preference_argsort(m.utility_matrix(LEFT)),
+    lambda m: ml.run_da(m, RIGHT),
+    lambda m: ml.verify_stability(m, None, ml.Matching(np.empty((0, 2)), m.n_left, m.n_right)),
+], ids=["generate_market", "preference_argsort", "run_da", "verify_stability"])
+def test_pooled_calls_leave_no_thread_running(monkeypatch, call):
+    m = ml.generate_market(2 * B + 1, B + 2, model=ml.linear_model(0.5), seed=42)
+    for side in (LEFT, RIGHT):  # so the call's own pass is what starts threads
+        m.utility_matrix(side)
+    pools = []
+
+    class CountingPool(market_module.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(market_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(market_module, "ThreadPoolExecutor", CountingPool)
     before = threading.active_count()
-    ml.generate_market(2 * _BLOCK_ROWS + 1, 30, model=ml.linear_model(0.5), seed=42)
+    call(m)
+    assert pools  # the call did run blocks on threads
     assert threading.active_count() == before
+
+
+def test_process_pool_workers_run_blocks_inline():
+    # --jobs workers share the CPUs with each other, so each runs one thread
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(market_module._usable_cpus).result(timeout=60) == 1
+
+
+def test_one_place_constructs_a_thread_pool():
+    # every threaded pass goes through market._map_blocks
+    sites = []
+    for path in sorted(Path(market_module.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and "ThreadPoolExecutor" in
+                    (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                sites.append((path.name, node.lineno))
+    body, first = inspect.getsourcelines(market_module._map_blocks)
+    assert [name for name, _ in sites] == ["market.py"]
+    assert first <= sites[0][1] < first + len(body)
 
 
 def test_marginal_uniformity_ks():
