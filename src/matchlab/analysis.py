@@ -24,7 +24,7 @@ from .engine import (
     extreme_matchings,
     worst_partner,
 )
-from .market import LEFT, RIGHT, Market, UtilityModel, other_side
+from .market import LEFT, RIGHT, Market, UtilityModel, other_side, stream_rng
 
 __all__ = [
     "InterviewParams",
@@ -96,13 +96,14 @@ class LossParams:
 
 def loss_params_from_bound(loss_bound: float, model: UtilityModel,
                            failure_exponent: float = float("nan")) -> LossParams:
-    """Derive the analysis margins from an explicit loss bound."""
+    """Derive the analysis margins from an explicit loss bound (or, field by
+    field, from an array of bounds)."""
     mu, rho = model.mu, model.rho
     alpha = loss_bound / (4.0 * mu)
     return LossParams(
         failure_exponent=failure_exponent,
         loss_bound=loss_bound,
-        sigma_bound=3.0 * alpha,
+        sigma_bound=3.0 * loss_bound / (4.0 * mu),
         rating_margin=alpha,
         propose_margin=alpha * rho,
         accept_margin=alpha * rho,
@@ -121,6 +122,15 @@ def theoretical_loss_params(n: int, failure_exponent: float, model: UtilityModel
     mu, rho = model.mu, model.rho
     loss_bound = (128.0 * (c + 2.0) * mu**3 * math.log(n) / (rho**2 * n)) ** (1.0 / 3.0)
     return loss_params_from_bound(loss_bound, model, failure_exponent=c)
+
+
+def _loss_params(loss_bound: float | None, n: int, failure_exponent: float,
+                 model: UtilityModel) -> LossParams:
+    """Params from `loss_bound` when one is given, else from the theoretical
+    bound at market size n."""
+    if loss_bound is None:
+        return theoretical_loss_params(n, failure_exponent, model)
+    return loss_params_from_bound(loss_bound, model, failure_exponent)
 
 
 def lower_bound_loss_level(n: int) -> float:
@@ -170,34 +180,25 @@ class SideLossReport:
 
     def rows(self, market: Market) -> list[dict]:
         rank = market.agent_rank(self.side)
-        out = []
-        for a in range(len(self.loss)):
-            loss = self.loss[a]
-            out.append({
-                "side": self.side,
-                "agent_index": a,
-                "public_rank": int(rank[a]),
-                "aligned_rating": float(self.aligned_rating[a]),
-                "benchmark": float(self.benchmark[a]),
-                "achieved": float(self.achieved[a]),
-                "loss": float(loss),
-                "is_gain": bool(loss < 0) if not np.isnan(loss) else False,
-                "bottom_zone": bool(self.bottom_zone[a]),
-                "matched": bool(self.matched[a]),
-                "match_count": int(self.match_count[a]),
-            })
-        return out
+        return [{
+            "side": self.side,
+            "agent_index": a,
+            "public_rank": int(rank[a]),
+            "aligned_rating": float(self.aligned_rating[a]),
+            "benchmark": float(self.benchmark[a]),
+            "achieved": float(self.achieved[a]),
+            "loss": float(loss),
+            "is_gain": bool(loss < 0),  # False for a NaN loss
+            "bottom_zone": bool(self.bottom_zone[a]),
+            "matched": bool(self.matched[a]),
+            "match_count": int(self.match_count[a]),
+        } for a, loss in enumerate(self.loss)]
 
 
 @dataclass
 class LossReport:
     left: SideLossReport
     right: SideLossReport
-    params: LossParams | None = None
-    params_right: LossParams | None = None
-
-    def side(self, side: str) -> SideLossReport:
-        return self.left if side == LEFT else self.right
 
     def rows(self, market: Market) -> list[dict]:
         return self.left.rows(market) + self.right.rows(market)
@@ -214,7 +215,7 @@ def _bottom_zone(market: Market, side: str, sigma: float | None) -> np.ndarray:
 
 
 def _side_loss(market: Market, matching: Matching, side: str,
-               sigma_bound: float | None) -> SideLossReport:
+               params: LossParams | None) -> SideLossReport:
     bench = benchmark_vector(market, side)
     achieved = achieved_utilities(market, matching, side)
     return SideLossReport(
@@ -223,7 +224,7 @@ def _side_loss(market: Market, matching: Matching, side: str,
         achieved=achieved,
         loss=bench - achieved,
         aligned_rating=market.aligned_ratings(side),
-        bottom_zone=_bottom_zone(market, side, sigma_bound),
+        bottom_zone=_bottom_zone(market, side, None if params is None else params.sigma_bound),
         matched=matching.matched_mask(side),
         match_count=matching.match_counts(side),
     )
@@ -238,14 +239,9 @@ def loss_report(market: Market, matching: Matching, params: LossParams | None = 
     params' sigma bound (or who have no aligned partner at all).  `params`
     serves both sides unless `params_right` is given for the right side.
     """
-    if params_right is None:
-        params_right = params
     return LossReport(
-        left=_side_loss(market, matching, LEFT, None if params is None else params.sigma_bound),
-        right=_side_loss(market, matching, RIGHT,
-                         None if params_right is None else params_right.sigma_bound),
-        params=params,
-        params_right=params_right,
+        left=_side_loss(market, matching, LEFT, params),
+        right=_side_loss(market, matching, RIGHT, params if params_right is None else params_right),
     )
 
 
@@ -253,17 +249,14 @@ def loss_report(market: Market, matching: Matching, params: LossParams | None = 
 # edge-set constructions
 
 
-def _threshold_keep(market: Market, side: str, thresholds, exempt=None):
+def _threshold_keep(market: Market, side: str, thresholds):
     """`_mutual_edges` test: edges whose loss to `side` is within threshold.
 
-    NaN thresholds (agents without a benchmark) and `exempt` agents keep
-    every edge.
+    An agent with a NaN threshold, or without a benchmark, keeps every edge.
     """
     bench = benchmark_vector(market, side)
     floor = bench - np.broadcast_to(np.asarray(thresholds, dtype=float), bench.shape)
     free = np.isnan(floor)
-    if exempt is not None:
-        free |= exempt
     u = market.utility_matrix(side)
 
     def keep(rows, cols):
@@ -275,7 +268,8 @@ def _threshold_keep(market: Market, side: str, thresholds, exempt=None):
 
 
 def loss_threshold_edges(market: Market, thresholds_left, thresholds_right) -> EdgeSet:
-    """Edges whose loss stays within per-agent caps on both sides."""
+    """Edges whose loss stays within per-agent caps on both sides; an agent
+    with a NaN cap keeps every edge."""
     return _mutual_edges(market, _threshold_keep(market, LEFT, thresholds_left),
                          _threshold_keep(market, RIGHT, thresholds_right))
 
@@ -287,12 +281,12 @@ def acceptable_edges(market: Market, loss_cap_left: float, loss_cap_right: float
     An edge is acceptable to an agent when its loss against the agent's own
     benchmark is at most the side's cap, or when the agent sits in its
     side's bottom rating zone (rating within sigma of the range floor, or
-    no aligned partner at all).
+    no aligned partner at all).  A bottom-zone agent's cap is NaN.
     """
-    exempt_l = market.ratings_left < market.rating_range_left[0] + sigma_left
-    exempt_r = market.ratings_right < market.rating_range_right[0] + sigma_right
-    return _mutual_edges(market, _threshold_keep(market, LEFT, loss_cap_left, exempt_l),
-                         _threshold_keep(market, RIGHT, loss_cap_right, exempt_r))
+    return loss_threshold_edges(market, *(
+        np.where(market.ratings(side) < market.rating_range(side)[0] + sigma, np.nan, cap)
+        for side, cap, sigma in ((LEFT, loss_cap_left, sigma_left),
+                                 (RIGHT, loss_cap_right, sigma_right))))
 
 
 def acceptable_entry_levels(market: Market, caps, sigmas_left, sigmas_right,
@@ -483,8 +477,6 @@ def selected_edges(market: Market, params: SelectedSetParams, seed: int | None =
     if seed is None:
         scores_l, scores_r = market.scores_left, market.scores_right
     else:
-        from .market import stream_rng
-
         scores_l = stream_rng(seed, 4).random((n, n))
         scores_r = stream_rng(seed, 5).random((n, n))
     rl, rr = market.ratings_left, market.ratings_right

@@ -5,10 +5,12 @@ Flag precedence is CLI over environment (MATCHLAB_SEED) over drawn
 defaults; the effective configuration, seed included, is echoed into every
 artifact so runs can be reproduced exactly.  Each flag that sets
 `ExperimentConfig` fields is declared once, in CONFIG_FLAGS, with those
-fields; `experiment <suite>` takes the flags whose fields the suite reads
-(`experiments.EXPERIMENTS`), refuses any other, and fills the config by
-name.  `generate` takes the market flags, `run` and `edges` also the
-edge-protocol ones, and none of the three takes `--jobs`.
+fields, and every command fills the fields by name from the flags given
+(`_config_values`); an omitted flag leaves its field at the dataclass
+default.  `experiment <suite>` takes the flags whose fields the suite reads
+(`experiments.EXPERIMENTS`) and refuses any other.  `generate` takes the
+market flags, `run` and `edges` also the edge-protocol ones, and none of
+the three takes `--jobs`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import os
 import secrets
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .analysis import (
@@ -28,9 +31,9 @@ from .analysis import (
     loss_params_from_bound,
     loss_report,
     selected_edges,
-    theoretical_loss_params,
     truncated_edges,
     viable_edges,
+    _loss_params,
 )
 from .engine import EdgeSet, run_da, verify_stability
 from .experiments import (
@@ -69,10 +72,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _either(value, fallback):
-    return fallback if value is None else value
-
-
 def _resolve_seed(args) -> tuple[int, bool]:
     """Seed from --seed, else MATCHLAB_SEED, else a fresh random one."""
     if args.seed is not None:
@@ -87,15 +86,15 @@ def _resolve_seed(args) -> tuple[int, bool]:
 
 
 # Every flag that fills `ExperimentConfig` fields: those fields, the flag's
-# names, and its other `add_argument` arguments.  Its destination is its one
-# field, and its default that field's default unless given here.  A flag
-# later in the table overrides what an earlier one filled.
+# names, and its other `add_argument` arguments.  Its destination is its
+# first field unless given here.  No flag has a default: an omitted one
+# stays out of the namespace and fills nothing.  A flag later in the table
+# overrides what an earlier one filled.
 CONFIG_FLAGS = (
     (("n_left", "n_right"), ("--n",), dict(
-        dest="n", type=_positive_int, default=None,
-        help="agents per side (balanced market), >= 1")),
+        dest="n", type=_positive_int, help="agents per side (balanced market), >= 1")),
     (("n_left",), ("--n-left", "--nw"), dict(
-        type=_positive_int, default=None, help="proposing-side agents (workers), >= 1")),
+        type=_positive_int, help="proposing-side agents (workers), >= 1")),
     (("n_right",), ("--n-right", "--nc"), dict(
         type=_positive_int, help="receiving-side agents (companies), >= 1")),
     (("cap_left",), ("--cap-left",), dict(
@@ -148,19 +147,29 @@ PROTOCOL_FIELDS = {"loss_cap_left", "loss_cap_right", "sigma_left", "sigma_right
                    "rating_window", "score_cutoff", "failure_exponent"}
 
 
-def _add_config_flags(p: argparse.ArgumentParser, names, **overrides) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, names) -> None:
     """Add every CONFIG_FLAGS flag whose fields all lie in `names`."""
     for filled, flags, kwargs in CONFIG_FLAGS:
         if set(filled) <= set(names):
-            p.add_argument(*flags, **{"dest": filled[0],
-                                      "default": getattr(ExperimentConfig, filled[0]),
-                                      **kwargs, **overrides})
+            p.add_argument(*flags, **{"dest": filled[0], **kwargs}, default=argparse.SUPPRESS)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _config_values(args) -> dict:
+    """The `ExperimentConfig` fields the flags given in `args` fill, in
+    CONFIG_FLAGS order."""
+    given = vars(args)
+    values = {}
+    for filled, _, kwargs in CONFIG_FLAGS:
+        dest = kwargs.get("dest", filled[0])
+        if dest in given:
+            values.update(dict.fromkeys(filled, given[dest]))
+    return values
+
+
+def _add_common_flags(p: argparse.ArgumentParser, out: str) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="base seed (64-bit); defaults to MATCHLAB_SEED, else drawn and echoed")
-    p.add_argument("--out", type=Path, default=None, help="output path (file or directory)")
+    p.add_argument("--out", type=Path, default=Path(out), help="output path (file or directory)")
 
 
 def _add_format_flag(p: argparse.ArgumentParser) -> None:
@@ -191,87 +200,81 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate and save a market")
     _add_config_flags(g, MARKET_FIELDS)
-    _add_common_flags(g)
+    _add_common_flags(g, "market.npz")
 
     r = sub.add_parser("run", help="run deferred acceptance on a market")
     r.add_argument("--market", type=Path, default=None, help="market file from `generate`")
     _add_config_flags(r, MARKET_FIELDS | PROTOCOL_FIELDS | {"proposing_side"})
     _add_edge_flags(r)
-    _add_common_flags(r)
+    _add_common_flags(r, "run-out")
     _add_format_flag(r)
 
     e = sub.add_parser("edges", help="build an edge set and export it")
     e.add_argument("--market", type=Path, default=None, help="market file from `generate`")
     _add_config_flags(e, MARKET_FIELDS | PROTOCOL_FIELDS)
     _add_edge_flags(e)
-    _add_common_flags(e)
+    _add_common_flags(e, "edges-out")
     _add_format_flag(e)
 
     x = sub.add_parser("experiment", help="run a named experiment suite")
     suites = x.add_subparsers(dest="experiment", metavar="experiment", required=True)
     for name, suite in sorted(EXPERIMENTS.items()):
-        # an omitted flag stays out of the namespace, and ExperimentConfig
-        # supplies its field's default; no abbreviations, so a flag the
-        # suite does not read is refused rather than taken for a prefix
+        # no abbreviations, so a flag the suite does not read is refused
+        # rather than taken for a prefix
         s = suites.add_parser(name, help=suite.run.__doc__.split(".")[0], allow_abbrev=False)
-        _add_config_flags(s, SHARED_FIELDS + suite.fields, default=argparse.SUPPRESS)
-        _add_common_flags(s)
+        _add_config_flags(s, SHARED_FIELDS + suite.fields)
+        _add_common_flags(s, f"experiment-{name}")
         _add_format_flag(s)
 
     return parser
 
 
-def _market_sides(args) -> tuple[int, int]:
-    n_left, n_right = _either(args.n_left, args.n), _either(args.n_right, args.n)
-    if n_left is None or n_right is None:
+def _command_config(args) -> argparse.Namespace:
+    """The config fields `generate`, `run` and `edges` read: as the flags
+    given fill them, else at their default; the market sizes only if given."""
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)
+                if f.name not in ("experiment", "n_left", "n_right")}
+    return argparse.Namespace(**{**defaults, **_config_values(args)})
+
+
+def _generate(config, seed: int):
+    if not {"n_left", "n_right"} <= vars(config).keys():
         raise SystemExit("market size missing: pass --n, or --n-left/--nw and --n-right/--nc")
-    return n_left, n_right
+    return generate_market(config.n_left, config.n_right, config.cap_left, config.cap_right,
+                           model=linear_model(config.weight), seed=seed,
+                           rating_ranges=config.rating_ranges)
 
 
-def _generate(args, seed: int):
-    n_left, n_right = _market_sides(args)
-    return generate_market(n_left, n_right, args.cap_left, args.cap_right,
-                           model=linear_model(args.weight), seed=seed,
-                           rating_ranges=args.rating_ranges)
-
-
-def _market_from_args(args):
+def _market_from_args(args, config):
     """The market to work on and its provenance: a loaded market records its
     own seed and file, a generated one the resolved seed."""
     if args.market is not None:
         market = load_market(args.market)
         return market, {"seed": market.seed, "seed_drawn": False, "market_file": str(args.market)}
     seed, drawn = _resolve_seed(args)
-    return _generate(args, seed), {"seed": seed, "seed_drawn": drawn, "market_file": None}
+    return _generate(config, seed), {"seed": seed, "seed_drawn": drawn, "market_file": None}
 
 
-def _loss_caps(args) -> tuple[float | None, float | None]:
-    """(left, right) loss caps: --L-left / --L-right, each falling back to --L."""
-    return _either(args.loss_cap_left, args.loss_cap), _either(args.loss_cap_right, args.loss_cap)
-
-
-def _build_edges(market, args):
+def _build_edges(market, args, config):
     kind = args.edges
     if kind == "full":
         return None
     if kind == "acceptable":
-        cap_l, cap_r = _loss_caps(args)
-        if cap_l is None or cap_r is None:
+        if config.loss_cap_left is None or config.loss_cap_right is None:
             raise SystemExit("acceptable edges need --L (or --L-left/--L-right)")
-        return acceptable_edges(market, cap_l, cap_r, args.sigma, args.sigma)
+        return acceptable_edges(market, config.loss_cap_left, config.loss_cap_right,
+                                config.sigma_left, config.sigma_right)
     if kind == "viable":
         return viable_edges(market)
     if kind == "interview":
-        return interview_edges(market, InterviewParams(args.rating_window, args.score_cutoff))
+        return interview_edges(market, InterviewParams(config.rating_window, config.score_cutoff))
     if kind == "selected":
         return selected_edges(market, SelectedSetParams(args.expected_degree))
     if kind == "truncated":
-        if args.loss_cap_left is not None or args.loss_cap_right is not None:
+        if "loss_cap_left" in vars(args) or "loss_cap_right" in vars(args):
             raise ValueError("truncated edges read one loss bound: pass --L, not --L-left/--L-right")
-        if args.loss_cap is not None:
-            params = loss_params_from_bound(args.loss_cap, market.model, args.failure_exponent)
-        else:
-            params = theoretical_loss_params(market.n_left, args.failure_exponent, market.model)
+        params = _loss_params(config.loss_cap_left, market.n_left, config.failure_exponent,
+                              market.model)
         return truncated_edges(market, params, args.t_left, args.t_right)
     raise SystemExit(f"unknown edge kind {kind!r}")
 
@@ -294,48 +297,47 @@ def _matching_rows(market, matching) -> list[dict]:
     } for side in SIDES for a, partners in enumerate(matching.matches(side))]
 
 
-def _out_dir(args, default: str) -> Path:
-    out = _either(args.out, Path(default))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_dir(args) -> Path:
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
 
 
 def cmd_generate(args) -> int:
     seed, drawn = _resolve_seed(args)
-    market = _generate(args, seed)
-    out = _either(args.out, Path("market.npz"))
-    save_market(market, out)
+    market = _generate(_command_config(args), seed)
+    save_market(market, args.out)
     meta = {
         "seed": seed,
         "seed_drawn": drawn,
         "n_left": market.n_left,
         "n_right": market.n_right,
-        "cap_left": args.cap_left,
-        "cap_right": args.cap_right,
-        "lambda": args.weight,
+        "cap_left": market.cap_left,
+        "cap_right": market.cap_right,
+        "lambda": market.model.weight,
         "capacity_balanced": market.capacity_balanced,
-        "out": str(out),
+        "out": str(args.out),
     }
     print(json.dumps(meta, sort_keys=True))
     return 0
 
 
 def cmd_run(args) -> int:
-    market, provenance = _market_from_args(args)
-    edges = _build_edges(market, args)
-    matching = run_da(market, args.proposing_side, edges)
+    config = _command_config(args)
+    market, provenance = _market_from_args(args, config)
+    edges = _build_edges(market, args, config)
+    matching = run_da(market, config.proposing_side, edges)
     blocking = verify_stability(market, edges, matching)
     # each side's bottom zone follows the loss cap its edges were built with
-    params = [None if cap is None else loss_params_from_bound(cap, market.model, args.failure_exponent)
-              for cap in _loss_caps(args)]
+    params = [None if cap is None else loss_params_from_bound(cap, market.model, config.failure_exponent)
+              for cap in (config.loss_cap_left, config.loss_cap_right)]
     report = loss_report(market, matching, *params)
 
-    out = _out_dir(args, "run-out")
+    out = _out_dir(args)
     _write_rows(_matching_rows(market, matching), out / "matching", args.format)
     _write_rows(report.rows(market), out / "losses", args.format)
     audit = {
         **provenance,
-        "propose_side": args.proposing_side,
+        "propose_side": config.proposing_side,
         "edge_kind": args.edges,
         "edge_count": None if edges is None else edges.edge_count,
         "blocking_pairs": len(blocking),
@@ -349,11 +351,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_edges(args) -> int:
-    market, provenance = _market_from_args(args)
-    edges = _build_edges(market, args)
+    config = _command_config(args)
+    market, provenance = _market_from_args(args, config)
+    edges = _build_edges(market, args, config)
     if edges is None:
         edges = EdgeSet.full(market.n_left, market.n_right)
-    out = _out_dir(args, "edges-out")
+    out = _out_dir(args)
     rows = [{"left_index": i, "right_index": j} for i, j in edges.pairs().tolist()]
     _write_rows(rows, out / "edges", args.format)
 
@@ -371,12 +374,7 @@ def cmd_edges(args) -> int:
 
 def cmd_experiment(args) -> int:
     seed, drawn = _resolve_seed(args)
-    given = vars(args)
-    values = {}
-    for filled, _, kwargs in CONFIG_FLAGS:
-        dest = kwargs.get("dest", filled[0])
-        if dest in given:
-            values.update(dict.fromkeys(filled, given[dest]))
+    values = _config_values(args)
     if "n_left" not in values:
         raise SystemExit("experiments need a market size: pass --n or --n-left/--nw")
     if "n_values" in values:
@@ -384,7 +382,7 @@ def cmd_experiment(args) -> int:
     config = ExperimentConfig(args.experiment, **values, seed=seed)
     report = run_experiment(config)
     report.config["seed_drawn"] = drawn
-    out = _out_dir(args, f"experiment-{args.experiment}")
+    out = _out_dir(args)
     if args.format == "csv":
         report.write_csv(out / "report.csv")
     else:

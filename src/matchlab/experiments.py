@@ -26,11 +26,11 @@ from .analysis import (
     benchmark_vector,
     interview_edges,
     loss_params_from_bound,
-    loss_report,
     lower_bound_loss_level,
     theoretical_loss_params,
     truncated_edges,
     _bottom_zone,
+    _loss_params,
     _truncation_thresholds,
 )
 from .engine import EdgeSet, max_bipartite_matching, run_da, verify_stability
@@ -364,9 +364,10 @@ def _loss_grid(config: ExperimentConfig) -> np.ndarray:
 
 def _zone_widths(config: ExperimentConfig, market: Market, caps):
     """Bottom-zone widths (left, right) that go with loss cap(s) `caps`, a
-    float or an array, under the config's sigma rule."""
+    float or an array, under the config's sigma rule; "theory" takes the
+    loss params' sigma bound."""
     if config.sigma_rule == "theory":
-        sigma = 3.0 * caps / (4.0 * market.model.mu)
+        sigma = loss_params_from_bound(caps, market.model).sigma_bound
         return sigma, sigma
     return np.full(np.shape(caps), config.sigma_left), np.full(np.shape(caps), config.sigma_right)
 
@@ -390,7 +391,9 @@ def _min_L_run(config: ExperimentConfig, run_index: int, start: int = 0) -> dict
     the edges entered by then, the set `acceptable_edges` builds there.  A
     rescan (`start` above 0) first tests the set at `start` alone, which a
     one-to-one market always passes, and scans on from `start + 1` only
-    when it fails.
+    when it fails.  (An edge entering above a level ranks, for one endpoint,
+    below all its edges there, so a perfect stable matching stays stable;
+    by the rural-hospitals theorem every stable matching is then perfect.)
     """
     market = config.make_market(run_index)
     grid = _loss_grid(config)
@@ -485,6 +488,9 @@ def _unique_partners_run(config: ExperimentConfig, run_index: int) -> dict:
 
 def exp_unique_partners(config: ExperimentConfig) -> ExperimentReport:
     """Counts of agents with more than one stable partner, by decile."""
+    side = other_side(config.proposing_side)  # the reported side: one partner per agent
+    if (config.cap_left if side == LEFT else config.cap_right) != 1:
+        raise ValueError(f"unique-partners reports the receivers' partners: needs --cap-{side} 1")
     results = _map_runs(_unique_partners_run, config)
     summary = {
         "mean_per_decile": _mean_per_decile(results),
@@ -626,17 +632,21 @@ def exp_loss_scaling(config: ExperimentConfig) -> ExperimentReport:
 # lower-bound probe: perfect matching on tight acceptable sets
 
 
+def _lower_bound_caps(n: int) -> tuple[float, float]:
+    """The probe's loss cap and bottom-zone width at n x n."""
+    level = lower_bound_loss_level(n)
+    return level, 1.5 * level
+
+
 def _lower_bound_run(config: ExperimentConfig, run_index: int) -> dict:
     market = config.make_market(run_index)
-    n = market.n_left
-    level = lower_bound_loss_level(n)
-    sigma = 1.5 * level
+    level, sigma = _lower_bound_caps(market.n_left)
     edges = acceptable_edges(market, level, level, sigma, sigma)
     size = max_bipartite_matching(edges)
     return {
         "run": run_index,
         "max_matching": size,
-        "perfect": bool(size == n),
+        "perfect": bool(size == market.n_left),
         "edges": edges.edge_count,
     }
 
@@ -653,9 +663,10 @@ def exp_lower_bound(config: ExperimentConfig) -> ExperimentReport:
     results = _map_runs(_lower_bound_run, config)
     rows = [dict(r) for r in results]
     no_perfect = sum(1 for r in results if not r["perfect"])
+    level, sigma = _lower_bound_caps(n)
     summary = {
-        "loss_level": lower_bound_loss_level(n),
-        "sigma": 1.5 * lower_bound_loss_level(n),
+        "loss_level": level,
+        "sigma": sigma,
         "no_perfect_fraction": no_perfect / config.runs,
         "reference_floor": 0.25 * n ** (-1.0 / 8.0),
         "mean_edges_per_agent": float(np.mean([r["edges"] for r in results])) / n,
@@ -670,11 +681,7 @@ def exp_lower_bound(config: ExperimentConfig) -> ExperimentReport:
 def _truncation_run(config: ExperimentConfig, run_index: int) -> dict:
     market = config.make_market(run_index)
     n = market.n_left
-    model = config.model()
-    if config.loss_bound is not None:
-        params = loss_params_from_bound(config.loss_bound, model, config.failure_exponent)
-    else:
-        params = theoretical_loss_params(n, config.failure_exponent, model)
+    params = _loss_params(config.loss_bound, n, config.failure_exponent, market.model)
     shift = 4.0 * params.rating_margin
     sigma_recv = config.nu / n ** (1.0 / 3.0)   # receiver-side bottom zone
     sigma_prop = config.eta / n ** (1.0 / 3.0)  # proposer-side bottom zone
@@ -691,7 +698,7 @@ def _truncation_run(config: ExperimentConfig, run_index: int) -> dict:
     bottom = _bottom_zone(market, prop, sigma_prop)
 
     thresholds = _truncation_thresholds(market, prop, shift * t_prop**2)
-    loss_prop = loss_report(market, matching, params).side(prop).loss
+    loss_prop = benchmark_vector(market, prop) - achieved_utilities(market, matching, prop)
     over = matching.matched_mask(prop) & ~np.isnan(thresholds) & (loss_prop > thresholds + 1e-12)
     return {
         "run": run_index,
@@ -709,6 +716,8 @@ def _truncation_run(config: ExperimentConfig, run_index: int) -> dict:
 def exp_truncation(config: ExperimentConfig) -> ExperimentReport:
     """Match rates and proposal counts when both sides truncate edges beyond
     their rank-dependent reservation losses."""
+    if config.loss_bound is None and config.n_left < 2:
+        raise ValueError(f"truncation needs n_left >= 2 or a loss_bound, got n_left {config.n_left}")
     results = _map_runs(_truncation_run, config)
     rows = [dict(r) for r in results]
     summary = {

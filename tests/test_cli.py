@@ -482,3 +482,97 @@ def test_experiment_artifacts_strict_json(tmp_path, capsys):
     summary = strict_json(out / "summary.json")
     assert summary["summary"]["bottom_two_decile_share"] is None
     assert strict_json(out / "report.json")
+
+
+# every command that fills config fields from CONFIG_FLAGS, as argv
+CONFIG_COMMANDS = [["generate"], ["run"], ["edges"],
+                   *(["experiment", s] for s in sorted(EXPERIMENTS))]
+CONFIG_DESTS = {kwargs.get("dest", filled[0]) for filled, _, kwargs in cli.CONFIG_FLAGS}
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS, ids=" ".join)
+def test_config_flags_carry_no_default(command):
+    # defaults live only in ExperimentConfig: an omitted flag leaves no
+    # value in the namespace, and a given one fills its destination
+    parser = cli.build_parser()
+    assert not CONFIG_DESTS & vars(parser.parse_args(command)).keys()
+    assert vars(parser.parse_args([*command, "--lambda", "0.5"]))["weight"] == 0.5
+
+
+def artifacts(out):
+    """The file `out`, or every file in the directory `out`, by name, as bytes."""
+    paths = [out] if out.is_file() else sorted(out.iterdir())
+    return {p.name: p.read_bytes() for p in paths}
+
+
+@pytest.mark.parametrize("command", [["generate"], ["run"], ["edges"],
+                                     ["run", "--edges", "acceptable", "--L", "0.3"]], ids=" ".join)
+def test_market_size_spellings_write_identical_artifacts(command, tmp_path, capsys):
+    written = []
+    for sizes in (["--n", "30"], ["--n-left", "30", "--n-right", "30"], ["--nw", "30", "--nc", "30"]):
+        out = tmp_path / str(len(written))
+        if command == ["generate"]:
+            out.mkdir()
+            out = out / "market.npz"
+        assert main([*command, *sizes, "--seed", "5", "--out", str(out)]) == 0
+        written.append(artifacts(out))
+    assert written[0] == written[1] == written[2]
+
+
+def test_loss_cap_spellings_write_identical_acceptable_edges(tmp_path, capsys):
+    written = []
+    for k, caps in enumerate([["--L", "0.3"], ["--L-left", "0.3", "--L-right", "0.3"]]):
+        out = tmp_path / str(k)
+        assert main(["edges", "--n", "30", "--seed", "1", "--edges", "acceptable", *caps,
+                     "--out", str(out)]) == 0
+        written.append(artifacts(out))
+    assert written[0] == written[1]
+    assert 0 < json.loads(written[0]["edge_summary.json"])["edge_count"] < 900
+
+
+def refuse_markets(monkeypatch):
+    def no_market(*args, **kwargs):
+        raise AssertionError("a market was drawn")
+
+    monkeypatch.setattr(experiments, "generate_market", no_market)
+
+
+@pytest.mark.parametrize("caps,flag", [(["--cap-right", "2"], "--cap-right"),
+                                       (["--d", "3"], "--cap-right"),
+                                       (["--propose-side", "right", "--cap-left", "2"], "--cap-left")])
+def test_unique_partners_refuses_capacitated_receivers_before_any_market(caps, flag, tmp_path,
+                                                                          capsys, monkeypatch):
+    refuse_markets(monkeypatch)
+    code = main(["experiment", "unique-partners", "--n", "6", *caps, "--runs", "1", "--seed", "1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unique-partners") and f"{flag} 1" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_unique_partners_reads_capacitated_proposers(tmp_path, capsys):
+    # the receivers keep capacity 1, so each has one partner per matching
+    out = tmp_path / "up"
+    assert main(["experiment", "unique-partners", "--n", "30", "--cap-left", "2", "--runs", "1",
+                 "--seed", "1", "--out", str(out)]) == 0
+    assert strict_json(out / "summary.json")["summary"]["blocking_pairs_total"] == 0
+
+
+def test_truncation_refuses_one_agent_without_loss_bound_before_any_market(tmp_path, capsys,
+                                                                          monkeypatch):
+    with monkeypatch.context() as patched:
+        refuse_markets(patched)
+        code = main(["experiment", "truncation", "--n", "1", "--runs", "2", "--seed", "1",
+                     "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: truncation needs n_left >= 2 or a loss_bound")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+    # an explicit bound needs no second agent
+    out = tmp_path / "bound"
+    assert main(["experiment", "truncation", "--n", "1", "--loss-bound", "0.2", "--runs", "2",
+                 "--seed", "1", "--out", str(out)]) == 0
+    assert len(strict_json(out / "summary.json")["run_seeds"]) == 2

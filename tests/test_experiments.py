@@ -302,6 +302,25 @@ def test_min_L_rescan_tests_its_start_first(monkeypatch):
     assert failed_starts  # the multi-round case rescans from a start that fails
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 40), st.floats(0.05, 0.95), st.integers(0, 2**32),
+       st.sampled_from(["theory", "fixed"]), st.integers(0, 300), st.integers(0, 300),
+       st.integers(0, 200), st.integers(1, 60), st.integers(2, 20))
+def test_one_to_one_min_L_levels_are_nested(n, weight, seed, rule, sigma_left, sigma_right,
+                                            start, step, count):
+    # what lets a min-L rescan test its start alone: in a balanced one-to-one
+    # market, once a grid level's acceptable set matches everyone, every
+    # higher level's does too (the capacitated multi-round case shows the
+    # property fails with capacities above 1)
+    cfg = ExperimentConfig("min-L", n_left=n, weight=weight, seed=seed, sigma_rule=rule,
+                           sigma_left=sigma_left / 1000, sigma_right=sigma_right / 1000,
+                           grid_start=start / 1000, grid_step=step / 1000,
+                           grid_stop=(start + step * (count - 1)) / 1000)
+    market = cfg.make_market(0)
+    matched = [all_matched_at(market, float(cap), cfg) for cap in _loss_grid(cfg)]
+    assert matched == sorted(matched), matched
+
+
 def test_min_L_reverification_holds_one_market_at_a_time(monkeypatch):
     made = []
     make_market = ExperimentConfig.make_market

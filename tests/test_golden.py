@@ -9,7 +9,10 @@ commit 5e98ff3, before the edge-set builders worked in row blocks; the
 min-L-300-fine and min-L-fixed cases were recorded on commit 08a4a7b,
 before min-L scanned its grid from one superset edge set; the ten-run
 cases were recorded on commit e4c0a70, before the suites shared one decile
-table.  That command prints the table below for the current tree.  A
+table; the edges-truncated, edges-truncated-L, run-acceptable-split,
+unique-partners-cap-left and truncation-n1-loss-bound cases were recorded
+on commit 4b96f8c, before every command filled its config through one
+flag table.  That command prints the table below for the current tree.  A
 change that alters any artifact's bytes must say so and re-record them.
 """
 
@@ -57,6 +60,17 @@ CASES = {
     "unique-partners-10runs": ["experiment", "unique-partners", "--n", "60", "--runs", "10"],
     "interview-10runs": ["experiment", "interview", "--n", "60", "--runs", "10",
                          "--p", "0.3", "--q", "0.4"],
+    # the loss-bound rule, the per-side loss caps and the capacity and size
+    # guards, on paths none of the cases above takes
+    "edges-truncated": ["edges", "--n", "40", "--edges", "truncated"],
+    "edges-truncated-L": ["edges", "--n", "40", "--edges", "truncated", "--L", "0.2",
+                          "--t-left", "2"],
+    "run-acceptable-split": ["run", "--n", "40", "--edges", "acceptable", "--L-left", "0.3",
+                             "--L-right", "0.05"],
+    "unique-partners-cap-left": ["experiment", "unique-partners", "--n", "30", "--cap-left", "2",
+                                 "--runs", "2"],
+    "truncation-n1-loss-bound": ["experiment", "truncation", "--n", "1", "--loss-bound", "0.2",
+                                 "--runs", "2"],
 }
 
 SEED = "11"
@@ -73,6 +87,14 @@ GOLDEN = {
     'edge-counts-300': {
         'report.csv': '235a53e79858582c31a8ae9dd88ced0681f78bb048fe7e11e8ea8a5411f7ddba',
         'summary.json': '8542eb0204b627dfac9953438dfdf45faff94ee16d042178f935ee0d45016197',
+    },
+    'edges-truncated': {
+        'edge_summary.json': '99ffe795b972da74163f684582aaf1d983736bf7cc685cf1e6935142b2d03499',
+        'edges.csv': '971af92abf41e61b91722a8ae991bf15a48857a54bcc6254c8d147c98bda40a6',
+    },
+    'edges-truncated-L': {
+        'edge_summary.json': '1eacb60809f9a058f43f22be015c1543e28867e9663dc3889909985c195badbf',
+        'edges.csv': 'b7c1c921ada59af32f8354a6b2d9ab64fcfab0b77802acb81b6f89fdb844a2a4',
     },
     'edges-viable': {
         'edge_summary.json': 'f5646c4ece980972903b6fa84446226cf3cb2ba839f0f7e43c2e030837885f6f',
@@ -124,6 +146,11 @@ GOLDEN = {
         'losses.csv': '87c9c32eb1821cb537517eacad0fbd911deca3b368d20bfafbc47d478ea38ae8',
         'matching.csv': '6044ef4ac4f598e4ee1d827dbbb0aaacf504a799bbadd9fab9f72385cfc83636',
     },
+    'run-acceptable-split': {
+        'audit.json': 'b00b5c3eef9182722608762c0920faef6c23951615afed691133afc0128bd98c',
+        'losses.csv': '9329b3ba8a6f61c962177db40634782a9c1db544b2f69501d227f4ee99d81311',
+        'matching.csv': '04dfa50d0bd27d9fced85f968fe896f21dada53739827d3b67164c50e13692a8',
+    },
     'run-full-m2o': {
         'audit.json': '3b7cbdc1b227984760f70ad0b26a24a64364f4a090c601dc9bc05c90176fe4de',
         'losses.csv': '24460aaa4bc1b019fcc55df537f8ee1fb83826ea566e5905ad7c7cf046f0813b',
@@ -142,6 +169,10 @@ GOLDEN = {
         'report.csv': '92c042f8c08bdb84b4e6605171fee0175f20f39cdb415c5dacaf835442e3c38c',
         'summary.json': 'a4d2343f587c10c59cc07b1b6e8204df2317107aa15fd1a903e6eb5087afc834',
     },
+    'truncation-n1-loss-bound': {
+        'report.csv': 'b985e7666f9901d8f3b4cb06e3aca8e1b47f61a3d859730c51fbde96879a6e6f',
+        'summary.json': '4b2c3f64d3e3358f2c4dc73e99dea4becb3c92f6264495b5ffecc6b755b18556',
+    },
     'unique-partners': {
         'report.csv': 'ec1d1f1b1822d2fce38f8eca90b3006913e13dad5647f20859d8f71c8a137c51',
         'summary.json': '212d061abb3f38c9481fd397716c14d3724b42c77f369bd31017c27155052e1c',
@@ -149,6 +180,10 @@ GOLDEN = {
     'unique-partners-10runs': {
         'report.csv': '8f5063a7f0c504122f4a5f318f9a3d3146fcfde72fbf8504d65a897f921b866c',
         'summary.json': 'ce70a43073f58763b510a18dd476a3182be85aa84f06b2797e5f28ad2b2bd74a',
+    },
+    'unique-partners-cap-left': {
+        'report.csv': '693097e887f5afab0a8af333ea5e7b37d60798943341ca16217d320b1d41c77c',
+        'summary.json': '665369d606a5fda552030a690ac25647f301ad6463a62242b8d94ad6e94f2ec5',
     },
 }
 
