@@ -226,7 +226,7 @@ def _side_loss(market: Market, matching: Matching, side: str,
         aligned_rating=market.aligned_ratings(side),
         bottom_zone=_bottom_zone(market, side, None if params is None else params.sigma_bound),
         matched=matching.matched_mask(side),
-        match_count=matching.match_counts(side),
+        match_count=matching.edges.degrees(side),
     )
 
 

@@ -81,7 +81,7 @@ def _resolve_seed(args) -> tuple[int, bool]:
         try:
             return int(env), False
         except ValueError:
-            raise SystemExit(f"MATCHLAB_SEED must be an integer, got {env!r}")
+            raise ValueError(f"MATCHLAB_SEED must be an integer, got {env!r}") from None
     return secrets.randbits(63), True
 
 
@@ -239,7 +239,7 @@ def _command_config(args) -> argparse.Namespace:
 
 def _generate(config, seed: int):
     if not {"n_left", "n_right"} <= vars(config).keys():
-        raise SystemExit("market size missing: pass --n, or --n-left/--nw and --n-right/--nc")
+        raise ValueError("market size missing: pass --n, or --n-left/--nw and --n-right/--nc")
     return generate_market(config.n_left, config.n_right, config.cap_left, config.cap_right,
                            model=linear_model(config.weight), seed=seed,
                            rating_ranges=config.rating_ranges)
@@ -261,7 +261,7 @@ def _build_edges(market, args, config):
         return None
     if kind == "acceptable":
         if config.loss_cap_left is None or config.loss_cap_right is None:
-            raise SystemExit("acceptable edges need --L (or --L-left/--L-right)")
+            raise ValueError("acceptable edges need --L (or --L-left/--L-right)")
         return acceptable_edges(market, config.loss_cap_left, config.loss_cap_right,
                                 config.sigma_left, config.sigma_right)
     if kind == "viable":
@@ -270,13 +270,12 @@ def _build_edges(market, args, config):
         return interview_edges(market, InterviewParams(config.rating_window, config.score_cutoff))
     if kind == "selected":
         return selected_edges(market, SelectedSetParams(args.expected_degree))
-    if kind == "truncated":
-        if "loss_cap_left" in vars(args) or "loss_cap_right" in vars(args):
-            raise ValueError("truncated edges read one loss bound: pass --L, not --L-left/--L-right")
-        params = _loss_params(config.loss_cap_left, market.n_left, config.failure_exponent,
-                              market.model)
-        return truncated_edges(market, params, args.t_left, args.t_right)
-    raise SystemExit(f"unknown edge kind {kind!r}")
+    # "truncated": the parser's choices=EDGE_KINDS refuses any other kind
+    if "loss_cap_left" in vars(args) or "loss_cap_right" in vars(args):
+        raise ValueError("truncated edges read one loss bound: pass --L, not --L-left/--L-right")
+    params = _loss_params(config.loss_cap_left, market.n_left, config.failure_exponent,
+                          market.model)
+    return truncated_edges(market, params, args.t_left, args.t_right)
 
 
 def _write_rows(rows: list[dict], path: Path, fmt: str) -> None:
@@ -287,14 +286,20 @@ def _write_rows(rows: list[dict], path: Path, fmt: str) -> None:
 
 
 def _matching_rows(market, matching) -> list[dict]:
-    return [{
-        "side": side,
-        "agent_index": a,
-        "public_rank": int(market.agent_rank(side)[a]),
-        "partner_indices": ";".join(str(p) for p in partners),
-        "proposals_made": int(matching.proposal_counts[a]) if side == matching.proposing_side else 0,
-        "matched_flag": int(bool(partners)),
-    } for side in SIDES for a, partners in enumerate(matching.matches(side))]
+    rows = []
+    for side in SIDES:
+        indptr, partners = matching.edges.csr(side)
+        ends, partners = indptr.tolist(), partners.tolist()
+        rank = market.agent_rank(side)
+        rows += [{
+            "side": side,
+            "agent_index": a,
+            "public_rank": int(rank[a]),
+            "partner_indices": ";".join(map(str, partners[lo:hi])),
+            "proposals_made": int(matching.proposal_counts[a]) if side == matching.proposing_side else 0,
+            "matched_flag": int(hi > lo),
+        } for a, (lo, hi) in enumerate(zip(ends, ends[1:]))]
+    return rows
 
 
 def _out_dir(args) -> Path:
@@ -376,7 +381,7 @@ def cmd_experiment(args) -> int:
     seed, drawn = _resolve_seed(args)
     values = _config_values(args)
     if "n_left" not in values:
-        raise SystemExit("experiments need a market size: pass --n or --n-left/--nw")
+        raise ValueError("experiments need a market size: pass --n or --n-left/--nw")
     if "n_values" in values:
         values["n_values"] = tuple(values["n_values"])
     config = ExperimentConfig(args.experiment, **values, seed=seed)

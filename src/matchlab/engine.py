@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import _BLOCK_ROWS, LEFT, RIGHT, Market, _map_blocks, other_side
+from .market import _BLOCK_ROWS, LEFT, RIGHT, SIDES, Market, _map_blocks, other_side
 
 __all__ = [
     "CutSpec",
@@ -156,86 +156,69 @@ class CutSpec:
             raise ValueError("a cut needs a target, a rating floor, or both")
 
 
-@dataclass(eq=False)
 class Matching:
-    """Capacitated assignment between the two sides, held as its matched
-    (left, right) pairs: an (m, 2) int64 array sorted by (left, right), the
-    format `EdgeSet.pairs` returns.  Every per-agent view derives from it.
+    """Capacitated assignment between the two sides: the `EdgeSet` of its
+    matched (left, right) pairs, which every per-agent view reads, plus the
+    record of the run that produced it.
 
     ``proposal_counts`` records, per proposing-side agent, how many edges it
-    offered during the run that produced this matching (all zeros for
-    matchings not produced by deferred acceptance).
+    offered during that run (all zeros for matchings not produced by
+    deferred acceptance).
     """
 
-    pair_array: np.ndarray
-    n_left: int
-    n_right: int
-    proposing_side: str = LEFT
-    proposal_counts: np.ndarray | None = None
+    __slots__ = ("edges", "proposing_side", "proposal_counts")
 
-    def __post_init__(self) -> None:
-        pairs = np.asarray(self.pair_array, dtype=np.int64).reshape(-1, 2)
-        if (pairs < 0).any() or (pairs >= (self.n_left, self.n_right)).any():
+    def __init__(self, pairs, n_left: int, n_right: int, proposing_side: str = LEFT,
+                 proposal_counts=None) -> None:
+        if proposing_side not in SIDES:
+            raise ValueError(f"unknown proposing side {proposing_side!r}")
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if (pairs < 0).any() or (pairs >= (n_left, n_right)).any():
             raise ValueError("matched pair index out of range")
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-        if (pairs[1:] == pairs[:-1]).all(axis=1).any():
+        flat = np.sort(pairs[:, 0] * n_right + pairs[:, 1])
+        if (flat[1:] == flat[:-1]).any():
             raise ValueError("a matched pair appears more than once")
-        pairs.setflags(write=False)
-        self.pair_array = pairs
-        n_prop = self.n_left if self.proposing_side == LEFT else self.n_right
-        self.proposal_counts = (np.zeros(n_prop, dtype=np.int64) if self.proposal_counts is None
-                                else np.asarray(self.proposal_counts, dtype=np.int64))
+        self.edges = EdgeSet(flat, n_left, n_right)
+        self.proposing_side = proposing_side
+        n_prop = n_left if proposing_side == LEFT else n_right
+        self.proposal_counts = (np.zeros(n_prop, dtype=np.int64) if proposal_counts is None
+                                else np.asarray(proposal_counts, dtype=np.int64))
         if self.proposal_counts.shape != (n_prop,):
             raise ValueError(f"proposal_counts needs one entry per proposing agent ({n_prop})")
 
-    @classmethod
-    def from_left_sets(cls, sets_left, n_right: int, proposing_side: str = LEFT,
-                       proposal_counts=None) -> "Matching":
-        sets_left = list(sets_left)
-        sizes = np.fromiter(map(len, sets_left), dtype=np.int64, count=len(sets_left))
-        right = np.fromiter(itertools.chain.from_iterable(sets_left), dtype=np.int64,
-                            count=int(sizes.sum()))
-        left = np.repeat(np.arange(len(sets_left)), sizes)
-        return cls(np.column_stack((left, right)), len(sets_left), n_right,
-                   proposing_side, proposal_counts)
+    @property
+    def n_left(self) -> int:
+        return self.edges.n_left
 
-    def _columns(self, side: str) -> tuple[np.ndarray, np.ndarray, int]:
-        """(agents on `side`, their partners, n on `side`), one entry per pair."""
-        if side == LEFT:
-            return self.pair_array[:, 0], self.pair_array[:, 1], self.n_left
-        return self.pair_array[:, 1], self.pair_array[:, 0], self.n_right
-
-    def matches(self, side: str) -> tuple[tuple[int, ...], ...]:
-        """Per-agent sorted partner tuples: a view for row-per-agent output."""
-        agents, partners, _ = self._columns(side)
-        members = partners[np.lexsort((partners, agents))].tolist()
-        ends = np.cumsum(self.match_counts(side)).tolist()
-        return tuple(tuple(members[a:b]) for a, b in zip([0] + ends[:-1], ends))
+    @property
+    def n_right(self) -> int:
+        return self.edges.n_right
 
     def pairs(self) -> frozenset:
-        return frozenset(zip(self.pair_array[:, 0].tolist(), self.pair_array[:, 1].tolist()))
+        return frozenset(map(tuple, self.edges.pairs().tolist()))
 
     def partner(self, side: str) -> np.ndarray:
         """One-to-one convenience: per-agent partner index, -1 if unmatched."""
-        agents, partners, n = self._columns(side)
-        if (self.match_counts(side) > 1).any():
+        indptr, partners = self.edges.csr(side)
+        count = np.diff(indptr)
+        if (count > 1).any():
             raise ValueError("partner() needs a one-to-one matching")
-        out = np.full(n, -1, dtype=np.int64)
-        out[agents] = partners
+        out = np.full(count.size, -1, dtype=np.int64)
+        out[count > 0] = partners
         return out
 
     def matched_mask(self, side: str) -> np.ndarray:
-        return self.match_counts(side) > 0
-
-    def match_counts(self, side: str) -> np.ndarray:
-        agents, _, n = self._columns(side)
-        return np.bincount(agents, minlength=n)
+        return self.edges.degrees(side) > 0
 
     def unmatched(self, side: str) -> np.ndarray:
         return np.flatnonzero(~self.matched_mask(side))
 
-    def same_pairs(self, other: "Matching") -> bool:
-        return np.array_equal(self.pair_array, other.pair_array)
+
+def _ranks_above(u, i, w, j):
+    """Whether partner `i` at utility `u` ranks above partner `j` at utility
+    `w`: higher utility, or equal utility and a lower index.  Every list and
+    every receiver orders its partners this way."""
+    return (u > w) | ((u == w) & (i < j))
 
 
 # edges per chunk of a restricted edge set's per-edge tests, so each int64
@@ -367,7 +350,7 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
         i = free[seg]
         j = indices[indptr[i] + ptr[i] + offs]
         u = u_flat[j * n_p + i]
-        beat = (u > thr_u[j]) | ((u == thr_u[j]) & (i < thr_i[j]))
+        beat = _ranks_above(u, i, thr_u[j], thr_i[j])
         # the first `open` beating entries of each window are proposals
         rank = np.cumsum(beat)
         rank -= (rank - beat)[first][seg]
@@ -429,7 +412,7 @@ def double_cut_edges(market: Market, proposing_side: str, cut: CutSpec) -> EdgeS
             out &= ub >= floor_u
         if t is not None:
             ut = u[rows, t][:, None]
-            out &= (ub > ut) | ((ub == ut) & (idx[cols] <= t))
+            out &= _ranks_above(ub, idx[cols], ut, t + 1)
         return out
 
     tests = (keep, None) if prop == LEFT else (None, keep)
@@ -473,14 +456,16 @@ def worst_partner(market: Market, side: str, matching: Matching,
     do agents below capacity: an empty slot is worse than any edge.
     """
     _check_shape(matching, market)
-    agents, partners, n = matching._columns(side)
+    indptr, partners = matching.edges.csr(side)
+    count = np.diff(indptr)
+    agents = np.repeat(np.arange(count.size), count)
     us = market.utility_matrix(side)[agents, partners]
     order = np.lexsort((-partners, us, agents))
     first = order[np.diff(agents[order], prepend=-1) != 0]  # each agent's worst
     if spare_is_worst:
-        first = first[matching.match_counts(side)[agents[first]] >= market.cap(side)]
-    worst_u = np.full(n, -np.inf)
-    worst_j = np.full(n, market.n(other_side(side)), dtype=np.int64)
+        first = first[count[agents[first]] >= market.cap(side)]
+    worst_u = np.full(count.size, -np.inf)
+    worst_j = np.full(count.size, market.n(other_side(side)), dtype=np.int64)
     worst_u[agents[first]] = us[first]
     worst_j[agents[first]] = partners[first]
     return worst_u, worst_j
@@ -503,9 +488,7 @@ def _prefers_to_worst(market: Market, side: str, matching: Matching, weak: bool 
         if isinstance(agents, slice):
             agents = np.arange(market.n(side))[agents, None]
             partners = np.arange(market.n(other_side(side)))[partners]
-        w = wu[agents]
-        # an equal utility goes by partner index
-        return (ub > w) | ((ub == w) & (partners < bound[agents]))
+        return _ranks_above(ub, partners, wu[agents], bound[agents])
 
     return keep
 
@@ -519,8 +502,8 @@ def verify_stability(market: Market, edges: EdgeSet | None, matching: Matching) 
     """
     block = _mutual_edges(market, _prefers_to_worst(market, LEFT, matching),
                           _prefers_to_worst(market, RIGHT, matching), edges).flat
-    matched = matching.pair_array[:, 0] * market.n_right + matching.pair_array[:, 1]
-    left, right = np.divmod(np.setdiff1d(block, matched, assume_unique=True), market.n_right)
+    left, right = np.divmod(np.setdiff1d(block, matching.edges.flat, assume_unique=True),
+                            market.n_right)
     return list(zip(left.tolist(), right.tolist()))
 
 
@@ -570,8 +553,7 @@ def brute_force_stable_set(market: Market, edges: EdgeSet | None = None) -> list
     stable: list[Matching] = []
 
     def emit(partner_left) -> None:
-        sets = [[j] if j >= 0 else [] for j in partner_left]
-        stable.append(Matching.from_left_sets(sets, n))
+        stable.append(Matching([(i, j) for i, j in enumerate(partner_left) if j >= 0], n, n))
 
     if mask.all():
         # rank tables make the per-permutation blocking test a vector op

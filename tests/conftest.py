@@ -102,7 +102,8 @@ def reference_da(market, side, edges=None, order_seed=None):
             sets_prop[i].append(j)
 
     left = sets_prop if prop == LEFT else sets_recv
-    return ml.Matching.from_left_sets(left, market.n_right, prop, counts)
+    return ml.Matching([(i, j) for i, js in enumerate(left) for j in js],
+                       market.n_left, market.n_right, prop, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +160,7 @@ def dense_verify_stability(market, edges, matching):
     mask = np.ones((market.n_left, market.n_right), dtype=bool) if edges is None else edges.mask
     block = (mask & _dense_beats_worst(market, LEFT, matching, weak=False)
              & _dense_beats_worst(market, RIGHT, matching, weak=False).T)
-    block[matching.pair_array[:, 0], matching.pair_array[:, 1]] = False
+    block.flat[matching.edges.flat] = False
     return list(map(tuple, np.argwhere(block).tolist()))
 
 

@@ -61,8 +61,8 @@ def test_criterion_01_oracle_equivalence():
         stable = ml.brute_force_stable_set(m, edges)
         left_da = ml.run_da(m, LEFT, edges)
         right_da = ml.run_da(m, RIGHT, edges)
-        in_set = any(left_da.same_pairs(s) for s in stable) and any(
-            right_da.same_pairs(s) for s in stable)
+        in_set = any(left_da.edges == s.edges for s in stable) and any(
+            right_da.edges == s.edges for s in stable)
         ul = [ml.achieved_utilities(m, s, LEFT, unmatched=-np.inf) for s in stable]
         ur = [ml.achieved_utilities(m, s, RIGHT, unmatched=-np.inf) for s in stable]
         left_best = all((ml.achieved_utilities(m, left_da, LEFT, unmatched=-np.inf) >= u).all()
@@ -117,7 +117,7 @@ def test_criterion_03_restriction_equivalence():
         full_left = ml.run_da(m, LEFT)
         left_opt, right_opt = full_left, ml.run_da(m, RIGHT)
         viable = ml.viable_edges(m)
-        if not ml.run_da(m, LEFT, viable).same_pairs(full_left):
+        if ml.run_da(m, LEFT, viable).edges != full_left.edges:
             ok, detail = False, f"market {idx}: DA(viable) != DA(full)"
             break
         pess_l = benchmark_vector(m, LEFT) - ml.achieved_utilities(m, right_opt, LEFT)
@@ -127,7 +127,7 @@ def test_criterion_03_restriction_equivalence():
             if not viable.issubset(superset):
                 ok, detail = False, f"market {idx}: threshold set not a superset"
                 break
-            if not ml.run_da(m, LEFT, superset).same_pairs(full_left):
+            if ml.run_da(m, LEFT, superset).edges != full_left.edges:
                 ok, detail = False, f"market {idx}: DA(superset {margin}) != DA(full)"
                 break
         if not ok:

@@ -62,7 +62,7 @@ def test_loss_report_exact_values():
 
 def test_loss_report_unmatched_marker_and_bottom_zone():
     m = ml.generate_market(30, 30, model=ml.linear_model(0.5), seed=16)
-    empty = ml.Matching.from_left_sets([[] for _ in range(30)], 30)
+    empty = ml.Matching([], 30, 30)
     params = ml.loss_params_from_bound(0.3, m.model)
     report = ml.loss_report(m, empty, params)
     assert np.isnan(report.left.loss).all()
@@ -190,8 +190,8 @@ def test_viable_contains_stable_edges_small():
 def test_viable_da_equivalence(mid_market):
     viable = ml.viable_edges(mid_market)
     assert viable.edge_count < mid_market.n_left * mid_market.n_right
-    assert ml.run_da(mid_market, LEFT, viable).same_pairs(ml.run_da(mid_market, LEFT))
-    assert ml.run_da(mid_market, RIGHT, viable).same_pairs(ml.run_da(mid_market, RIGHT))
+    assert ml.run_da(mid_market, LEFT, viable).edges == ml.run_da(mid_market, LEFT).edges
+    assert ml.run_da(mid_market, RIGHT, viable).edges == ml.run_da(mid_market, RIGHT).edges
 
 
 def test_viable_unique_instance_contains_matching():
@@ -200,7 +200,7 @@ def test_viable_unique_instance_contains_matching():
     full_match = ml.run_da(m, LEFT)
     for i, j in full_match.pairs():
         assert viable.contains(i, j)
-    assert ml.run_da(m, LEFT, viable).same_pairs(full_match)
+    assert ml.run_da(m, LEFT, viable).edges == full_match.edges
 
 
 def test_loss_threshold_sandwich(mid_market):
@@ -212,7 +212,7 @@ def test_loss_threshold_sandwich(mid_market):
         thr_r = benchmark_vector(mid_market, RIGHT) - ml.achieved_utilities(mid_market, left_opt, RIGHT) + margin
         superset = loss_threshold_edges(mid_market, thr_l, thr_r)
         assert viable.issubset(superset)
-        assert ml.run_da(mid_market, LEFT, superset).same_pairs(full_match)
+        assert ml.run_da(mid_market, LEFT, superset).edges == full_match.edges
 
 
 # --- cones ----------------------------------------------------------------------

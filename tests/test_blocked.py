@@ -93,7 +93,8 @@ def random_matching(rng, market):
             sets[i].append(int(j))
             room[LEFT][i] -= 1
             room[RIGHT][j] -= 1
-    return ml.Matching.from_left_sets(sets, market.n_right)
+    return ml.Matching([(i, j) for i, ms in enumerate(sets) for j in ms],
+                       market.n_left, market.n_right)
 
 
 @settings(max_examples=60, deadline=None)

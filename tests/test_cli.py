@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -278,6 +279,37 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv,env,message", [
+    (["run", "--n", "5", "--edges", "acceptable"], None,
+     "acceptable edges need --L (or --L-left/--L-right)"),
+    (["run"], None, "market size missing: pass --n, or --n-left/--nw and --n-right/--nc"),
+    (["experiment", "min-L"], None, "experiments need a market size: pass --n or --n-left/--nw"),
+    (["generate", "--n", "5"], "abc", "MATCHLAB_SEED must be an integer, got 'abc'"),
+], ids=["acceptable-without-L", "run-without-size", "experiment-without-size", "bad-env-seed"])
+def test_refusals_print_one_error_line(argv, env, message, tmp_path, capsys, monkeypatch):
+    if env is None:
+        argv = [*argv, "--seed", "1"]
+    else:
+        monkeypatch.setenv("MATCHLAB_SEED", env)
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_no_code_raises_system_exit():
+    # a refusal raises ValueError, which `main` prints as one `error:` line;
+    # argparse's own exits are not in the package
+    sites = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if "SystemExit" in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+                    sites.append((path.name, node.lineno))
+    assert sites == []
 
 
 def test_experiment_unknown_id_rejected(capsys):

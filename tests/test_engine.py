@@ -21,7 +21,7 @@ def test_single_pair_market():
     matching = ml.run_da(m, LEFT)
     assert matching.pairs() == {(0, 0)}
     opt, pes = ml.extreme_matchings(m)
-    assert opt.same_pairs(pes)
+    assert opt.edges == pes.edges
 
 
 def test_empty_edge_set_yields_empty_matching():
@@ -38,11 +38,16 @@ def test_da_output_is_stable(small_market):
 
 
 def test_da_stable_on_restricted_sets(small_market):
+    # the audit reads only the set's edges, so the matching must lie inside it
+    capacitated = ml.generate_market(40, 10, cap_right=4, model=ml.linear_model(0.7), seed=3)
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        edges = EdgeSet.from_mask(rng.random((30, 30)) < 0.4)
-        matching = ml.run_da(small_market, LEFT, edges)
-        assert ml.verify_stability(small_market, edges, matching) == []
+    for market in (small_market, capacitated):
+        for _ in range(5):
+            edges = EdgeSet.from_mask(rng.random((market.n_left, market.n_right)) < 0.4)
+            for side in (LEFT, RIGHT):
+                matching = ml.run_da(market, side, edges)
+                assert ml.verify_stability(market, edges, matching) == []
+                assert matching.edges.issubset(edges)
 
 
 def test_order_invariance(mid_market):
@@ -50,15 +55,15 @@ def test_order_invariance(mid_market):
     base = ml.run_da(mid_market, LEFT)
     for order_seed in (None, 1, 2, 3, 4):
         ref = reference_da(mid_market, LEFT, order_seed=order_seed)
-        assert ref.same_pairs(base)
+        assert ref.edges == base.edges
         assert np.array_equal(ref.proposal_counts, base.proposal_counts)
 
 
 def assert_same_run(got, want):
     assert got.proposing_side == want.proposing_side
-    assert np.array_equal(got.pair_array, want.pair_array)
+    assert got.edges == want.edges
     for side in (LEFT, RIGHT):
-        assert got.matches(side) == want.matches(side)
+        assert all(map(np.array_equal, got.edges.csr(side), want.edges.csr(side)))
     assert got.proposal_counts.tolist() == want.proposal_counts.tolist()
 
 
@@ -126,14 +131,17 @@ def matching_cases(draw):
 @given(matching_cases())
 def test_matching_views_match_per_agent_loops(case):
     market, sets = case
-    m = ml.Matching.from_left_sets(sets, market.n_right)
-    assert ml.Matching.from_left_sets(m.matches(LEFT), market.n_right).same_pairs(m)
-    assert m.pairs() == {(i, j) for i, ms in enumerate(sets) for j in ms}
-    assert np.array_equal(EdgeSet.from_pairs(m.pairs(), market.n_left, market.n_right).pairs(),
-                          m.pair_array)
+    pairs = [(i, j) for i, ms in enumerate(sets) for j in ms]
+    m = ml.Matching(pairs, market.n_left, market.n_right)
+    assert m.pairs() == set(pairs)
+    assert EdgeSet.from_pairs(m.pairs(), market.n_left, market.n_right) == m.edges
+    by_side = {LEFT: [sorted(ms) for ms in sets],
+               RIGHT: [[i for i, ms in enumerate(sets) if j in ms] for j in range(market.n_right)]}
     for side in (LEFT, RIGHT):
-        tuples = m.matches(side)
-        assert m.match_counts(side).tolist() == [len(t) for t in tuples]
+        tuples = by_side[side]
+        indptr, partners = m.edges.csr(side)
+        assert [partners[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])] == tuples
+        assert m.edges.degrees(side).tolist() == [len(t) for t in tuples]
         assert m.matched_mask(side).tolist() == [bool(t) for t in tuples]
         for spare_is_worst in (False, True):
             got_u, got_j = worst_partner(market, side, m, spare_is_worst)
@@ -149,6 +157,8 @@ def test_matching_views_match_per_agent_loops(case):
     ([[0, 0]], dict(proposing_side=RIGHT, proposal_counts=[1, 2, 0, 0]), "proposal_counts"),
     ([[0, 0], [0, 0]], {}, "more than once"),
     ([[2, 1], [0, 0], [2, 1]], {}, "more than once"),
+    ([[0, 0]], dict(proposing_side="up"), "unknown proposing side 'up'"),
+    ([[0, 0]], dict(proposing_side="Left"), "unknown proposing side 'Left'"),
 ])
 def test_matching_rejects_bad_input(pairs, kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -273,13 +283,13 @@ def test_kernel_matches_reference_on_generated_markets(nl, nr, cap_l, cap_r, den
 
 def test_matching_symmetry_and_capacity(small_market):
     matching = ml.run_da(small_market, LEFT)
-    left, right = matching.matches(LEFT), matching.matches(RIGHT)
-    for i, ms in enumerate(left):
-        assert len(ms) <= small_market.cap_left
-        for j in ms:
-            assert i in right[j]
-    for j, ms in enumerate(right):
-        assert len(ms) <= small_market.cap_right
+    pairs = matching.pairs()
+    for side in (LEFT, RIGHT):
+        indptr, partners = matching.edges.csr(side)
+        assert (np.diff(indptr) <= small_market.cap(side)).all()
+        agents = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        seen = set(zip(agents.tolist(), partners.tolist()))
+        assert seen == (pairs if side == LEFT else {(j, i) for i, j in pairs})
 
 
 def test_capacitated_da_fills_and_respects_caps():
@@ -287,7 +297,7 @@ def test_capacitated_da_fills_and_respects_caps():
     matching = ml.run_da(m, LEFT)
     assert ml.verify_stability(m, None, matching) == []
     assert matching.matched_mask(LEFT).all()
-    assert (matching.match_counts(RIGHT) == 8).all()
+    assert (matching.edges.degrees(RIGHT) == 8).all()
 
 
 def test_receiver_bumps_worst_held():
@@ -316,10 +326,10 @@ def test_cut_spec_needs_something():
 
 def test_vacuous_cut_equals_full(mid_market):
     cut = ml.CutSpec(rating_floor=0.0)
-    assert ml.run_double_cut_da(mid_market, LEFT, cut).same_pairs(ml.run_da(mid_market, LEFT))
+    assert ml.run_double_cut_da(mid_market, LEFT, cut).edges == ml.run_da(mid_market, LEFT).edges
     # negative floors clamp to zero
     cut2 = ml.CutSpec(rating_floor=-3.0)
-    assert ml.run_double_cut_da(mid_market, LEFT, cut2).same_pairs(ml.run_da(mid_market, LEFT))
+    assert ml.run_double_cut_da(mid_market, LEFT, cut2).edges == ml.run_da(mid_market, LEFT).edges
 
 
 def test_degenerate_floor_only_target_edges(mid_market):
@@ -430,15 +440,15 @@ def test_verify_stability_flags_swapped_pairs(mid_market):
             break
     assert found is not None
     i, k = found
-    sets = [list(s) for s in matching.matches(LEFT)]
-    sets[i], sets[k] = [int(partner[k])], [int(partner[i])]
-    swapped = ml.Matching.from_left_sets(sets, mid_market.n_right)
+    ji, jk = int(partner[i]), int(partner[k])
+    pairs = matching.pairs() - {(i, ji), (k, jk)} | {(i, jk), (k, ji)}
+    swapped = ml.Matching(sorted(pairs), mid_market.n_left, mid_market.n_right)
     assert len(ml.verify_stability(mid_market, None, swapped)) >= 1
 
 
 def test_empty_matching_blocks_everywhere():
     m = ml.generate_market(6, 6, model=ml.linear_model(0.5), seed=12)
-    empty = ml.Matching.from_left_sets([[] for _ in range(6)], 6)
+    empty = ml.Matching([], 6, 6)
     rng = np.random.default_rng(0)
     edges = EdgeSet.from_mask(rng.random((6, 6)) < 0.5)
     blocking = ml.verify_stability(m, edges, empty)
@@ -451,7 +461,7 @@ def test_verify_stability_capacitated_under_capacity_blocks():
     scores_l = np.array([[0.9], [0.8]])
     scores_r = np.array([[0.5, 0.6]])
     m = make_manual_market(scores_l, scores_r, cap_right=2)
-    partial = ml.Matching.from_left_sets([[0], []], 1)
+    partial = ml.Matching([(0, 0)], 2, 1)
     blocking = ml.verify_stability(m, None, partial)
     assert blocking == [(1, 0)]
 
@@ -480,8 +490,8 @@ def test_brute_force_contains_da_outputs():
         m = ml.generate_market(3, 3, model=ml.linear_model(0.6), seed=int(rng.integers(1 << 32)))
         stable = ml.brute_force_stable_set(m)
         a, b = ml.extreme_matchings(m)
-        assert any(a.same_pairs(s) for s in stable)
-        assert any(b.same_pairs(s) for s in stable)
+        assert any(a.edges == s.edges for s in stable)
+        assert any(b.edges == s.edges for s in stable)
 
 
 def test_brute_force_unmatched_invariance_restricted():

@@ -182,7 +182,7 @@ def pooled_outputs(m):
     shifted = ml.Matching(np.column_stack((np.arange(k), (np.arange(k) + 1) % m.n_right)),
                           m.n_left, m.n_right)
     for matching in (ml.run_da(m, LEFT), ml.run_da(m, RIGHT), shifted):
-        out += [matching.pair_array.tobytes(), repr(ml.verify_stability(m, None, matching))]
+        out += [matching.edges.flat.tobytes(), repr(ml.verify_stability(m, None, matching))]
     return out + [ml.acceptable_edges(m, 0.3, 0.2, 0.1, 0.0).flat.tobytes()]
 
 
