@@ -395,7 +395,7 @@ class InterviewParams:
 def interview_edges(market: Market, params: InterviewParams) -> EdgeSet:
     """Edges with small rating gap and mutually high private scores."""
     rl, rr = market.ratings_left, market.ratings_right
-    sl, sr = market.scores_left, market.scores_right
+    sl, sr = market.scores(LEFT), market.scores(RIGHT)
 
     def keep_left(rows, cols):
         out = np.abs(rl[rows, None] - rr[None, cols]) <= params.rating_window
@@ -475,7 +475,7 @@ def selected_edges(market: Market, params: SelectedSetParams, seed: int | None =
     if sigma > 0.5:
         raise ValueError("cone halfwidth above 1/2; increase n or reduce expected_degree")
     if seed is None:
-        scores_l, scores_r = market.scores_left, market.scores_right
+        scores_l, scores_r = market.scores(LEFT), market.scores(RIGHT)
     else:
         scores_l = stream_rng(seed, 4).random((n, n))
         scores_r = stream_rng(seed, 5).random((n, n))

@@ -40,6 +40,7 @@ from .market import (
     RIGHT,
     SIDES,
     Market,
+    _check_seed,
     generate_market,
     linear_model,
     other_side,
@@ -141,6 +142,7 @@ class ExperimentConfig:
             if f.name not in reads and getattr(self, f.name) != f.default:
                 raise ValueError(f"{self.experiment} does not read {f.name}; "
                                  f"leave it at {f.default!r}")
+        _check_seed(self.seed)
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         if self.jobs < 1:

@@ -13,7 +13,7 @@ import multiprocessing
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -282,12 +282,20 @@ def aligned_rank(rank: int, cap_own: int, cap_other: int, n_other: int) -> int |
     return target - 1 if target <= n_other else None
 
 
+# stream labels of the score rows (seed, label, row); ratings use labels 0 and 1
+_SCORE_LABELS = {LEFT: 2, RIGHT: 3}
+
+
 @dataclass(eq=False)
 class Market:
     """One market instance.  Treat as immutable once constructed.
 
-    ``scores_left[i, j]`` is left agent i's private score for right agent j;
-    ``scores_right[j, i]`` is right agent j's score for left agent i.
+    ``scores(LEFT)[i, j]`` is left agent i's private score for right agent
+    j; ``scores(RIGHT)[j, i]`` is right agent j's score for left agent i.
+    `scores_left` and `scores_right` are constructor arguments only: pass
+    both to hold given arrays (a loaded or hand-built market), or neither,
+    and the market draws its scores from `seed` whenever it needs them
+    (a generated market), so it holds no score matrix.
     """
 
     n_left: int
@@ -296,25 +304,33 @@ class Market:
     cap_right: int
     ratings_left: np.ndarray
     ratings_right: np.ndarray
-    scores_left: np.ndarray
-    scores_right: np.ndarray
     model: UtilityModel
     seed: int | None = None
     rating_range_left: tuple[float, float] = (0.0, 1.0)
     rating_range_right: tuple[float, float] = (0.0, 1.0)
+    scores_left: InitVar[np.ndarray | None] = None
+    scores_right: InitVar[np.ndarray | None] = None
+    _held_scores: dict = field(default_factory=dict, init=False, repr=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        for name in ("ratings_left", "ratings_right", "scores_left", "scores_right"):
+    def __post_init__(self, scores_left, scores_right) -> None:
+        for name in ("ratings_left", "ratings_right"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             setattr(self, name, arr)
         if self.ratings_left.shape != (self.n_left,) or self.ratings_right.shape != (self.n_right,):
             raise ValueError("rating vector shapes disagree with side sizes")
-        if self.scores_left.shape != (self.n_left, self.n_right):
-            raise ValueError("scores_left must be (n_left, n_right)")
-        if self.scores_right.shape != (self.n_right, self.n_left):
-            raise ValueError("scores_right must be (n_right, n_left)")
+        if scores_left is None and scores_right is None:
+            _check_seed(self.seed)
+            return
+        if scores_left is None or scores_right is None:
+            raise ValueError("a market needs both score arrays or neither")
+        for side, scores in ((LEFT, scores_left), (RIGHT, scores_right)):
+            arr = np.asarray(scores, dtype=float)
+            if arr.shape != (self.n(side), self.n(other_side(side))):
+                raise ValueError(f"scores_{side} must be (n_{side}, n_{other_side(side)})")
+            arr.setflags(write=False)
+            self._held_scores[side] = arr
 
     # -- side-indexed accessors ------------------------------------------
     def n(self, side: str) -> int:
@@ -327,7 +343,17 @@ class Market:
         return self.ratings_left if side == LEFT else self.ratings_right
 
     def scores(self, side: str) -> np.ndarray:
-        return self.scores_left if side == LEFT else self.scores_right
+        """(n_side, n_other) private scores of `side` agents for the other side.
+
+        The held array if the market was given one; else a fresh draw from
+        the market's seed on every call, which is never cached, so a caller
+        that keeps it pays for the matrix and one that drops it frees it."""
+        held = self._held_scores.get(side)
+        if held is not None:
+            return held
+        out = np.empty((self.n(side), self.n(other_side(side))))
+        _fill_score_rows(self.seed, _SCORE_LABELS[side], out)
+        return out
 
     def rating_range(self, side: str) -> tuple[float, float]:
         return self.rating_range_left if side == LEFT else self.rating_range_right
@@ -362,16 +388,20 @@ class Market:
 
     def _utility_matrix(self, side: str) -> np.ndarray:
         # written in place one block of rows at a time, so no temporary is
-        # larger than a block
+        # larger than a block: a block's scores are the held rows, or a
+        # fresh draw into the block of `out` that its utilities then
+        # overwrite while it is in cache
         rating = self.ratings(other_side(side))[None, :]
-        scores = self.scores(side)
-        out = np.empty(scores.shape)
+        out = np.empty((self.n(side), self.n(other_side(side))))
 
-        def fill(lo: int) -> None:
-            rows = slice(lo, lo + _BLOCK_ROWS)
-            self.model.utility(side, rating, scores[rows], out=out[rows])
+        def utility(lo: int, scores: np.ndarray) -> None:
+            self.model.utility(side, rating, scores, out=out[lo:lo + _BLOCK_ROWS])
 
-        _map_blocks(fill, scores.shape[0])
+        held = self._held_scores.get(side)
+        if held is None:
+            _fill_score_rows(self.seed, _SCORE_LABELS[side], out, then=utility)
+        else:
+            _map_blocks(lambda lo: utility(lo, held[lo:lo + _BLOCK_ROWS]), out.shape[0])
         return out
 
     def preference_order(self, side: str) -> np.ndarray:
@@ -407,6 +437,11 @@ class Market:
         return out
 
 
+# the InitVar defaults stay behind as class attributes; without them a stray
+# `market.scores_left` raises AttributeError instead of reading None
+del Market.scores_left, Market.scores_right
+
+
 def _resolve_ranges(n_left: int, n_right: int, cap_left: int, cap_right: int,
                     rating_ranges: str) -> tuple[tuple[float, float], tuple[float, float]]:
     unit = ((0.0, 1.0), (0.0, 1.0))
@@ -429,8 +464,12 @@ def _resolve_ranges(n_left: int, n_right: int, cap_left: int, cap_right: int,
 
 
 def _check_fits(n_left: int, n_right: int) -> None:
-    """Refuse a market whose dense score and utility matrices (two of each,
-    float64) would not fit in physical memory."""
+    """Refuse a market whose dense work would not fit in physical memory.
+
+    The bound is four n_left x n_right float64 matrices: the two utility
+    matrices a market caches, plus either a full-list DA's int64 preference
+    lists or the two score matrices that `interview_edges` or
+    `selected_edges` redraws."""
     need = 4 * n_left * n_right * 8
     try:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -438,9 +477,23 @@ def _check_fits(n_left: int, n_right: int) -> None:
         return  # no way to ask this platform; let the allocation decide
     if need > limit:
         raise ValueError(
-            f"a {n_left} x {n_right} market needs about {need / 2**30:.1f} GiB for its dense "
-            f"score and utility matrices, more than the {limit / 2**30:.1f} GiB of physical memory"
+            f"a {n_left} x {n_right} market needs about {need / 2**30:.1f} GiB for its utility "
+            f"matrices and the dense arrays built from them, more than the "
+            f"{limit / 2**30:.1f} GiB of physical memory"
         )
+
+
+def _check_seed(seed) -> int:
+    """`seed` as an int, refusing what numpy's SeedSequence refuses, with
+    the same exception types: a non-integer (TypeError) or a negative one
+    (ValueError)."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be a non-negative integer, got {seed!r}") from None
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value}")
+    return value
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator)
@@ -461,9 +514,7 @@ def _philox_keys(seed: int, label: int, rows) -> np.ndarray:
     into uint32 arrays whose arithmetic wraps.  `label` and the rows must be
     below 2**32, so each is one word.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    seed = _check_seed(seed)
     words = []
     while seed or not words:  # 32-bit words, least significant first; 0 is one word
         words.append(seed & _MASK32)
@@ -502,28 +553,32 @@ def _philox_keys(seed: int, label: int, rows) -> np.ndarray:
     return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _fill_score_rows(seed: int, targets) -> None:
-    """Fill row i of each (label, scores) target from stream (seed, label, i).
+def _fill_score_rows(seed: int, label: int, out: np.ndarray,
+                     then: Callable[[int, np.ndarray], None] | None = None) -> None:
+    """Fill row i of `out` from stream (seed, label, i); with `then`, call
+    ``then(lo, rows)`` on each block of rows just drawn, while it is in cache.
 
-    Each matrix's stream keys are hashed in one vectorised pass.  Its blocks
-    of rows then go through `_map_blocks`: a block resets one Philox to each
-    row's key, with counter 0 and an empty buffer, and draws the row.  That
-    is the state `stream_rng(seed, label, i)` starts in, so the bits equal
-    its draws.  The bulk draws release the GIL; the resets are the only
-    Python work left per row.
+    The stream keys are hashed in one vectorised pass.  The blocks of rows
+    then go through `_map_blocks`: a block resets one Philox to each row's
+    key, with counter 0 and an empty buffer, and draws the row.  That is the
+    state `stream_rng(seed, label, i)` starts in, so the bits equal its
+    draws.  The bulk draws release the GIL; the resets are the only Python
+    work left per row.
     """
-    for label, scores in targets:
-        keys = _philox_keys(seed, label, np.arange(scores.shape[0])).tolist()
+    keys = _philox_keys(seed, label, np.arange(out.shape[0])).tolist()
 
-        def fill(lo: int) -> None:
-            bitgen = np.random.Philox(0)  # reset to each row's stream below
-            draw = np.random.Generator(bitgen)
-            for key, row in zip(keys[lo:lo + _BLOCK_ROWS], scores[lo:lo + _BLOCK_ROWS]):
-                bitgen.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
-                                "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-                draw.random(out=row)
+    def fill(lo: int) -> None:
+        rows = out[lo:lo + _BLOCK_ROWS]
+        bitgen = np.random.Philox(0)  # reset to each row's stream below
+        draw = np.random.Generator(bitgen)
+        for key, row in zip(keys[lo:lo + _BLOCK_ROWS], rows):
+            bitgen.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+                            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            draw.random(out=row)
+        if then is not None:
+            then(lo, rows)
 
-        _map_blocks(fill, scores.shape[0])
+    _map_blocks(fill, out.shape[0])
 
 
 def generate_market(
@@ -539,7 +594,10 @@ def generate_market(
     """Draw a market: uniform ratings on their ranges, uniform [0,1] scores.
 
     All draws come from streams keyed by (seed, stream label), so the
-    instance is a pure function of (seed, parameters).  Unbalanced
+    instance is a pure function of (seed, parameters).  Only the ratings are
+    drawn here: the market draws its score rows from `seed` when it fills a
+    utility matrix or is asked for `scores(side)`, so nothing n x n is
+    allocated until then.  Unbalanced
     one-to-one markets get the widened/offset rating ranges under "auto";
     pass rating_ranges="unit" to force both sides onto [0, 1].
     """
@@ -548,6 +606,7 @@ def generate_market(
     if cap_left < 1 or cap_right < 1:
         raise ValueError("capacities must be at least 1")
     _check_fits(n_left, n_right)
+    seed = _check_seed(seed)  # before the rating draws, whose own error names no seed
     range_left, range_right = _resolve_ranges(n_left, n_right, cap_left, cap_right, rating_ranges)
 
     def draw_ratings(label: int, n: int, lohi: tuple[float, float]) -> np.ndarray:
@@ -556,10 +615,6 @@ def generate_market(
 
     ratings_left = draw_ratings(0, n_left, range_left)
     ratings_right = draw_ratings(1, n_right, range_right)
-    scores_left = np.empty((n_left, n_right))
-    scores_right = np.empty((n_right, n_left))
-    _fill_score_rows(seed, ((2, scores_left), (3, scores_right)))
-
     return Market(
         n_left=n_left,
         n_right=n_right,
@@ -567,8 +622,6 @@ def generate_market(
         cap_right=cap_right,
         ratings_left=ratings_left,
         ratings_right=ratings_right,
-        scores_left=scores_left,
-        scores_right=scores_right,
         model=model,
         seed=seed,
         rating_range_left=range_left,
@@ -595,8 +648,8 @@ def save_market(market: Market, path) -> None:
             meta=meta_bytes,
             ratings_left=market.ratings_left,
             ratings_right=market.ratings_right,
-            scores_left=market.scores_left,
-            scores_right=market.scores_right,
+            scores_left=market.scores(LEFT),
+            scores_right=market.scores(RIGHT),
         )
 
 

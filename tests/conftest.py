@@ -167,8 +167,8 @@ def dense_verify_stability(market, edges, matching):
 def dense_interview_edges(market, params):
     gap = np.abs(market.ratings_left[:, None] - market.ratings_right[None, :])
     mask = gap <= params.rating_window
-    mask &= market.scores_left > params.cutoff_left
-    mask &= (market.scores_right > params.cutoff_right).T
+    mask &= market.scores(LEFT) > params.cutoff_left
+    mask &= (market.scores(RIGHT) > params.cutoff_right).T
     return mask
 
 
@@ -194,7 +194,7 @@ def dense_selected_edges(market, params):
     if p.max() > 1.0:
         raise ValueError("survival probability above 1")
     threshold = 1.0 - np.sqrt(p)
-    return (p > 0.0) & (market.scores_left >= threshold) & (market.scores_right.T >= threshold)
+    return (p > 0.0) & (market.scores(LEFT) >= threshold) & (market.scores(RIGHT).T >= threshold)
 
 
 def per_row_candidate_lists(market, side, edges):

@@ -280,7 +280,7 @@ def test_interview_membership_rule():
     p, q = 0.2, 0.6
     edges = ml.interview_edges(m, ml.InterviewParams(p, q))
     gap = np.abs(m.ratings_left[:, None] - m.ratings_right[None, :])
-    expected = (gap <= p) & (m.scores_left > q) & (m.scores_right.T > q)
+    expected = (gap <= p) & (m.scores(LEFT) > q) & (m.scores(RIGHT).T > q)
     assert np.array_equal(edges.mask, expected)
 
 
@@ -289,7 +289,7 @@ def test_interview_asymmetric_cutoffs():
     params = ml.InterviewParams(0.3, 0.5, score_cutoff_left=0.9, score_cutoff_right=0.1)
     edges = ml.interview_edges(m, params)
     gap = np.abs(m.ratings_left[:, None] - m.ratings_right[None, :])
-    expected = (gap <= 0.3) & (m.scores_left > 0.9) & (m.scores_right.T > 0.1)
+    expected = (gap <= 0.3) & (m.scores(LEFT) > 0.9) & (m.scores(RIGHT).T > 0.1)
     assert np.array_equal(edges.mask, expected)
 
 

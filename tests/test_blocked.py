@@ -133,7 +133,8 @@ def test_acceptable_entry_levels_reproduce_every_level(case, start, step, count,
                          scores_left=tenths(nl, nr), scores_right=tenths(nr, nl),
                          model=ml.linear_model(0.8))
     elif values == "nan":
-        market = replace(market, model=NAN_MODEL)
+        market = replace(market, model=NAN_MODEL, scores_left=market.scores(LEFT),
+                         scores_right=market.scores(RIGHT))
     caps = _loss_grid(ExperimentConfig("min-L", grid_start=start,
                                        grid_stop=start + step * (count - 1), grid_step=step))
     if rule == "theory":

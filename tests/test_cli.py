@@ -270,6 +270,19 @@ def test_generate_refuses_negative_seed(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,env", [
+    (["generate", "--n", "3", "--seed", "-1"], None),
+    (["experiment", "min-L", "--n", "5", "--runs", "1"], "-1"),
+], ids=["seed-flag", "env-seed"])
+def test_negative_seed_refused_before_any_draw(argv, env, tmp_path, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("MATCHLAB_SEED", env)
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is imported inside max_bipartite_matching only, so startup does
     # not pay for loading it

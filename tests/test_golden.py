@@ -12,7 +12,9 @@ cases were recorded on commit e4c0a70, before the suites shared one decile
 table; the edges-truncated, edges-truncated-L, run-acceptable-split,
 unique-partners-cap-left and truncation-n1-loss-bound cases were recorded
 on commit 4b96f8c, before every command filled its config through one
-flag table.  That command prints the table below for the current tree.  A
+flag table; the edges-selected-300 and edges-interview-300 cases were
+recorded on commit 0271339, while a generated market still held its score
+matrices.  That command prints the table below for the current tree.  A
 change that alters any artifact's bytes must say so and re-record them.
 """
 
@@ -53,6 +55,10 @@ CASES = {
     "run-acceptable-right-300": ["run", "--n", "300", "--edges", "acceptable", "--L", "0.3",
                                  "--sigma", "0.1", "--propose-side", "right"],
     "edges-viable-300": ["edges", "--n", "300", "--edges", "viable"],
+    # the two edge builders that read the private scores
+    "edges-selected-300": ["edges", "--n", "300", "--edges", "selected", "--k", "15"],
+    "edges-interview-300": ["edges", "--n", "300", "--edges", "interview", "--p", "0.3",
+                            "--q", "0.4"],
     # ten runs put every per-run mean past numpy's 8-way unrolled sum, so a
     # change in reduction order shows in the summary bytes
     "edge-counts-10runs": ["experiment", "edge-counts", "--n", "60", "--runs", "10",
@@ -87,6 +93,14 @@ GOLDEN = {
     'edge-counts-300': {
         'report.csv': '235a53e79858582c31a8ae9dd88ced0681f78bb048fe7e11e8ea8a5411f7ddba',
         'summary.json': '8542eb0204b627dfac9953438dfdf45faff94ee16d042178f935ee0d45016197',
+    },
+    'edges-interview-300': {
+        'edge_summary.json': '27680af52e953690e6454e94f6566f52fc746081576a3a63333d605899945542',
+        'edges.csv': '0aaa68f7a54c2207fd0f2397efde57e457ffa24b351702659ca49b7b6ed6bb59',
+    },
+    'edges-selected-300': {
+        'edge_summary.json': '8ceefbfbad61746628ff1d0418d1c5aa39afc5478cc678c28d91ef7537e0ef66',
+        'edges.csv': '1d841dfce618fd4668c34214097af0592463bc87b1ed024ebe3d7451ab237cd8',
     },
     'edges-truncated': {
         'edge_summary.json': '99ffe795b972da74163f684582aaf1d983736bf7cc685cf1e6935142b2d03499',

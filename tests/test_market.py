@@ -122,17 +122,17 @@ def test_aligned_rank_matches_ceiling_formula(rank, cap_own, cap_other):
 def test_generate_minimal_market():
     m = ml.generate_market(1, 1, model=ml.linear_model(0.5), seed=3)
     assert 0.0 <= m.ratings_left[0] <= 1.0
-    assert 0.0 <= m.scores_right[0, 0] <= 1.0
+    assert 0.0 <= m.scores(RIGHT)[0, 0] <= 1.0
 
 
 def test_generate_determinism():
     a = ml.generate_market(40, 40, model=ml.linear_model(0.8), seed=99)
     b = ml.generate_market(40, 40, model=ml.linear_model(0.8), seed=99)
-    assert np.array_equal(a.scores_left, b.scores_left)
-    assert np.array_equal(a.scores_right, b.scores_right)
+    assert np.array_equal(a.scores(LEFT), b.scores(LEFT))
+    assert np.array_equal(a.scores(RIGHT), b.scores(RIGHT))
     assert np.array_equal(a.ratings_left, b.ratings_left)
     c = ml.generate_market(40, 40, model=ml.linear_model(0.8), seed=100)
-    assert not np.array_equal(a.scores_left, c.scores_left)
+    assert not np.array_equal(a.scores(LEFT), c.scores(LEFT))
 
 
 def test_score_streams_independent_of_order():
@@ -142,10 +142,51 @@ def test_score_streams_independent_of_order():
     m = ml.generate_market(20, 15, model=ml.linear_model(0.5), seed=77)
     for i in (0, 7, 19):
         row = stream_rng(77, 2, i).random(15)
-        assert np.array_equal(row, m.scores_left[i])
+        assert np.array_equal(row, m.scores(LEFT)[i])
     for j in (14, 3):
         row = stream_rng(77, 3, j).random(20)
-        assert np.array_equal(row, m.scores_right[j])
+        assert np.array_equal(row, m.scores(RIGHT)[j])
+
+
+def test_generated_market_holds_no_score_matrix():
+    # each block of score rows is drawn into the utility rows it becomes;
+    # tracemalloc sees numpy's buffers
+    n = 1000
+    tracemalloc.start()
+    try:
+        m = ml.generate_market(n, n, model=ml.linear_model(0.8), seed=7)
+        _, generate_peak = tracemalloc.get_traced_memory()
+        for side in (LEFT, RIGHT):
+            m.utility_matrix(side)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert generate_peak < n * n * 8
+    assert peak < 2 * n * n * 8 + 2 * 2**20
+    # scores are redrawn on every call, never cached
+    first, second = m.scores(LEFT), m.scores(LEFT)
+    assert not np.shares_memory(first, second)
+    left, _ = serial_score_rows(7, n, n)
+    assert first.tobytes() == second.tobytes() == left.tobytes()
+
+
+def test_market_refuses_incomplete_scores():
+    m = ml.generate_market(4, 3, model=ml.linear_model(0.5), seed=2)
+    base = dict(n_left=4, n_right=3, cap_left=1, cap_right=1, ratings_left=m.ratings_left,
+                ratings_right=m.ratings_right, model=m.model)
+    with pytest.raises(ValueError, match="both score arrays or neither"):
+        ml.Market(**base, seed=2, scores_left=m.scores(LEFT))
+    with pytest.raises(TypeError, match="seed must be a non-negative integer, got None"):
+        ml.Market(**base)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        ml.Market(**base, seed=-1)
+    with pytest.raises(ValueError, match=r"scores_right must be \(n_right, n_left\)"):
+        ml.Market(**base, scores_left=m.scores(LEFT), scores_right=m.scores(LEFT))
+    held = ml.Market(**base, scores_left=m.scores(LEFT), scores_right=m.scores(RIGHT))
+    assert held.scores(LEFT) is held.scores(LEFT)
+    for name in ("scores_left", "scores_right"):
+        with pytest.raises(AttributeError):
+            getattr(m, name)
 
 
 @pytest.mark.parametrize("n_left,n_right,cap_right", [
@@ -157,8 +198,8 @@ def test_score_streams_independent_of_order():
 def test_scores_equal_serial_row_draws(n_left, n_right, cap_right):
     m = ml.generate_market(n_left, n_right, cap_right=cap_right, model=ml.linear_model(0.5), seed=41)
     left, right = serial_score_rows(41, n_left, n_right)
-    assert m.scores_left.tobytes() == left.tobytes()
-    assert m.scores_right.tobytes() == right.tobytes()
+    assert m.scores(LEFT).tobytes() == left.tobytes()
+    assert m.scores(RIGHT).tobytes() == right.tobytes()
 
 
 def tied_nan_model():
@@ -171,7 +212,7 @@ def tied_nan_model():
 
 def pooled_outputs(m):
     """Bytes of every pass that runs through `_map_blocks`, on market `m`."""
-    out = [m.scores_left.tobytes(), m.scores_right.tobytes()]
+    out = [m.scores(LEFT).tobytes(), m.scores(RIGHT).tobytes()]
     for side in (LEFT, RIGHT):
         u = m.utility_matrix(side)
         order = m.preference_order(side)
@@ -223,11 +264,14 @@ def test_generate_refuses_negative_seed():
 
 
 @pytest.mark.parametrize("call", [
-    lambda m: ml.generate_market(2 * B + 1, B + 2, model=ml.linear_model(0.5), seed=42),
+    # a generated market draws its score rows in its first utility fill
+    lambda m: ml.generate_market(2 * B + 1, B + 2, model=ml.linear_model(0.5),
+                                 seed=42).utility_matrix(LEFT),
+    lambda m: m.scores(RIGHT),
     lambda m: preference_argsort(m.utility_matrix(LEFT)),
     lambda m: ml.run_da(m, RIGHT),
     lambda m: ml.verify_stability(m, None, ml.Matching(np.empty((0, 2)), m.n_left, m.n_right)),
-], ids=["generate_market", "preference_argsort", "run_da", "verify_stability"])
+], ids=["generate_market", "scores", "preference_argsort", "run_da", "verify_stability"])
 def test_pooled_calls_leave_no_thread_running(monkeypatch, call):
     m = ml.generate_market(2 * B + 1, B + 2, model=ml.linear_model(0.5), seed=42)
     for side in (LEFT, RIGHT):  # so the call's own pass is what starts threads
@@ -268,7 +312,7 @@ def test_one_place_constructs_a_thread_pool():
 
 def test_marginal_uniformity_ks():
     m = ml.generate_market(400, 250, model=ml.linear_model(0.5), seed=5, rating_ranges="unit")
-    draws = np.sort(m.scores_left.ravel())
+    draws = np.sort(m.scores(LEFT).ravel())
     n = draws.size
     grid = np.arange(1, n + 1) / n
     ks = max(np.abs(grid - draws).max(), np.abs(draws - (np.arange(n) / n)).max())
@@ -331,8 +375,8 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "market.npz"
     ml.save_market(m, path)
     loaded = ml.load_market(path)
-    assert np.array_equal(loaded.scores_left, m.scores_left)
-    assert np.array_equal(loaded.scores_right, m.scores_right)
+    assert np.array_equal(loaded.scores(LEFT), m.scores(LEFT))
+    assert np.array_equal(loaded.scores(RIGHT), m.scores(RIGHT))
     assert np.array_equal(loaded.ratings_left, m.ratings_left)
     assert loaded.model.weight == m.model.weight
     assert loaded.seed == m.seed
