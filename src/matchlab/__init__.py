@@ -37,17 +37,17 @@ from .engine import (
 from .analysis import (
     InterviewParams,
     LossParams,
-    LossReport,
     SelectedSetParams,
     acceptable_edges,
     acceptable_entry_levels,
     achieved_utilities,
+    agent_losses,
     benchmark,
     benchmark_vector,
     cone_bounds,
     interview_edges,
     loss_params_from_bound,
-    loss_report,
+    loss_rows,
     loss_threshold_edges,
     lower_bound_loss_level,
     selected_edges,

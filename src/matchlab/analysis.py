@@ -10,7 +10,7 @@ acceptable, viable, interview, selected, and truncated sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,18 +29,17 @@ from .market import LEFT, RIGHT, Market, UtilityModel, other_side, stream_rng
 __all__ = [
     "InterviewParams",
     "LossParams",
-    "LossReport",
     "SelectedSetParams",
-    "SideLossReport",
     "acceptable_edges",
     "acceptable_entry_levels",
     "achieved_utilities",
+    "agent_losses",
     "benchmark",
     "benchmark_vector",
     "cone_bounds",
     "interview_edges",
     "loss_params_from_bound",
-    "loss_report",
+    "loss_rows",
     "loss_threshold_edges",
     "lower_bound_loss_level",
     "selected_cone_halfwidth",
@@ -60,53 +59,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LossParams:
-    """Loss bound and the derived analysis margins for one market scale.
+    """Loss bound and the rating widths derived from it for one model.
 
     ``loss_bound`` caps the loss of non-bottom agents; ``sigma_bound`` is
     the aligned-rating threshold below which agents are exempt (the bottom
-    zone).  ``rating_margin`` is the rating half-width used by double cuts
-    and cones; ``propose_margin`` and ``accept_margin`` are the matching
-    probability margins implied by the model's derivative bounds.
+    zone).  ``rating_margin`` is the rating half-width of `cone_bounds`,
+    and four times it is the rating shift of `truncated_edges`.
     """
 
-    failure_exponent: float
     loss_bound: float
     sigma_bound: float
     rating_margin: float
-    propose_margin: float
-    accept_margin: float
-    t: float = 1.0
-
-    def with_t(self, t: float) -> "LossParams":
-        """Relaxed copy for low-rating agents: the exempt zone shrinks by t
-        while the loss bound grows by t^2 (margins rescale to keep the
-        failure exponent's leading term)."""
-        if t < 1.0:
-            raise ValueError("t must be at least 1")
-        return replace(
-            self,
-            t=t,
-            loss_bound=self.loss_bound * t * t,
-            sigma_bound=self.sigma_bound / t,
-            rating_margin=self.rating_margin / t,
-            propose_margin=self.propose_margin / t,
-            accept_margin=self.accept_margin * t,
-        )
 
 
-def loss_params_from_bound(loss_bound: float, model: UtilityModel,
-                           failure_exponent: float = float("nan")) -> LossParams:
-    """Derive the analysis margins from an explicit loss bound (or, field by
+def loss_params_from_bound(loss_bound: float, model: UtilityModel) -> LossParams:
+    """Derive the rating widths from an explicit loss bound (or, field by
     field, from an array of bounds)."""
-    mu, rho = model.mu, model.rho
-    alpha = loss_bound / (4.0 * mu)
+    mu = model.mu
     return LossParams(
-        failure_exponent=failure_exponent,
         loss_bound=loss_bound,
         sigma_bound=3.0 * loss_bound / (4.0 * mu),
-        rating_margin=alpha,
-        propose_margin=alpha * rho,
-        accept_margin=alpha * rho,
+        rating_margin=loss_bound / (4.0 * mu),
     )
 
 
@@ -121,7 +94,7 @@ def theoretical_loss_params(n: int, failure_exponent: float, model: UtilityModel
     c = failure_exponent
     mu, rho = model.mu, model.rho
     loss_bound = (128.0 * (c + 2.0) * mu**3 * math.log(n) / (rho**2 * n)) ** (1.0 / 3.0)
-    return loss_params_from_bound(loss_bound, model, failure_exponent=c)
+    return loss_params_from_bound(loss_bound, model)
 
 
 def _loss_params(loss_bound: float | None, n: int, failure_exponent: float,
@@ -130,7 +103,7 @@ def _loss_params(loss_bound: float | None, n: int, failure_exponent: float,
     bound at market size n."""
     if loss_bound is None:
         return theoretical_loss_params(n, failure_exponent, model)
-    return loss_params_from_bound(loss_bound, model, failure_exponent)
+    return loss_params_from_bound(loss_bound, model)
 
 
 def lower_bound_loss_level(n: int) -> float:
@@ -167,43 +140,6 @@ def achieved_utilities(market: Market, matching: Matching, side: str,
     return np.where(matching.matched_mask(side), worst_u, unmatched)
 
 
-@dataclass
-class SideLossReport:
-    side: str
-    benchmark: np.ndarray
-    achieved: np.ndarray
-    loss: np.ndarray
-    aligned_rating: np.ndarray
-    bottom_zone: np.ndarray
-    matched: np.ndarray
-    match_count: np.ndarray
-
-    def rows(self, market: Market) -> list[dict]:
-        rank = market.agent_rank(self.side)
-        return [{
-            "side": self.side,
-            "agent_index": a,
-            "public_rank": int(rank[a]),
-            "aligned_rating": float(self.aligned_rating[a]),
-            "benchmark": float(self.benchmark[a]),
-            "achieved": float(self.achieved[a]),
-            "loss": float(loss),
-            "is_gain": bool(loss < 0),  # False for a NaN loss
-            "bottom_zone": bool(self.bottom_zone[a]),
-            "matched": bool(self.matched[a]),
-            "match_count": int(self.match_count[a]),
-        } for a, loss in enumerate(self.loss)]
-
-
-@dataclass
-class LossReport:
-    left: SideLossReport
-    right: SideLossReport
-
-    def rows(self, market: Market) -> list[dict]:
-        return self.left.rows(market) + self.right.rows(market)
-
-
 def _bottom_zone(market: Market, side: str, sigma: float | None) -> np.ndarray:
     """Agents of `side` in the bottom zone: those without an aligned partner,
     and, unless `sigma` is None, those whose aligned partner is rated below
@@ -214,35 +150,46 @@ def _bottom_zone(market: Market, side: str, sigma: float | None) -> np.ndarray:
     return np.isnan(aligned) | (aligned < market.rating_range(other_side(side))[0] + sigma)
 
 
-def _side_loss(market: Market, matching: Matching, side: str,
-               params: LossParams | None) -> SideLossReport:
-    bench = benchmark_vector(market, side)
-    achieved = achieved_utilities(market, matching, side)
-    return SideLossReport(
-        side=side,
-        benchmark=bench,
-        achieved=achieved,
-        loss=bench - achieved,
-        aligned_rating=market.aligned_ratings(side),
-        bottom_zone=_bottom_zone(market, side, None if params is None else params.sigma_bound),
-        matched=matching.matched_mask(side),
-        match_count=matching.edges.degrees(side),
-    )
+def agent_losses(market: Market, matching: Matching, side: str) -> np.ndarray:
+    """Per-agent loss of `side` in `matching`: benchmark minus achieved
+    utility; NaN for an agent that is unmatched or has no benchmark."""
+    return benchmark_vector(market, side) - achieved_utilities(market, matching, side)
 
 
-def loss_report(market: Market, matching: Matching, params: LossParams | None = None,
-                params_right: LossParams | None = None) -> LossReport:
-    """Per-agent benchmark/achieved/loss report for both sides.
+def loss_rows(market: Market, matching: Matching, sigma_left: float | None = None,
+              sigma_right: float | None = None) -> list[dict]:
+    """One row per agent, left agents first: its benchmark, achieved
+    utility and loss, and whether it sits in its side's bottom zone.
 
-    Unmatched agents carry NaN achieved utility and loss; the bottom-zone
-    flag marks agents whose aligned partner's rating falls below the
-    params' sigma bound (or who have no aligned partner at all).  `params`
-    serves both sides unless `params_right` is given for the right side.
+    Unmatched agents carry NaN achieved utility and loss.  An agent is in
+    the bottom zone when it has no aligned partner or, unless its side's
+    sigma is None, when its aligned partner is rated below the other
+    side's rating floor plus that sigma.
     """
-    return LossReport(
-        left=_side_loss(market, matching, LEFT, params),
-        right=_side_loss(market, matching, RIGHT, params if params_right is None else params_right),
-    )
+    rows = []
+    for side, sigma in ((LEFT, sigma_left), (RIGHT, sigma_right)):
+        loss = agent_losses(market, matching, side)
+        bench = benchmark_vector(market, side)
+        achieved = achieved_utilities(market, matching, side)
+        rank = market.agent_rank(side)
+        aligned = market.aligned_ratings(side)
+        bottom = _bottom_zone(market, side, sigma)
+        matched = matching.matched_mask(side)
+        count = matching.edges.degrees(side)
+        rows += [{
+            "side": side,
+            "agent_index": a,
+            "public_rank": int(rank[a]),
+            "aligned_rating": float(aligned[a]),
+            "benchmark": float(bench[a]),
+            "achieved": float(achieved[a]),
+            "loss": float(value),
+            "is_gain": bool(value < 0),  # False for a NaN loss
+            "bottom_zone": bool(bottom[a]),
+            "matched": bool(matched[a]),
+            "match_count": int(count[a]),
+        } for a, value in enumerate(loss)]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .analysis import (
     acceptable_edges,
     interview_edges,
     loss_params_from_bound,
-    loss_report,
+    loss_rows,
     selected_edges,
     truncated_edges,
     viable_edges,
@@ -247,8 +247,17 @@ def _generate(config, seed: int):
 
 def _market_from_args(args, config):
     """The market to work on and its provenance: a loaded market records its
-    own seed and file, a generated one the resolved seed."""
+    own seed and file, a generated one the resolved seed.  A market file
+    fixes the market and its seed, so a market flag or `--seed` beside it
+    is refused rather than ignored."""
     if args.market is not None:
+        given = ["/".join(flags) for filled, flags, kwargs in CONFIG_FLAGS
+                 if set(filled) <= MARKET_FIELDS and kwargs.get("dest", filled[0]) in vars(args)]
+        if args.seed is not None:
+            given.append("--seed")
+        if given:
+            raise ValueError("--market loads the market and its seed from the file; "
+                             f"drop {', '.join(given)}")
         market = load_market(args.market)
         return market, {"seed": market.seed, "seed_drawn": False, "market_file": str(args.market)}
     seed, drawn = _resolve_seed(args)
@@ -333,13 +342,13 @@ def cmd_run(args) -> int:
     matching = run_da(market, config.proposing_side, edges)
     blocking = verify_stability(market, edges, matching)
     # each side's bottom zone follows the loss cap its edges were built with
-    params = [None if cap is None else loss_params_from_bound(cap, market.model, config.failure_exponent)
+    sigmas = [None if cap is None else loss_params_from_bound(cap, market.model).sigma_bound
               for cap in (config.loss_cap_left, config.loss_cap_right)]
-    report = loss_report(market, matching, *params)
+    losses = loss_rows(market, matching, *sigmas)
 
     out = _out_dir(args)
     _write_rows(_matching_rows(market, matching), out / "matching", args.format)
-    _write_rows(report.rows(market), out / "losses", args.format)
+    _write_rows(losses, out / "losses", args.format)
     audit = {
         **provenance,
         "propose_side": config.proposing_side,

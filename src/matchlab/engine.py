@@ -117,10 +117,6 @@ class EdgeSet:
         return EdgeSet(np.intersect1d(self.flat, other.flat, assume_unique=True),
                        self.n_left, self.n_right)
 
-    def __or__(self, other: "EdgeSet") -> "EdgeSet":
-        _check_shape(other, self)
-        return EdgeSet(np.union1d(self.flat, other.flat), self.n_left, self.n_right)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, EdgeSet) and self.n_left == other.n_left
                 and self.n_right == other.n_right and np.array_equal(self.flat, other.flat))

@@ -23,7 +23,7 @@ from .analysis import (
     acceptable_edges,
     acceptable_entry_levels,
     achieved_utilities,
-    benchmark_vector,
+    agent_losses,
     interview_edges,
     loss_params_from_bound,
     lower_bound_loss_level,
@@ -562,7 +562,7 @@ def _non_bottom_losses(config: ExperimentConfig, run_index: int, n: int) -> np.n
     pessimal = {LEFT: run_da(market, RIGHT), RIGHT: run_da(market, LEFT)}  # receivers fare worst
     pooled = []
     for side in (LEFT, RIGHT):
-        loss = benchmark_vector(market, side) - achieved_utilities(market, pessimal[side], side)
+        loss = agent_losses(market, pessimal[side], side)
         vals = loss[~_bottom_zone(market, side, cutoff)]
         pooled.append(vals[~np.isnan(vals)])
     return np.concatenate(pooled)
@@ -700,7 +700,7 @@ def _truncation_run(config: ExperimentConfig, run_index: int) -> dict:
     bottom = _bottom_zone(market, prop, sigma_prop)
 
     thresholds = _truncation_thresholds(market, prop, shift * t_prop**2)
-    loss_prop = benchmark_vector(market, prop) - achieved_utilities(market, matching, prop)
+    loss_prop = agent_losses(market, matching, prop)
     over = matching.matched_mask(prop) & ~np.isnan(thresholds) & (loss_prop > thresholds + 1e-12)
     return {
         "run": run_index,

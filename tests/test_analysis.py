@@ -53,31 +53,35 @@ def test_benchmark_non_increasing_in_rank():
 def test_loss_report_exact_values():
     m = ml.generate_market(10, 10, model=ml.linear_model(0.5), seed=15)
     matching = ml.run_da(m, LEFT)
-    report = ml.loss_report(m, matching)
+    rows = ml.loss_rows(m, matching)
+    left = [row for row in rows if row["side"] == LEFT]
     bench = benchmark_vector(m, LEFT)
     achieved = ml.achieved_utilities(m, matching, LEFT)
-    assert np.allclose(report.left.loss, bench - achieved)
-    assert report.left.matched.all()
+    assert np.allclose(ml.agent_losses(m, matching, LEFT), bench - achieved)
+    assert np.allclose([row["loss"] for row in left], bench - achieved)
+    assert all(row["matched"] for row in left)
 
 
 def test_loss_report_unmatched_marker_and_bottom_zone():
     m = ml.generate_market(30, 30, model=ml.linear_model(0.5), seed=16)
     empty = ml.Matching([], 30, 30)
     params = ml.loss_params_from_bound(0.3, m.model)
-    report = ml.loss_report(m, empty, params)
-    assert np.isnan(report.left.loss).all()
-    assert not report.left.matched.any()
+    rows = ml.loss_rows(m, empty, params.sigma_bound, params.sigma_bound)
+    left = [row for row in rows if row["side"] == LEFT]
+    assert np.isnan([row["loss"] for row in left]).all()
+    assert not any(row["matched"] for row in left)
     expected = m.aligned_ratings(LEFT) < params.sigma_bound
-    assert (report.left.bottom_zone == expected).all()
+    assert ([row["bottom_zone"] for row in left] == expected).all()
 
 
 def test_loss_subset_inequality():
     m = ml.generate_market(300, 300, model=ml.linear_model(0.8), seed=17)
     matching = ml.run_da(m, LEFT)
     params = ml.loss_params_from_bound(0.2, m.model)
-    report = ml.loss_report(m, matching, params)
-    loss = report.left.loss
-    non_bottom = ~report.left.bottom_zone
+    left = [row for row in ml.loss_rows(m, matching, params.sigma_bound, params.sigma_bound)
+            if row["side"] == LEFT]
+    loss = np.array([row["loss"] for row in left])
+    non_bottom = ~np.array([row["bottom_zone"] for row in left])
     assert np.nanmax(loss[non_bottom]) <= np.nanmax(loss)
 
 
@@ -117,22 +121,12 @@ def test_theoretical_loss_model_ratio():
 def test_loss_params_margins():
     params = ml.loss_params_from_bound(0.12, ml.linear_model(0.8))
     assert params.rating_margin == pytest.approx(0.12 / 3.2)
-    assert params.propose_margin == pytest.approx(params.rating_margin * 4.0)
     assert params.sigma_bound == pytest.approx(3 * params.rating_margin)
 
 
 def test_lower_bound_loss_level():
     n = 32000
     assert ml.lower_bound_loss_level(n) == pytest.approx((math.log(n) / n) ** (1 / 3) / 8)
-
-
-def test_with_t_relaxation():
-    params = ml.loss_params_from_bound(0.1, ml.linear_model(0.5))
-    relaxed = params.with_t(2.0)
-    assert relaxed.loss_bound == pytest.approx(0.4)
-    assert relaxed.sigma_bound == pytest.approx(params.sigma_bound / 2)
-    with pytest.raises(ValueError):
-        params.with_t(0.5)
 
 
 # --- acceptable edges ---------------------------------------------------------

@@ -476,6 +476,27 @@ def test_run_on_market_file_records_its_seed(tmp_path, capsys, monkeypatch):
         assert record["market_file"] == str(market)
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["run", "--n", "50", "--lambda", "0.3"], "--n, --lambda"),
+    (["edges", "--nw", "9", "--d", "3"], "--n-left/--nw, --d/--cap-right"),
+    (["run", "--seed", "4"], "--seed"),
+], ids=["run-market-flags", "edges-market-flags", "run-seed"])
+def test_market_file_refuses_market_flags_and_seed(argv, named, tmp_path, capsys, monkeypatch):
+    market = tmp_path / "m.npz"
+    assert main(["generate", "--n", "6", "--seed", "3", "--out", str(market)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("MATCHLAB_SEED", "9")
+    out = tmp_path / "x"
+    assert main([argv[0], "--market", str(market), *argv[1:], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --market loads the market and its seed from the file; drop {named}\n")
+    assert not out.exists()
+    # the environment's seed stays ambient: the file's seed is used
+    assert main([argv[0], "--market", str(market), "--out", str(out)]) == 0
+    summary = "audit.json" if argv[0] == "run" else "edge_summary.json"
+    assert strict_json(out / summary)["seed"] == 3
+
+
 def test_run_artifacts_strict_json(tmp_path, capsys):
     # unbalanced one-to-one: the short side's agents have no aligned partner
     out = tmp_path / "run"

@@ -14,7 +14,8 @@ unique-partners-cap-left and truncation-n1-loss-bound cases were recorded
 on commit 4b96f8c, before every command filled its config through one
 flag table; the edges-selected-300 and edges-interview-300 cases were
 recorded on commit 0271339, while a generated market still held its score
-matrices.  That command prints the table below for the current tree.  A
+matrices; the run-m2o-L-right case was recorded on commit 9b6ccd7, while
+the loss rows came from two report classes.  That command prints the table below for the current tree.  A
 change that alters any artifact's bytes must say so and re-record them.
 """
 
@@ -77,6 +78,9 @@ CASES = {
                                  "--runs", "2"],
     "truncation-n1-loss-bound": ["experiment", "truncation", "--n", "1", "--loss-bound", "0.2",
                                  "--runs", "2"],
+    # one side's loss cap set and the other's not: only the right side's
+    # bottom zone widens (2 of 10 right agents, no left agent)
+    "run-m2o-L-right": ["run", "--nw", "30", "--nc", "10", "--d", "3", "--L-right", "0.2"],
 }
 
 SEED = "11"
@@ -174,6 +178,11 @@ GOLDEN = {
         'audit.json': '661d3e9a71ca97766c8beef786133a607fb468ecf6af64a1ad3b0838e657699b',
         'losses.json': '4662e50dcdd81ddb37c1acf31b4c36e1b135a2f81e29e309df164b2f42299a98',
         'matching.json': '42823a9e49e7116179bec64b068df02197a8df842d27289a70fb1776d5c90846',
+    },
+    'run-m2o-L-right': {
+        'audit.json': '82340c9c2a11769c50a0605b7eac847215304386952ec66d9a5378e596367f5b',
+        'losses.csv': '543cc71bd01f48760c80cf1847de17fdcf91b81148eba0b3cbd3a1162be95c8f',
+        'matching.csv': '18549daeb10e98932350068e55ea4fec7dc51097d8837143e83446159de71ee5',
     },
     'truncation': {
         'report.csv': '572ce8ad6ec4b4d421436bc14b7ed67f4111df2d029e00f5fed67c60278974dd',
