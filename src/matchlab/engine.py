@@ -344,7 +344,8 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
         seg = np.repeat(np.arange(free.size), length)
         offs = np.arange(seg.size) - first[seg]
         i = free[seg]
-        j = indices[indptr[i] + ptr[i] + offs]
+        # full lists arrive in a narrow dtype, in which j * n_p would wrap
+        j = indices[indptr[i] + ptr[i] + offs].astype(np.int64, copy=False)
         u = u_flat[j * n_p + i]
         beat = _ranks_above(u, i, thr_u[j], thr_i[j])
         # the first `open` beating entries of each window are proposals

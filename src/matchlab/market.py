@@ -247,7 +247,13 @@ def _map_blocks(fn: Callable[[int], object], n_rows: int) -> list:
 
 
 def preference_argsort(u: np.ndarray) -> np.ndarray:
-    """Row-wise ``np.argsort(-u, axis=1, kind="stable")``, computed cheaper.
+    """Row-wise ``np.argsort(-u, axis=1, kind="stable")``, computed cheaper
+    and held in the smallest signed integer dtype that holds every column
+    index: int8 up to 128 columns, int16 up to 32768, int32 beyond.  The
+    values equal the stable argsort's; only the dtype is narrower than its
+    int64, so an n x 2000 table takes 2 bytes a cell instead of 8.  Signed,
+    so arithmetic on the result cannot wrap below zero; a caller that
+    multiplies an entry by a size widens it first.
 
     Each block of rows gets an unstable sort; a row whose sorted values hold
     an exact repeat or a NaN, where the order of equal keys matters, is sorted
@@ -255,7 +261,7 @@ def preference_argsort(u: np.ndarray) -> np.ndarray:
     of allocating a full negated copy of `u`, and lets `_map_blocks` sort two
     blocks at once.
     """
-    out = np.empty(u.shape, dtype=np.int64)
+    out = np.empty(u.shape, dtype=np.min_scalar_type(-max(u.shape[1], 1)))
 
     def sort(lo: int) -> None:
         neg = -u[lo:lo + _BLOCK_ROWS]
@@ -407,8 +413,11 @@ class Market:
     def preference_order(self, side: str) -> np.ndarray:
         """Full preference lists: partners by descending utility, ties by index.
 
-        Sorted on every call, not cached: no suite reads a side's full lists
-        twice, so a cached n x n int64 array would only hold memory."""
+        The values equal ``np.argsort(-u, axis=1, kind="stable")`` of this
+        side's utility matrix, in `preference_argsort`'s narrow signed dtype
+        (int16 for 129 to 32768 partners).  Sorted on every call, not cached:
+        no suite reads a side's full lists twice, so a cached n x n table
+        would only hold memory."""
         return preference_argsort(self.utility_matrix(side))
 
     # -- alignment ----------------------------------------------------------
@@ -467,9 +476,10 @@ def _check_fits(n_left: int, n_right: int) -> None:
     """Refuse a market whose dense work would not fit in physical memory.
 
     The bound is four n_left x n_right float64 matrices: the two utility
-    matrices a market caches, plus either a full-list DA's int64 preference
-    lists or the two score matrices that `interview_edges` or
-    `selected_edges` redraws."""
+    matrices a market caches, plus the two score matrices that
+    `interview_edges` or `selected_edges` redraws.  A full-list DA's
+    preference lists fit inside it: 2 bytes a cell (int16) up to 32768
+    partners, 4 beyond."""
     need = 4 * n_left * n_right * 8
     try:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -478,7 +488,7 @@ def _check_fits(n_left: int, n_right: int) -> None:
     if need > limit:
         raise ValueError(
             f"a {n_left} x {n_right} market needs about {need / 2**30:.1f} GiB for its utility "
-            f"matrices and the dense arrays built from them, more than the "
+            f"and score matrices, more than the "
             f"{limit / 2**30:.1f} GiB of physical memory"
         )
 

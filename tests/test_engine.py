@@ -267,6 +267,14 @@ def test_edge_set_pairs_match_argwhere(shape):
     (200, 25, 1, 8, 0.2),
     (40, 70, 3, 2, None),
     (80, 50, 2, 3, 0.5),
+    # full lists in int8 / int16 with n_left * n_right past the dtype's
+    # maximum, so a receiver-times-size index computed unwidened would wrap
+    (300, 128, 1, 1, None),
+    (300, 128, 2, 3, None),
+    (300, 129, 1, 1, None),
+    (300, 129, 2, 3, None),
+    (129, 300, 1, 1, None),
+    (129, 300, 2, 3, None),
 ])
 def test_kernel_matches_reference_on_generated_markets(nl, nr, cap_l, cap_r, density):
     m = ml.generate_market(nl, nr, cap_l, cap_r, model=ml.linear_model(0.8), seed=nl * nr)

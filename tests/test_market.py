@@ -444,15 +444,41 @@ def test_preference_argsort_across_row_blocks():
         assert np.array_equal(m.preference_order(side), want)
 
 
+@pytest.mark.parametrize("shape,dtype", [((2, 0), np.int8), ((2, 128), np.int8),
+                                         ((2, 129), np.int16), ((2, 32768), np.int16),
+                                         ((2, 32769), np.int32)])
+def test_preference_argsort_takes_smallest_signed_dtype(shape, dtype):
+    u = np.round(np.random.default_rng(shape[1]).random(shape) * 64) / 64  # ties in every row
+    got = preference_argsort(u)
+    assert got.dtype == dtype
+    assert np.array_equal(got, np.argsort(-u, axis=1, kind="stable"))
+
+
+def test_full_list_da_peak_below_one_dense_matrix():
+    # with the utilities cached, DA's one n x n array is its int16 preference
+    # table (2 bytes a cell); tracemalloc sees numpy's buffers
+    n = 1000
+    m = ml.generate_market(n, n, model=ml.linear_model(0.8), seed=8)
+    for side in (LEFT, RIGHT):
+        m.utility_matrix(side)
+    tracemalloc.start()
+    try:
+        ml.run_da(m, LEFT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
 def test_full_list_da_leaves_no_preference_matrix_on_market():
     # DA reads each side's full lists once, so the market keeps no n x n
-    # int64 preference order; the utility matrices it reads stay cached
+    # integer preference order; the utility matrices it reads stay cached
     m = ml.generate_market(50, 40, model=ml.linear_model(0.8), seed=6)
     for side in (LEFT, RIGHT):
         ml.run_da(m, side)
     held = [a for value in vars(m).values()
             for a in (value.values() if isinstance(value, dict) else (value,))
             if isinstance(a, np.ndarray)]
-    assert not [a.shape for a in held if a.dtype == np.int64 and a.ndim == 2]
+    assert not [a.shape for a in held if a.dtype.kind in "iu" and a.ndim == 2]
     for side in (LEFT, RIGHT):
         assert any(a is m.utility_matrix(side) for a in held)
