@@ -11,12 +11,10 @@ from .market import (
     RIGHT,
     Market,
     UtilityModel,
-    aligned_rank,
     custom_model,
     generate_market,
     linear_model,
     load_market,
-    monotonicity_audit,
     other_side,
     rank_order,
     register_model,
@@ -26,7 +24,6 @@ from .engine import (
     CutSpec,
     EdgeSet,
     Matching,
-    brute_force_stable_set,
     extreme_matchings,
     max_bipartite_matching,
     multi_stable_agents,
@@ -42,9 +39,7 @@ from .analysis import (
     acceptable_entry_levels,
     achieved_utilities,
     agent_losses,
-    benchmark,
     benchmark_vector,
-    cone_bounds,
     interview_edges,
     loss_params_from_bound,
     loss_rows,

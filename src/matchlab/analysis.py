@@ -24,7 +24,7 @@ from .engine import (
     extreme_matchings,
     worst_partner,
 )
-from .market import LEFT, RIGHT, Market, UtilityModel, other_side, stream_rng
+from .market import LEFT, RIGHT, Market, UtilityModel, other_side
 
 __all__ = [
     "InterviewParams",
@@ -34,16 +34,13 @@ __all__ = [
     "acceptable_entry_levels",
     "achieved_utilities",
     "agent_losses",
-    "benchmark",
     "benchmark_vector",
-    "cone_bounds",
     "interview_edges",
     "loss_params_from_bound",
     "loss_rows",
     "loss_threshold_edges",
     "lower_bound_loss_level",
     "selected_cone_halfwidth",
-    "selected_degree_stats",
     "selected_edges",
     "selected_survival",
     "selected_weight",
@@ -63,8 +60,8 @@ class LossParams:
 
     ``loss_bound`` caps the loss of non-bottom agents; ``sigma_bound`` is
     the aligned-rating threshold below which agents are exempt (the bottom
-    zone).  ``rating_margin`` is the rating half-width of `cone_bounds`,
-    and four times it is the rating shift of `truncated_edges`.
+    zone).  Four times ``rating_margin`` is the rating shift of
+    `truncated_edges`.
     """
 
     loss_bound: float
@@ -124,13 +121,6 @@ def benchmark_vector(market: Market, side: str) -> np.ndarray:
     if ok.any():
         out[ok] = market.model.utility(side, aligned[ok], 1.0)
     return out
-
-
-def benchmark(market: Market, side: str, rank: int) -> float | None:
-    """Benchmark of the rank-`rank` agent (0 = best); None if no aligned partner."""
-    agent = int(market.rank_to_agent(side)[rank])
-    value = benchmark_vector(market, side)[agent]
-    return None if np.isnan(value) else float(value)
 
 
 def achieved_utilities(market: Market, matching: Matching, side: str,
@@ -302,41 +292,18 @@ def viable_edges(market: Market, edges: EdgeSet | None = None) -> EdgeSet:
                          _prefers_to_worst(market, RIGHT, left_opt, weak=True), edges)
 
 
-def cone_bounds(market: Market, params: LossParams, agent: int, side: str = LEFT) -> tuple[float, float]:
-    """Rating interval containing the agent's acceptable partners w.h.p.
-
-    The interval is centred on the aligned partner's rating r and spans
-    [r - 4a, r + 5a] where a is the params' rating margin.
-    """
-    r = market.aligned_ratings(side)[agent]
-    if np.isnan(r):
-        raise ValueError("agent has no aligned partner; cone undefined")
-    a = params.rating_margin
-    return float(r - 4.0 * a), float(r + 5.0 * a)
-
-
 @dataclass(frozen=True)
 class InterviewParams:
     """Constant-list interview protocol: rating gap at most `rating_window`,
-    both private scores strictly above the cutoff(s)."""
+    both private scores strictly above `score_cutoff`."""
 
     rating_window: float
     score_cutoff: float
-    score_cutoff_left: float | None = None  # asymmetric variant, default symmetric
-    score_cutoff_right: float | None = None
 
     def __post_init__(self) -> None:
-        for v in (self.rating_window, self.score_cutoff, self.cutoff_left, self.cutoff_right):
+        for v in (self.rating_window, self.score_cutoff):
             if not 0.0 <= v <= 1.0:
                 raise ValueError("interview parameters live in [0, 1]")
-
-    @property
-    def cutoff_left(self) -> float:
-        return self.score_cutoff if self.score_cutoff_left is None else self.score_cutoff_left
-
-    @property
-    def cutoff_right(self) -> float:
-        return self.score_cutoff if self.score_cutoff_right is None else self.score_cutoff_right
 
 
 def interview_edges(market: Market, params: InterviewParams) -> EdgeSet:
@@ -346,10 +313,10 @@ def interview_edges(market: Market, params: InterviewParams) -> EdgeSet:
 
     def keep_left(rows, cols):
         out = np.abs(rl[rows, None] - rr[None, cols]) <= params.rating_window
-        out &= sl[rows, cols] > params.cutoff_left
+        out &= sl[rows, cols] > params.score_cutoff
         return out
 
-    return _mutual_edges(market, keep_left, lambda rows, cols: sr[rows, cols] > params.cutoff_right)
+    return _mutual_edges(market, keep_left, lambda rows, cols: sr[rows, cols] > params.score_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +373,12 @@ def selected_survival(x, y, expected_degree: float, sigma: float, n: int):
     return selected_weight(x, y, expected_degree, sigma) * sigma / n
 
 
-def selected_edges(market: Market, params: SelectedSetParams, seed: int | None = None) -> EdgeSet:
+def selected_edges(market: Market, params: SelectedSetParams) -> EdgeSet:
     """Edges surviving the two-round interview selection protocol.
 
     Each side passes an in-cone edge when its private score reaches
-    1 - sqrt(p), so the edge survives with probability exactly p.  With
-    ``seed=None`` the market's own private scores drive the protocol;
-    passing a seed redraws the protocol's randomness on fresh streams
-    keyed by the seed (same ratings, independent selections).
+    1 - sqrt(p), so the edge survives with probability exactly p.  The
+    market's own private scores drive the protocol.
     """
     n = market.n_left
     if market.n_right != n or market.cap_left != 1 or market.cap_right != 1:
@@ -421,11 +386,7 @@ def selected_edges(market: Market, params: SelectedSetParams, seed: int | None =
     sigma = params.halfwidth(n)
     if sigma > 0.5:
         raise ValueError("cone halfwidth above 1/2; increase n or reduce expected_degree")
-    if seed is None:
-        scores_l, scores_r = market.scores(LEFT), market.scores(RIGHT)
-    else:
-        scores_l = stream_rng(seed, 4).random((n, n))
-        scores_r = stream_rng(seed, 5).random((n, n))
+    scores_l, scores_r = market.scores(LEFT), market.scores(RIGHT)
     rl, rr = market.ratings_left, market.ratings_right
     k = params.expected_degree
 
@@ -440,29 +401,6 @@ def selected_edges(market: Market, params: SelectedSetParams, seed: int | None =
         return (p > 0.0) & (scores_l[rows, cols] >= threshold) & (scores_r[cols, rows].T >= threshold)
 
     return _mutual_edges(market, keep, None)
-
-
-def selected_degree_stats(market: Market, params: SelectedSetParams,
-                          edges: EdgeSet | None = None) -> dict:
-    """Granted-interview counts per agent, split out for mid-rating agents.
-
-    Mid-rating means the agent's whole cone fits inside the rating range,
-    where the protocol calibrates the expected count to `expected_degree`.
-    """
-    if edges is None:
-        edges = selected_edges(market, params)
-    sigma = params.halfwidth(market.n_left)
-    out = {}
-    for side in (LEFT, RIGHT):
-        deg = edges.degrees(side)
-        r = market.ratings(side)
-        mid = (r >= 2.0 * sigma) & (r <= 1.0 - 2.0 * sigma)
-        out[side] = {
-            "degrees": deg,
-            "mid_mask": mid,
-            "mid_mean": float(deg[mid].mean()) if mid.any() else float("nan"),
-        }
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ fields, and every command fills the fields by name from the flags given
 default.  `experiment <suite>` takes the flags whose fields the suite reads
 (`experiments.EXPERIMENTS`) and refuses any other.  `generate` takes the
 market flags, `run` and `edges` also the edge-protocol ones, and none of
-the three takes `--jobs`.
+the three takes `--jobs`; `run` and `edges` refuse an edge-protocol flag
+that the chosen `--edges` kind does not read (EDGE_KINDS).
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .analysis import (
     InterviewParams,
@@ -47,8 +48,6 @@ from .experiments import (
     write_strict_json,
 )
 from .market import LEFT, RIGHT, SIDES, generate_market, linear_model, load_market, save_market
-
-EDGE_KINDS = ("full", "acceptable", "viable", "interview", "selected", "truncated")
 
 
 def _range_checked(kind, lo, hi, name):
@@ -82,6 +81,8 @@ def _resolve_seed(args) -> tuple[int, bool]:
             return int(env), False
         except ValueError:
             raise ValueError(f"MATCHLAB_SEED must be an integer, got {env!r}") from None
+    import secrets  # here, not at startup: only a drawn seed needs it
+
     return secrets.randbits(63), True
 
 
@@ -120,6 +121,9 @@ CONFIG_FLAGS = (
     (("rating_window",), ("--p",), dict(type=_unit_float, help="interview rating window, in [0, 1]")),
     (("score_cutoff",), ("--q",), dict(
         type=_unit_float, help="interview private-score cutoff, in [0, 1]")),
+    (("expected_degree",), ("--k",), dict(
+        type=_range_checked(float, 1.0, 1e9, "k"),
+        help="selected-set expected interviews per agent, >= 1")),
     (("failure_exponent",), ("--c",), dict(
         type=_range_checked(float, 0.0, 100.0, "c"),
         help="failure-probability exponent for derived thresholds")),
@@ -144,7 +148,7 @@ CONFIG_FLAGS = (
 MARKET_FIELDS = {"n_left", "n_right", "cap_left", "cap_right", "weight", "rating_ranges"}
 # the edge-protocol fields `run` and `edges` read
 PROTOCOL_FIELDS = {"loss_cap_left", "loss_cap_right", "sigma_left", "sigma_right",
-                   "rating_window", "score_cutoff", "failure_exponent"}
+                   "rating_window", "score_cutoff", "expected_degree", "failure_exponent"}
 
 
 def _add_config_flags(p: argparse.ArgumentParser, names) -> None:
@@ -178,15 +182,13 @@ def _add_format_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _add_edge_flags(p: argparse.ArgumentParser) -> None:
-    """The edge-set choice of `run` and `edges`; no suite reads these."""
+    """The edge-set choice of `run` and `edges` and the truncation
+    relaxations, which only truncated edges read; no suite reads these."""
     p.add_argument("--edges", choices=EDGE_KINDS, default="full", help="edge-set construction")
-    p.add_argument("--k", dest="expected_degree", type=_range_checked(float, 1.0, 1e9, "k"),
-                   default=ExperimentConfig.expected_degree,
-                   help="selected-set expected interviews per agent, >= 1")
-    p.add_argument("--t-left", type=_range_checked(float, 1.0, 1e9, "t"), default=1.0,
-                   help="left-side truncation relaxation, >= 1")
-    p.add_argument("--t-right", type=_range_checked(float, 1.0, 1e9, "t"), default=1.0,
-                   help="right-side truncation relaxation, >= 1")
+    p.add_argument("--t-left", type=_range_checked(float, 1.0, 1e9, "t"), default=argparse.SUPPRESS,
+                   help="left-side truncation relaxation, >= 1 (default 1)")
+    p.add_argument("--t-right", type=_range_checked(float, 1.0, 1e9, "t"), default=argparse.SUPPRESS,
+                   help="right-side truncation relaxation, >= 1 (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,27 +266,65 @@ def _market_from_args(args, config):
     return _generate(config, seed), {"seed": seed, "seed_drawn": drawn, "market_file": None}
 
 
-def _build_edges(market, args, config):
-    kind = args.edges
-    if kind == "full":
-        return None
-    if kind == "acceptable":
-        if config.loss_cap_left is None or config.loss_cap_right is None:
-            raise ValueError("acceptable edges need --L (or --L-left/--L-right)")
-        return acceptable_edges(market, config.loss_cap_left, config.loss_cap_right,
-                                config.sigma_left, config.sigma_right)
-    if kind == "viable":
-        return viable_edges(market)
-    if kind == "interview":
-        return interview_edges(market, InterviewParams(config.rating_window, config.score_cutoff))
-    if kind == "selected":
-        return selected_edges(market, SelectedSetParams(args.expected_degree))
-    # "truncated": the parser's choices=EDGE_KINDS refuses any other kind
-    if "loss_cap_left" in vars(args) or "loss_cap_right" in vars(args):
-        raise ValueError("truncated edges read one loss bound: pass --L, not --L-left/--L-right")
-    params = _loss_params(config.loss_cap_left, market.n_left, config.failure_exponent,
-                          market.model)
-    return truncated_edges(market, params, args.t_left, args.t_right)
+def _acceptable(market, args, config):
+    if config.loss_cap_left is None or config.loss_cap_right is None:
+        raise ValueError("acceptable edges need --L (or --L-left/--L-right)")
+    return acceptable_edges(market, config.loss_cap_left, config.loss_cap_right,
+                            config.sigma_left, config.sigma_right)
+
+
+def _truncated(market, args, config):
+    params = _loss_params(config.loss_cap_left, market.n_left, config.failure_exponent, market.model)
+    return truncated_edges(market, params, *(vars(args).get(t, 1.0) for t in ("t_left", "t_right")))
+
+
+class EdgeKind(NamedTuple):
+    build: Callable  # (market, args, config) -> the edge set, or None for the complete set
+    reads: tuple[str, ...]  # destinations of the edge flags it reads
+    named: str  # those flags, as a refusal names them
+
+
+# Every `--edges` kind, its builder and the edge flags it reads.  `run` and
+# `edges` refuse any flag of this table that the chosen kind does not read.
+EDGE_KINDS = {
+    "full": EdgeKind(lambda market, args, config: None, (), "no edge flag"),
+    "acceptable": EdgeKind(_acceptable, ("loss_cap", "loss_cap_left", "loss_cap_right", "sigma"),
+                           "--L, --L-left, --L-right and --sigma"),
+    "viable": EdgeKind(lambda market, args, config: viable_edges(market), (), "no edge flag"),
+    "interview": EdgeKind(lambda market, args, config: interview_edges(
+        market, InterviewParams(config.rating_window, config.score_cutoff)),
+        ("rating_window", "score_cutoff"), "--p and --q"),
+    "selected": EdgeKind(lambda market, args, config: selected_edges(
+        market, SelectedSetParams(config.expected_degree)), ("expected_degree",), "--k"),
+    "truncated": EdgeKind(_truncated, ("loss_cap", "failure_exponent", "t_left", "t_right"),
+                          "one loss bound (--L), --c, --t-left and --t-right"),
+}
+# the loss-cap flags; `run` takes each side's bottom zone in its loss rows
+# from them, so it reads them whatever edges it runs on
+LOSS_CAPS = {"loss_cap", "loss_cap_left", "loss_cap_right"}
+
+
+def _flag(dest: str) -> str:
+    """The option strings of the flag whose destination is `dest`."""
+    for filled, flags, kwargs in CONFIG_FLAGS:
+        if kwargs.get("dest", filled[0]) == dest:
+            return "/".join(flags)
+    return "--" + dest.replace("_", "-")  # --t-left, --t-right
+
+
+def _edge_kind(args) -> EdgeKind:
+    """The chosen `--edges` kind, once every edge flag given that neither it
+    nor the command reads is refused.  `run` reads the loss caps unless the
+    kind reads caps of its own: its bottom zones then follow those."""
+    kind = EDGE_KINDS[args.edges]
+    reads = set(kind.reads)
+    if args.command == "run" and not reads & LOSS_CAPS:
+        reads |= LOSS_CAPS
+    edge_flags = {dest for other in EDGE_KINDS.values() for dest in other.reads}
+    refused = [_flag(dest) for dest in vars(args) if dest in edge_flags - reads]
+    if refused:
+        raise ValueError(f"{args.edges} edges read {kind.named}: drop {', '.join(refused)}")
+    return kind
 
 
 def _write_rows(rows: list[dict], path: Path, fmt: str) -> None:
@@ -336,9 +376,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    kind = _edge_kind(args)
     config = _command_config(args)
     market, provenance = _market_from_args(args, config)
-    edges = _build_edges(market, args, config)
+    edges = kind.build(market, args, config)
     matching = run_da(market, config.proposing_side, edges)
     blocking = verify_stability(market, edges, matching)
     # each side's bottom zone follows the loss cap its edges were built with
@@ -365,9 +406,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_edges(args) -> int:
+    kind = _edge_kind(args)
     config = _command_config(args)
     market, provenance = _market_from_args(args, config)
-    edges = _build_edges(market, args, config)
+    edges = kind.build(market, args, config)
     if edges is None:
         edges = EdgeSet.full(market.n_left, market.n_right)
     out = _out_dir(args)

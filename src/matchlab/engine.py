@@ -1,8 +1,7 @@
-"""Deferred acceptance in all variants, stability audits, and exact oracles."""
+"""Deferred acceptance in all variants and stability audits."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +12,6 @@ __all__ = [
     "CutSpec",
     "EdgeSet",
     "Matching",
-    "brute_force_stable_set",
     "extreme_matchings",
     "max_bipartite_matching",
     "multi_stable_agents",
@@ -47,44 +45,12 @@ class EdgeSet:
         self.n_right = int(n_right)
 
     @classmethod
-    def from_mask(cls, mask) -> "EdgeSet":
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim != 2:
-            raise ValueError("edge mask must be 2-dimensional (n_left, n_right)")
-        return cls(np.flatnonzero(mask), *mask.shape)
-
-    @classmethod
     def full(cls, n_left: int, n_right: int) -> "EdgeSet":
         return cls(np.arange(n_left * n_right), n_left, n_right)
-
-    @classmethod
-    def empty(cls, n_left: int, n_right: int) -> "EdgeSet":
-        return cls(np.empty(0, dtype=np.int64), n_left, n_right)
-
-    @classmethod
-    def from_pairs(cls, pairs, n_left: int, n_right: int) -> "EdgeSet":
-        """Edge set of the given (left, right) pairs; duplicates count once."""
-        pairs = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64).reshape(-1, 2)
-        if (pairs < 0).any() or (pairs >= (n_left, n_right)).any():
-            raise ValueError("edge index out of range")
-        return cls(np.unique(pairs[:, 0] * n_right + pairs[:, 1]), n_left, n_right)
-
-    @property
-    def mask(self) -> np.ndarray:
-        """Dense (n_left, n_right) boolean mask, built on every call: for the
-        brute-force oracle and the tests."""
-        out = np.zeros(self.n_left * self.n_right, dtype=bool)
-        out[self.flat] = True
-        return out.reshape(self.n_left, self.n_right)
 
     @property
     def edge_count(self) -> int:
         return self.flat.size
-
-    def contains(self, i: int, j: int) -> bool:
-        if not (0 <= i < self.n_left and 0 <= j < self.n_right):
-            raise IndexError(f"edge ({i}, {j}) out of range")
-        return bool(np.isin(i * self.n_right + j, self.flat))
 
     def is_full(self) -> bool:
         return self.edge_count == self.n_left * self.n_right
@@ -107,10 +73,6 @@ class EdgeSet:
     def pairs(self) -> np.ndarray:
         """(m, 2) array of (left, right) indices, lexicographically ordered."""
         return np.column_stack(np.divmod(self.flat, self.n_right))
-
-    def issubset(self, other: "EdgeSet") -> bool:
-        _check_shape(other, self)
-        return bool(np.isin(self.flat, other.flat, assume_unique=True).all())
 
     def __and__(self, other: "EdgeSet") -> "EdgeSet":
         _check_shape(other, self)
@@ -205,9 +167,6 @@ class Matching:
 
     def matched_mask(self, side: str) -> np.ndarray:
         return self.edges.degrees(side) > 0
-
-    def unmatched(self, side: str) -> np.ndarray:
-        return np.flatnonzero(~self.matched_mask(side))
 
 
 def _ranks_above(u, i, w, j):
@@ -502,95 +461,6 @@ def verify_stability(market: Market, edges: EdgeSet | None, matching: Matching) 
     left, right = np.divmod(np.setdiff1d(block, matching.edges.flat, assume_unique=True),
                             market.n_right)
     return list(zip(left.tolist(), right.tolist()))
-
-
-# ---------------------------------------------------------------------------
-# exact small-instance oracle
-
-
-def _stable_in_submarket(partner_left, mask, ul, ur) -> bool:
-    """Stability of a partial one-to-one assignment w.r.t. the edge set."""
-    n_left, n_right = mask.shape
-    partner_right = [-1] * n_right
-    for i, j in enumerate(partner_left):
-        if j >= 0:
-            partner_right[j] = i
-    for i in range(n_left):
-        pi = partner_left[i]
-        cur_l = (-np.inf, n_right) if pi < 0 else (ul[i, pi], -pi)
-        for j in np.flatnonzero(mask[i]):
-            if j == pi:
-                continue
-            if not ((ul[i, j], -j) > cur_l):
-                continue
-            qj = partner_right[j]
-            cur_r = (-np.inf, n_left) if qj < 0 else (ur[j, qj], -qj)
-            if (ur[j, i], -i) > cur_r:
-                return False
-    return True
-
-
-def brute_force_stable_set(market: Market, edges: EdgeSet | None = None) -> list[Matching]:
-    """All stable matchings of a small one-to-one market, by exhaustion.
-
-    Testing oracle only: requires n_left == n_right <= 8 and unit
-    capacities.  With the complete edge set only perfect matchings are
-    enumerated (any stable matching is perfect there); restricted edge sets
-    enumerate partial matchings too.
-    """
-    if market.cap_left != 1 or market.cap_right != 1:
-        raise ValueError("brute_force_stable_set needs a one-to-one market")
-    n = market.n_left
-    if market.n_right != n or n > 8:
-        raise ValueError("brute_force_stable_set is limited to n_left == n_right <= 8")
-    ul = market.utility_matrix(LEFT)
-    ur = market.utility_matrix(RIGHT)
-    mask = EdgeSet.full(n, n).mask if edges is None else edges.mask
-
-    stable: list[Matching] = []
-
-    def emit(partner_left) -> None:
-        stable.append(Matching([(i, j) for i, j in enumerate(partner_left) if j >= 0], n, n))
-
-    if mask.all():
-        # rank tables make the per-permutation blocking test a vector op
-        rank_l = np.empty((n, n), dtype=np.int64)
-        rank_r = np.empty((n, n), dtype=np.int64)
-        rows = np.arange(n)
-        rank_l[rows[:, None], np.argsort(-ul, axis=1, kind="stable")] = rows[None, :]
-        rank_r[rows[:, None], np.argsort(-ur, axis=1, kind="stable")] = rows[None, :]
-        rank_r_by_left = np.ascontiguousarray(rank_r.T)  # [i, j]: j's rank of i
-        for perm in itertools.permutations(range(n)):
-            p = np.asarray(perm)
-            q = np.empty(n, dtype=np.int64)
-            q[p] = rows
-            better_l = rank_l < rank_l[rows, p][:, None]
-            better_r = rank_r_by_left < rank_r[rows, q][None, :]
-            if not np.any(better_l & better_r):
-                emit(list(perm))
-        return stable
-
-    allowed = [np.flatnonzero(mask[i]).tolist() for i in range(n)]
-    used = [False] * n
-    partner = [-1] * n
-
-    def recurse(i: int) -> None:
-        if i == n:
-            if _stable_in_submarket(partner, mask, ul, ur):
-                emit(list(partner))
-            return
-        partner[i] = -1
-        recurse(i + 1)
-        for j in allowed[i]:
-            if not used[j]:
-                used[j] = True
-                partner[i] = j
-                recurse(i + 1)
-                partner[i] = -1
-                used[j] = False
-
-    recurse(0)
-    return stable
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import csv
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -250,6 +249,9 @@ def _map_runs(worker, config: ExperimentConfig, tasks=None) -> list:
     if tasks is None:
         tasks = [(i,) for i in range(config.runs)]
     if config.jobs > 1:
+        # imported here: startup, which every command pays, does not need it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             return list(pool.map(worker, itertools.repeat(config), *zip(*tasks)))
     return [worker(config, *task) for task in tasks]

@@ -29,12 +29,10 @@ __all__ = [
     "Market",
     "UtilityModel",
     "MODEL_REGISTRY",
-    "aligned_rank",
     "custom_model",
     "generate_market",
     "linear_model",
     "load_market",
-    "monotonicity_audit",
     "other_side",
     "preference_argsort",
     "rank_order",
@@ -70,13 +68,12 @@ class UtilityModel:
     both sides.  Custom kinds supply one strictly increasing callable per
     side together with declared derivative bounds: ``slope_cap`` bounds the
     rating partial from above and ``ratio_low`` bounds the ratio of the
-    rating and score partials from below.  Declarations are trusted but can
-    be spot-checked with :func:`monotonicity_audit`.  A custom callable
-    must be elementwise: markets evaluate it on blocks of rows, so an entry
-    may depend only on its own (rating, score) pair.  `utility` takes an
-    optional `out` array: the linear kind computes into it, and a custom
-    callable's result is assigned into it, so markets fill their utility
-    matrices in place.
+    rating and score partials from below.  Declarations are trusted, not
+    checked.  A custom callable must be elementwise: markets evaluate it
+    on blocks of rows, so an entry may depend only on its own (rating,
+    score) pair.  `utility` takes an optional `out` array: the linear kind
+    computes into it, and a custom callable's result is assigned into it,
+    so markets fill their utility matrices in place.
     """
 
     kind: str
@@ -161,18 +158,17 @@ def custom_model(
     ratio_low: float,
     slope_cap: float,
     slope_floor: float | None = None,
-    register: bool = False,
 ) -> UtilityModel:
     """Custom monotone utility pair with declared derivative bounds.
 
     Both callables must be elementwise in (rating, score): utility matrices
     are evaluated on blocks of rows, not on whole matrices.  A callable
     returns a new array; when `UtilityModel.utility` is given `out`, that
-    result is assigned into `out`, so the callable never sees it.  Registered
-    models can round-trip through market files; unregistered ones only live
-    in memory.
+    result is assigned into `out`, so the callable never sees it.  Models
+    passed to `register_model` can round-trip through market files;
+    unregistered ones only live in memory.
     """
-    model = UtilityModel(
+    return UtilityModel(
         kind="custom",
         name=name,
         fn_left=fn_left,
@@ -181,9 +177,6 @@ def custom_model(
         slope_cap=float(slope_cap),
         slope_floor=None if slope_floor is None else float(slope_floor),
     )
-    if register:
-        register_model(model)
-    return model
 
 
 def register_model(model: UtilityModel) -> UtilityModel:
@@ -191,15 +184,6 @@ def register_model(model: UtilityModel) -> UtilityModel:
         raise ValueError("only named custom models belong in the registry")
     MODEL_REGISTRY[model.name] = model
     return model
-
-
-def monotonicity_audit(model: UtilityModel, side: str = LEFT, grid: int = 50,
-                       rating_range: tuple[float, float] = (0.0, 1.0)) -> bool:
-    """Spot-check strict monotonicity along both axes on a sampled grid."""
-    r = np.linspace(rating_range[0], rating_range[1], grid)
-    s = np.linspace(0.0, 1.0, grid)
-    u = np.asarray(model.utility(side, r[:, None], s[None, :]), dtype=float)
-    return bool(np.all(np.diff(u, axis=0) > 0) and np.all(np.diff(u, axis=1) > 0))
 
 
 def rank_order(ratings) -> np.ndarray:
@@ -274,18 +258,6 @@ def preference_argsort(u: np.ndarray) -> np.ndarray:
 
     _map_blocks(sort, u.shape[0])
     return out
-
-
-def aligned_rank(rank: int, cap_own: int, cap_other: int, n_other: int) -> int | None:
-    """Rank of the aligned agent on the other side, or None past its end.
-
-    Ranks are 0-based positions in descending-rating order.  Alignment is
-    capacity-weighted: the agent at rank r is aligned with the agent at rank
-    ceil(cap_own * (r + 1) / cap_other) on the other side (1-based form).
-    One-to-one alignment is the identity.
-    """
-    target = -((cap_own * (rank + 1)) // -cap_other)
-    return target - 1 if target <= n_other else None
 
 
 # stream labels of the score rows (seed, label, row); ratings use labels 0 and 1
@@ -421,17 +393,15 @@ class Market:
         return preference_argsort(self.utility_matrix(side))
 
     # -- alignment ----------------------------------------------------------
-    def aligned_agent(self, side: str, agent: int) -> int | None:
-        """Index of the aligned agent on the other side, or None."""
-        opp = other_side(side)
-        rank = int(self.agent_rank(side)[agent])
-        target = aligned_rank(rank, self.cap(side), self.cap(opp), self.n(opp))
-        if target is None:
-            return None
-        return int(self.rank_to_agent(opp)[target])
-
     def aligned_ratings(self, side: str) -> np.ndarray:
-        """Per-agent rating of the aligned partner; NaN when there is none."""
+        """Per-agent rating of the aligned partner; NaN when there is none.
+
+        Alignment is capacity-weighted: the agent at 0-based rank r (in
+        descending-rating order) is aligned with the agent at 1-based rank
+        ceil(cap_own * (r + 1) / cap_other) on the other side, and has no
+        aligned partner past that side's end.  One-to-one alignment is the
+        identity.
+        """
         return self._cached("aligned_rating", side, self._aligned_ratings)
 
     def _aligned_ratings(self, side: str) -> np.ndarray:

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import random
 
 import numpy as np
@@ -7,6 +8,13 @@ import pytest
 import matchlab as ml
 from matchlab.engine import worst_partner
 from matchlab.market import LEFT, RIGHT, other_side, stream_rng
+
+
+def mask(edges):
+    """Dense (n_left, n_right) boolean mask of an edge set."""
+    out = np.zeros(edges.n_left * edges.n_right, dtype=bool)
+    out[edges.flat] = True
+    return out.reshape(edges.n_left, edges.n_right)
 
 
 def make_manual_market(scores_left, scores_right, ratings_left=None, ratings_right=None,
@@ -48,11 +56,11 @@ def reference_da(market, side, edges=None, order_seed=None):
     cap_p, cap_r = market.cap(prop), market.cap(recv)
 
     u = market.utility_matrix(prop)
-    mask = np.ones((n_p, n_r), dtype=bool) if edges is None else (
-        edges.mask if prop == LEFT else edges.mask.T)
+    allowed = np.ones((n_p, n_r), dtype=bool) if edges is None else (
+        mask(edges) if prop == LEFT else mask(edges).T)
     cand = []
     for i in range(n_p):
-        cols = np.flatnonzero(mask[i])
+        cols = np.flatnonzero(allowed[i])
         if cols.size:
             cols = cols[np.argsort(-u[i, cols], kind="stable")]
         cand.append(cols)
@@ -152,13 +160,13 @@ def dense_viable_edges(market, edges=None):
     left_opt, right_opt = ml.extreme_matchings(market, edges)
     keep_l = _dense_beats_worst(market, LEFT, right_opt, weak=True)
     keep_r = _dense_beats_worst(market, RIGHT, left_opt, weak=True)
-    base = np.ones((market.n_left, market.n_right), dtype=bool) if edges is None else edges.mask
+    base = np.ones((market.n_left, market.n_right), dtype=bool) if edges is None else mask(edges)
     return base & keep_l & keep_r.T
 
 
 def dense_verify_stability(market, edges, matching):
-    mask = np.ones((market.n_left, market.n_right), dtype=bool) if edges is None else edges.mask
-    block = (mask & _dense_beats_worst(market, LEFT, matching, weak=False)
+    allowed = np.ones((market.n_left, market.n_right), dtype=bool) if edges is None else mask(edges)
+    block = (allowed & _dense_beats_worst(market, LEFT, matching, weak=False)
              & _dense_beats_worst(market, RIGHT, matching, weak=False).T)
     block.flat[matching.edges.flat] = False
     return list(map(tuple, np.argwhere(block).tolist()))
@@ -166,10 +174,10 @@ def dense_verify_stability(market, edges, matching):
 
 def dense_interview_edges(market, params):
     gap = np.abs(market.ratings_left[:, None] - market.ratings_right[None, :])
-    mask = gap <= params.rating_window
-    mask &= market.scores(LEFT) > params.cutoff_left
-    mask &= (market.scores(RIGHT) > params.cutoff_right).T
-    return mask
+    keep = gap <= params.rating_window
+    keep &= market.scores(LEFT) > params.score_cutoff
+    keep &= (market.scores(RIGHT) > params.score_cutoff).T
+    return keep
 
 
 def dense_double_cut_edges(market, side, cut):
@@ -200,10 +208,10 @@ def dense_selected_edges(market, params):
 def per_row_candidate_lists(market, side, edges):
     """Proposer lists in CSR form from one stable argsort per row."""
     u = market.utility_matrix(side)
-    mask = edges.mask if side == LEFT else edges.mask.T
+    allowed = mask(edges) if side == LEFT else mask(edges).T
     rows = []
     for i in range(market.n(side)):
-        cols = np.flatnonzero(mask[i])
+        cols = np.flatnonzero(allowed[i])
         rows.append(cols[np.argsort(-u[i, cols], kind="stable")])
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([r.size for r in rows], out=indptr[1:])
@@ -226,10 +234,10 @@ def cyclic_three_market():
     return make_manual_market(pref_l, pref_r)
 
 
-def exhaustive_max_matching(mask) -> int:
+def exhaustive_max_matching(allowed) -> int:
     """Branch-and-bound exhaustive maximum matching; oracle for small graphs."""
-    mask = np.asarray(mask, dtype=bool)
-    nl = mask.shape[0]
+    allowed = np.asarray(allowed, dtype=bool)
+    nl = allowed.shape[0]
     best = 0
 
     def rec(i, used, size):
@@ -238,13 +246,126 @@ def exhaustive_max_matching(mask) -> int:
         if i == nl or size + (nl - i) <= best:
             return
         rec(i + 1, used, size)
-        for j in np.flatnonzero(mask[i]):
+        for j in np.flatnonzero(allowed[i]):
             bit = 1 << int(j)
             if not used & bit:
                 rec(i + 1, used | bit, size + 1)
 
     rec(0, 0, 0)
     return best
+
+
+def _stable_in_submarket(partner_left, allowed, ul, ur) -> bool:
+    """Stability of a partial one-to-one assignment w.r.t. the edge set."""
+    n_left, n_right = allowed.shape
+    partner_right = [-1] * n_right
+    for i, j in enumerate(partner_left):
+        if j >= 0:
+            partner_right[j] = i
+    for i in range(n_left):
+        pi = partner_left[i]
+        cur_l = (-np.inf, n_right) if pi < 0 else (ul[i, pi], -pi)
+        for j in np.flatnonzero(allowed[i]):
+            if j == pi:
+                continue
+            if not ((ul[i, j], -j) > cur_l):
+                continue
+            qj = partner_right[j]
+            cur_r = (-np.inf, n_left) if qj < 0 else (ur[j, qj], -qj)
+            if (ur[j, i], -i) > cur_r:
+                return False
+    return True
+
+
+def brute_force_stable_set(market, edges=None):
+    """All stable matchings of a small one-to-one market, by exhaustion: the
+    exact oracle for DA, `viable_edges` and `multi_stable_agents`.
+
+    Requires n_left == n_right <= 8 and unit capacities.  With the complete
+    edge set only perfect matchings are enumerated (any stable matching is
+    perfect there); restricted edge sets enumerate partial matchings too.
+    """
+    if market.cap_left != 1 or market.cap_right != 1:
+        raise ValueError("brute_force_stable_set needs a one-to-one market")
+    n = market.n_left
+    if market.n_right != n or n > 8:
+        raise ValueError("brute_force_stable_set is limited to n_left == n_right <= 8")
+    ul = market.utility_matrix(LEFT)
+    ur = market.utility_matrix(RIGHT)
+    allowed = np.ones((n, n), dtype=bool) if edges is None else mask(edges)
+
+    stable = []
+
+    def emit(partner_left) -> None:
+        stable.append(ml.Matching([(i, j) for i, j in enumerate(partner_left) if j >= 0], n, n))
+
+    if allowed.all():
+        # rank tables make the per-permutation blocking test a vector op
+        rank_l = np.empty((n, n), dtype=np.int64)
+        rank_r = np.empty((n, n), dtype=np.int64)
+        rows = np.arange(n)
+        rank_l[rows[:, None], np.argsort(-ul, axis=1, kind="stable")] = rows[None, :]
+        rank_r[rows[:, None], np.argsort(-ur, axis=1, kind="stable")] = rows[None, :]
+        rank_r_by_left = np.ascontiguousarray(rank_r.T)  # [i, j]: j's rank of i
+        for perm in itertools.permutations(range(n)):
+            p = np.asarray(perm)
+            q = np.empty(n, dtype=np.int64)
+            q[p] = rows
+            better_l = rank_l < rank_l[rows, p][:, None]
+            better_r = rank_r_by_left < rank_r[rows, q][None, :]
+            if not np.any(better_l & better_r):
+                emit(list(perm))
+        return stable
+
+    options = [np.flatnonzero(allowed[i]).tolist() for i in range(n)]
+    used = [False] * n
+    partner = [-1] * n
+
+    def recurse(i: int) -> None:
+        if i == n:
+            if _stable_in_submarket(partner, allowed, ul, ur):
+                emit(list(partner))
+            return
+        partner[i] = -1
+        recurse(i + 1)
+        for j in options[i]:
+            if not used[j]:
+                used[j] = True
+                partner[i] = j
+                recurse(i + 1)
+                partner[i] = -1
+                used[j] = False
+
+    recurse(0)
+    return stable
+
+
+def selected_degree_stats(market, params):
+    """Granted-interview counts per agent, split out for mid-rating agents.
+
+    Mid-rating means the agent's whole cone fits inside the rating range,
+    where the protocol calibrates the expected count to `expected_degree`.
+    """
+    edges = ml.selected_edges(market, params)
+    sigma = params.halfwidth(market.n_left)
+    out = {}
+    for side in (LEFT, RIGHT):
+        deg = edges.degrees(side)
+        r = market.ratings(side)
+        mid = (r >= 2.0 * sigma) & (r <= 1.0 - 2.0 * sigma)
+        out[side] = {
+            "degrees": deg,
+            "mid_mask": mid,
+            "mid_mean": float(deg[mid].mean()) if mid.any() else float("nan"),
+        }
+    return out
+
+
+def monotonicity_audit(model, side=LEFT, grid=50) -> bool:
+    """Spot-check strict monotonicity along both axes on a sampled grid."""
+    r = s = np.linspace(0.0, 1.0, grid)
+    u = np.asarray(model.utility(side, r[:, None], s[None, :]), dtype=float)
+    return bool(np.all(np.diff(u, axis=0) > 0) and np.all(np.diff(u, axis=1) > 0))
 
 
 def proposer_weakly_dominates(market, side, matching, other):

@@ -4,49 +4,49 @@ import numpy as np
 import pytest
 
 import matchlab as ml
-from matchlab.analysis import (
-    benchmark_vector,
-    loss_threshold_edges,
-    selected_cone_halfwidth,
-    selected_degree_stats,
-)
-from matchlab.engine import EdgeSet
+from matchlab.analysis import benchmark_vector, loss_threshold_edges, selected_cone_halfwidth
 from matchlab.market import LEFT, RIGHT
 
-from conftest import make_manual_market
+from conftest import brute_force_stable_set, mask, selected_degree_stats
 
 
 # --- benchmarks and losses ---------------------------------------------------
+
+
+def benchmark_at_rank(market, side, rank):
+    """Benchmark of the `side` agent at `rank` (0 = best); NaN without an
+    aligned partner."""
+    return benchmark_vector(market, side)[market.rank_to_agent(side)[rank]]
 
 
 def test_benchmark_formula():
     m = ml.generate_market(50, 50, model=ml.linear_model(0.5), seed=10)
     rank = 12
     aligned_rating = m.ratings_right[m.rank_to_agent(RIGHT)[rank]]
-    assert ml.benchmark(m, LEFT, rank) == pytest.approx(0.5 * aligned_rating + 0.5)
+    assert benchmark_at_rank(m, LEFT, rank) == pytest.approx(0.5 * aligned_rating + 0.5)
 
 
 def test_benchmark_top_rank_uses_best_rating():
     m = ml.generate_market(50, 50, model=ml.linear_model(0.8), seed=11)
     best = m.ratings_right.max()
-    assert ml.benchmark(m, LEFT, 0) == pytest.approx(0.8 * best + 0.2)
+    assert benchmark_at_rank(m, LEFT, 0) == pytest.approx(0.8 * best + 0.2)
 
 
 def test_benchmark_many_to_one_alignment():
     m = ml.generate_market(64, 8, cap_right=8, model=ml.linear_model(0.5), seed=12)
     # company of rank 3 is aligned with the worker of rank 24
     worker = m.rank_to_agent(LEFT)[23]
-    assert ml.benchmark(m, RIGHT, 2) == pytest.approx(0.5 * m.ratings_left[worker] + 0.5)
+    assert benchmark_at_rank(m, RIGHT, 2) == pytest.approx(0.5 * m.ratings_left[worker] + 0.5)
 
 
 def test_benchmark_overflow_rank_is_none():
     m = ml.generate_market(5, 3, model=ml.linear_model(0.5), seed=13, rating_ranges="unit")
-    assert ml.benchmark(m, LEFT, 4) is None
+    assert np.isnan(benchmark_at_rank(m, LEFT, 4))
 
 
 def test_benchmark_non_increasing_in_rank():
     m = ml.generate_market(100, 100, model=ml.linear_model(0.7), seed=14)
-    values = [ml.benchmark(m, LEFT, r) for r in range(100)]
+    values = [benchmark_at_rank(m, LEFT, r) for r in range(100)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -147,9 +147,9 @@ def test_acceptable_empty_at_zero_loss():
 def test_acceptable_monotone_in_l_and_sigma(small_market):
     base = ml.acceptable_edges(small_market, 0.1, 0.1)
     bigger_l = ml.acceptable_edges(small_market, 0.2, 0.15)
-    assert base.issubset(bigger_l)
+    assert (base & bigger_l) == base
     with_sigma = ml.acceptable_edges(small_market, 0.1, 0.1, 0.2, 0.1)
-    assert base.issubset(with_sigma)
+    assert (base & with_sigma) == base
 
 
 def test_acceptable_bottom_zone_exemption():
@@ -176,9 +176,8 @@ def test_viable_contains_stable_edges_small():
         n = int(rng.integers(2, 8))
         m = ml.generate_market(n, n, model=ml.linear_model(0.6), seed=int(rng.integers(1 << 32)))
         viable = ml.viable_edges(m)
-        for s in ml.brute_force_stable_set(m):
-            for i, j in s.pairs():
-                assert viable.contains(i, j)
+        for s in brute_force_stable_set(m):
+            assert (s.edges & viable) == s.edges
 
 
 def test_viable_da_equivalence(mid_market):
@@ -192,8 +191,7 @@ def test_viable_unique_instance_contains_matching():
     m = ml.generate_market(40, 40, model=ml.linear_model(0.999), seed=44)
     viable = ml.viable_edges(m)
     full_match = ml.run_da(m, LEFT)
-    for i, j in full_match.pairs():
-        assert viable.contains(i, j)
+    assert (full_match.edges & viable) == full_match.edges
     assert ml.run_da(m, LEFT, viable).edges == full_match.edges
 
 
@@ -205,42 +203,11 @@ def test_loss_threshold_sandwich(mid_market):
         thr_l = benchmark_vector(mid_market, LEFT) - ml.achieved_utilities(mid_market, right_opt, LEFT) + margin
         thr_r = benchmark_vector(mid_market, RIGHT) - ml.achieved_utilities(mid_market, left_opt, RIGHT) + margin
         superset = loss_threshold_edges(mid_market, thr_l, thr_r)
-        assert viable.issubset(superset)
+        assert (viable & superset) == viable
         assert ml.run_da(mid_market, LEFT, superset).edges == full_match.edges
 
 
 # --- cones ----------------------------------------------------------------------
-
-
-def test_cone_bounds_formula():
-    m = ml.generate_market(50, 50, model=ml.linear_model(0.8), seed=45)
-    params = ml.loss_params_from_bound(0.12, m.model)
-    agent = int(m.rank_to_agent(LEFT)[10])
-    lo, hi = ml.cone_bounds(m, params, agent, LEFT)
-    r = m.aligned_ratings(LEFT)[agent]
-    a = params.rating_margin
-    assert lo == pytest.approx(r - 4 * a) and hi == pytest.approx(r + 5 * a)
-    # equivalent form: [r - L/mu, r + 5L/(4 mu)]
-    assert lo == pytest.approx(r - 0.12 / 0.8)
-    assert hi == pytest.approx(r + 1.25 * 0.12 / 0.8)
-
-
-def test_cone_degenerate_at_zero_margin():
-    m = ml.generate_market(20, 20, model=ml.linear_model(0.5), seed=46)
-    params = ml.loss_params_from_bound(0.0, m.model)
-    agent = int(m.rank_to_agent(LEFT)[0])
-    lo, hi = ml.cone_bounds(m, params, agent, LEFT)
-    assert lo == hi == pytest.approx(m.aligned_ratings(LEFT)[agent])
-
-
-def test_cone_half_weight_interval_shape():
-    # with mu = 1/2 the cone reads [r - 2L, r + 2.5L]
-    m = ml.generate_market(20, 20, model=ml.linear_model(0.5), seed=47)
-    params = ml.loss_params_from_bound(0.1, m.model)
-    agent = int(m.rank_to_agent(LEFT)[5])
-    lo, hi = ml.cone_bounds(m, params, agent, LEFT)
-    r = m.aligned_ratings(LEFT)[agent]
-    assert lo == pytest.approx(r - 0.2) and hi == pytest.approx(r + 0.25)
 
 
 def test_cone_contains_acceptable_edges_monte_carlo():
@@ -251,9 +218,12 @@ def test_cone_contains_acceptable_edges_monte_carlo():
         edges = ml.acceptable_edges(m, 0.15, 0.15, params.sigma_bound, params.sigma_bound)
         aligned = m.aligned_ratings(LEFT)
         ratings_r = m.ratings_right
+        dense = mask(edges)
         for i in np.flatnonzero(aligned >= params.sigma_bound):
-            lo, hi = ml.cone_bounds(m, params, int(i), LEFT)
-            js = np.flatnonzero(edges.mask[i])
+            # the cone around the aligned rating r: [r - 4a, r + 5a], a the rating margin
+            lo = aligned[i] - 4.0 * params.rating_margin
+            hi = aligned[i] + 5.0 * params.rating_margin
+            js = np.flatnonzero(dense[i])
             inside += int(((ratings_r[js] >= lo) & (ratings_r[js] <= hi)).sum())
             total += js.size
     assert inside / total >= 0.99
@@ -275,29 +245,13 @@ def test_interview_membership_rule():
     edges = ml.interview_edges(m, ml.InterviewParams(p, q))
     gap = np.abs(m.ratings_left[:, None] - m.ratings_right[None, :])
     expected = (gap <= p) & (m.scores(LEFT) > q) & (m.scores(RIGHT).T > q)
-    assert np.array_equal(edges.mask, expected)
-
-
-def test_interview_asymmetric_cutoffs():
-    m = ml.generate_market(30, 30, model=ml.linear_model(0.5), seed=51)
-    params = ml.InterviewParams(0.3, 0.5, score_cutoff_left=0.9, score_cutoff_right=0.1)
-    edges = ml.interview_edges(m, params)
-    gap = np.abs(m.ratings_left[:, None] - m.ratings_right[None, :])
-    expected = (gap <= 0.3) & (m.scores(LEFT) > 0.9) & (m.scores(RIGHT).T > 0.1)
-    assert np.array_equal(edges.mask, expected)
+    assert np.array_equal(mask(edges), expected)
 
 
 def test_interview_params_validation():
-    with pytest.raises(ValueError):
-        ml.InterviewParams(1.2, 0.5)
-
-
-@pytest.mark.parametrize("cutoffs", [{"score_cutoff_left": 3.0}, {"score_cutoff_right": -0.1},
-                                     {"score_cutoff_left": 0.2, "score_cutoff_right": 1.5}])
-def test_interview_params_asymmetric_cutoffs_validated(cutoffs):
-    # an out-of-range side cutoff used to pass and yield an empty edge set
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        ml.InterviewParams(0.2, 0.5, **cutoffs)
+    for window, cutoff in ((1.2, 0.5), (0.2, 3.0), (0.2, -0.1), (0.2, 1.5)):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ml.InterviewParams(window, cutoff)
 
 
 # --- selected edges ---------------------------------------------------------------
@@ -346,7 +300,7 @@ def test_selected_edges_cone_respected():
     edges = ml.selected_edges(m, params)
     sigma = params.halfwidth(500)
     gaps = np.abs(m.ratings_left[:, None] - m.ratings_right[None, :])
-    assert (gaps[edges.mask] <= 2 * sigma).all()
+    assert (gaps[mask(edges)] <= 2 * sigma).all()
 
 
 def test_selected_edges_param_validation():
@@ -363,16 +317,6 @@ def test_selected_degree_near_target():
     stats = selected_degree_stats(m, ml.SelectedSetParams(15.0))
     assert stats["left"]["mid_mean"] == pytest.approx(15.0, rel=0.15)
     assert stats["right"]["mid_mean"] == pytest.approx(15.0, rel=0.15)
-
-
-def test_selected_edges_fresh_seed_redraws():
-    m = ml.generate_market(300, 300, model=ml.linear_model(0.8), seed=55)
-    params = ml.SelectedSetParams(5.0)
-    from_market = ml.selected_edges(m, params)
-    redrawn1 = ml.selected_edges(m, params, seed=1)
-    redrawn2 = ml.selected_edges(m, params, seed=1)
-    assert redrawn1 == redrawn2
-    assert redrawn1 != from_market
 
 
 # --- truncated edges ----------------------------------------------------------------
@@ -401,7 +345,7 @@ def test_truncated_edges_remove_high_loss_pairs():
     edges = ml.truncated_edges(m, params, 1.0, 1.0)
     bench_l = benchmark_vector(m, LEFT)
     loss_l = bench_l[:, None] - m.utility_matrix(LEFT)
-    kept = edges.mask
+    kept = mask(edges)
     assert (loss_l[kept] <= 0.1 + 1e-12).all()
     # and removed edges exceed one of the two thresholds
     bench_r = benchmark_vector(m, RIGHT)

@@ -34,6 +34,7 @@ from conftest import (
     dense_utility_matrix,
     dense_verify_stability,
     dense_viable_edges,
+    mask,
     per_row_candidate_lists,
 )
 
@@ -76,10 +77,10 @@ def coarse_markets(draw, balanced=False, one_to_one=False):
 
 def random_mask(rng, market, density):
     """Edge mask with the given density, plus one empty row and column."""
-    mask = rng.random((market.n_left, market.n_right)) < density
-    mask[rng.integers(market.n_left)] = False
-    mask[:, rng.integers(market.n_right)] = False
-    return EdgeSet.from_mask(mask)
+    allowed = rng.random((market.n_left, market.n_right)) < density
+    allowed[rng.integers(market.n_left)] = False
+    allowed[:, rng.integers(market.n_right)] = False
+    return EdgeSet(np.flatnonzero(allowed), market.n_left, market.n_right)
 
 
 def random_matching(rng, market):
@@ -102,7 +103,7 @@ def random_matching(rng, market):
        st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0.0, 0.3]))
 def test_acceptable_edges_match_dense(case, cap_l, cap_r, sigma_l, sigma_r):
     market, _ = case
-    got = ml.acceptable_edges(market, cap_l, cap_r, sigma_l, sigma_r).mask
+    got = mask(ml.acceptable_edges(market, cap_l, cap_r, sigma_l, sigma_r))
     assert np.array_equal(got, dense_acceptable_edges(market, cap_l, cap_r, sigma_l, sigma_r))
 
 
@@ -141,18 +142,18 @@ def test_acceptable_entry_levels_reproduce_every_level(case, start, step, count,
         sig_l = sig_r = 3.0 * caps / (4.0 * market.model.mu)
     else:
         sig_l, sig_r = np.full(caps.shape, sigma), np.full(caps.shape, sigma / 2)
-    masks = [ml.acceptable_edges(market, float(c), float(c), sl, sr).mask
+    masks = [mask(ml.acceptable_edges(market, float(c), float(c), sl, sr))
              for c, sl, sr in zip(caps, sig_l, sig_r)]
     # the levels of the top set's edges (as the scan asks), or of every edge
-    edges = EdgeSet.from_mask(masks[-1]) if within_top else EdgeSet.full(market.n_left, market.n_right)
+    edges = EdgeSet(np.flatnonzero(masks[-1]), nl, nr) if within_top else EdgeSet.full(nl, nr)
     with edge_chunk(chunk):
         flat, level = ml.acceptable_entry_levels(market, caps, sig_l, sig_r, edges)
-    assert np.array_equal(flat, np.flatnonzero(edges.mask))
+    assert np.array_equal(flat, np.flatnonzero(mask(edges)))
     levels = np.full(market.n_left * market.n_right, caps.size)
     levels[flat] = level
     levels = levels.reshape(market.n_left, market.n_right)
-    for k, mask in enumerate(masks):
-        assert np.array_equal(levels <= k, mask), f"level {k} of {caps.size}"
+    for k, want in enumerate(masks):
+        assert np.array_equal(levels <= k, want), f"level {k} of {caps.size}"
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,7 +163,7 @@ def test_loss_threshold_and_truncated_edges_match_dense(case, t_left, t_right):
     # per-agent thresholds on the grid, some NaN (no benchmark: keep every edge)
     thr = {side: np.where(rng.random(market.n(side)) < 0.2, np.nan,
                           rng.choice(GRID, market.n(side))) for side in (LEFT, RIGHT)}
-    got = ml.loss_threshold_edges(market, thr[LEFT], thr[RIGHT]).mask
+    got = mask(ml.loss_threshold_edges(market, thr[LEFT], thr[RIGHT]))
     assert np.array_equal(got, dense_loss_threshold_edges(market, thr[LEFT], thr[RIGHT]))
 
     params = ml.loss_params_from_bound(0.1, market.model)
@@ -170,7 +171,7 @@ def test_loss_threshold_and_truncated_edges_match_dense(case, t_left, t_right):
     want = dense_loss_threshold_edges(market,
                                       _truncation_thresholds(market, LEFT, shift * t_left**2),
                                       _truncation_thresholds(market, RIGHT, shift * t_right**2))
-    assert np.array_equal(ml.truncated_edges(market, params, t_left, t_right).mask, want)
+    assert np.array_equal(mask(ml.truncated_edges(market, params, t_left, t_right)), want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -180,15 +181,15 @@ def test_viable_edges_match_dense(case, density, chunk):
     edges = None if density is None else random_mask(rng, market, density)
     with edge_chunk(chunk):
         got = ml.viable_edges(market, edges)
-    assert np.array_equal(got.mask, dense_viable_edges(market, edges))
+    assert np.array_equal(mask(got), dense_viable_edges(market, edges))
 
 
 @settings(max_examples=60, deadline=None)
-@given(coarse_markets(), st.sampled_from(GRID), st.sampled_from(GRID), st.sampled_from(GRID))
-def test_interview_edges_match_dense(case, window, cutoff_l, cutoff_r):
+@given(coarse_markets(), st.sampled_from(GRID), st.sampled_from(GRID))
+def test_interview_edges_match_dense(case, window, cutoff):
     market, _ = case
-    params = ml.InterviewParams(window, 0.5, score_cutoff_left=cutoff_l, score_cutoff_right=cutoff_r)
-    assert np.array_equal(ml.interview_edges(market, params).mask,
+    params = ml.InterviewParams(window, cutoff)
+    assert np.array_equal(mask(ml.interview_edges(market, params)),
                           dense_interview_edges(market, params))
 
 
@@ -201,7 +202,7 @@ def test_double_cut_edges_match_dense(case, side, target, floor, with_target):
     if target is None and floor is None:
         floor = 0.5
     cut = CutSpec(target=target, rating_floor=floor)
-    assert np.array_equal(double_cut_edges(market, side, cut).mask,
+    assert np.array_equal(mask(double_cut_edges(market, side, cut)),
                           dense_double_cut_edges(market, side, cut))
 
 
@@ -242,7 +243,7 @@ def test_candidate_lists_order_nan_utilities_last():
                        ratings_left=np.full(n, 0.5), ratings_right=rng.random(n),
                        scores_left=scores, scores_right=scores.T.copy(),
                        model=ml.linear_model(0.5), seed=None)
-    edges = EdgeSet.from_mask(rng.random((n, n)) < 0.6)
+    edges = EdgeSet(np.flatnonzero(rng.random((n, n)) < 0.6), n, n)
     for side in (LEFT, RIGHT):
         got = _candidate_lists(market, side, edges)
         want = per_row_candidate_lists(market, side, edges)
@@ -263,7 +264,7 @@ def test_selected_edges_match_dense(case, degree, halfwidth):
         with pytest.raises(ValueError, match="survival probability above 1"):
             ml.selected_edges(market, params)
         return
-    assert np.array_equal(ml.selected_edges(market, params).mask, want)
+    assert np.array_equal(mask(ml.selected_edges(market, params)), want)
 
 
 def curved(rating, score):

@@ -190,6 +190,29 @@ def test_truncated_edges_refuse_one_sided_loss_caps(command, flag, tmp_path, cap
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--p", "0.3", "--q", "0.4", "--k", "5", "--t-left", "2", "--c", "3"],
+     "full edges read no edge flag: drop --p, --q, --k, --t-left, --c"),
+    (["edges", "--edges", "full", "--L", "0.3"], "full edges read no edge flag: drop --L"),
+    (["run", "--edges", "acceptable", "--L", "0.3", "--q", "0.4"],
+     "acceptable edges read --L, --L-left, --L-right and --sigma: drop --q"),
+    (["run", "--edges", "viable", "--L", "0.3", "--sigma", "0.1"],
+     "viable edges read no edge flag: drop --sigma"),
+    (["edges", "--edges", "interview", "--p", "0.3", "--q", "0.4", "--k", "5"],
+     "interview edges read --p and --q: drop --k"),
+    (["run", "--edges", "selected", "--k", "5", "--t-right", "2"],
+     "selected edges read --k: drop --t-right"),
+    (["edges", "--edges", "truncated", "--L", "0.2", "--t-left", "2", "--p", "0.3"],
+     "truncated edges read one loss bound (--L), --c, --t-left and --t-right: drop --p"),
+], ids=["run-full", "edges-full", "acceptable", "viable", "interview", "selected", "truncated"])
+def test_edge_flags_the_kind_does_not_read_are_refused(argv, message, tmp_path, capsys):
+    # `run` reads the loss caps for its loss rows, whatever the kind
+    out = tmp_path / "x"
+    assert main([*argv, "--n", "20", "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_run_bottom_zone_follows_loss_caps_however_spelled(tmp_path, capsys):
     base = ["run", "--n", "30", "--seed", "1", "--edges", "acceptable"]
     spellings = {
@@ -283,15 +306,28 @@ def test_negative_seed_refused_before_any_draw(argv, env, tmp_path, capsys, monk
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported inside max_bipartite_matching only, so startup does
-    # not pay for loading it
-    code = "import sys, matchlab.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+def fresh_python(code: str) -> str:
+    """What `code` prints in a new interpreter that imports this matchlab."""
     src = str(Path(ml.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported inside max_bipartite_matching only, so startup does
+    # not pay for loading it
+    code = "import sys, matchlab.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    assert fresh_python(code) == "False"
+
+
+def test_cli_startup_imports_no_process_pool_or_secrets():
+    # `--jobs` above 1 and a drawn seed import these when they run, so
+    # startup, which every command pays, does not
+    code = ("import sys, matchlab.cli; matchlab.cli.build_parser(); "
+            "print(sorted({'concurrent.futures.process', 'secrets'} & sys.modules.keys()))")
+    assert fresh_python(code) == "[]"
 
 
 @pytest.mark.parametrize("argv,env,message", [

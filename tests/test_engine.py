@@ -9,9 +9,11 @@ from matchlab.engine import EdgeSet, double_cut_edges, worst_partner
 from matchlab.market import LEFT, RIGHT
 
 from conftest import (
+    brute_force_stable_set,
     cyclic_three_market,
     exhaustive_max_matching,
     make_manual_market,
+    mask,
     reference_da,
 )
 
@@ -26,7 +28,7 @@ def test_single_pair_market():
 
 def test_empty_edge_set_yields_empty_matching():
     m = ml.generate_market(4, 4, model=ml.linear_model(0.5), seed=2)
-    matching = ml.run_da(m, LEFT, EdgeSet.empty(4, 4))
+    matching = ml.run_da(m, LEFT, EdgeSet([], 4, 4))
     assert matching.pairs() == frozenset()
     assert matching.proposal_counts.sum() == 0
 
@@ -43,11 +45,12 @@ def test_da_stable_on_restricted_sets(small_market):
     rng = np.random.default_rng(0)
     for market in (small_market, capacitated):
         for _ in range(5):
-            edges = EdgeSet.from_mask(rng.random((market.n_left, market.n_right)) < 0.4)
+            edges = EdgeSet(np.flatnonzero(rng.random((market.n_left, market.n_right)) < 0.4),
+                            market.n_left, market.n_right)
             for side in (LEFT, RIGHT):
                 matching = ml.run_da(market, side, edges)
                 assert ml.verify_stability(market, edges, matching) == []
-                assert matching.edges.issubset(edges)
+                assert (matching.edges & edges) == matching.edges
 
 
 def test_order_invariance(mid_market):
@@ -83,8 +86,8 @@ def da_cases(draw):
         cap_left=draw(st.integers(1, 3)),
         cap_right=draw(st.integers(1, 3)),
     )
-    mask = draw(st.none() | arrays(bool, (nl, nr)))
-    edges = None if mask is None else EdgeSet.from_mask(mask)
+    allowed = draw(st.none() | arrays(bool, (nl, nr)))
+    edges = None if allowed is None else EdgeSet(np.flatnonzero(allowed), nl, nr)
     return market, draw(st.sampled_from([LEFT, RIGHT])), edges
 
 
@@ -134,7 +137,8 @@ def test_matching_views_match_per_agent_loops(case):
     pairs = [(i, j) for i, ms in enumerate(sets) for j in ms]
     m = ml.Matching(pairs, market.n_left, market.n_right)
     assert m.pairs() == set(pairs)
-    assert EdgeSet.from_pairs(m.pairs(), market.n_left, market.n_right) == m.edges
+    assert EdgeSet(sorted(i * market.n_right + j for i, j in m.pairs()),
+                   market.n_left, market.n_right) == m.edges
     by_side = {LEFT: [sorted(ms) for ms in sets],
                RIGHT: [[i for i, ms in enumerate(sets) if j in ms] for j in range(market.n_right)]}
     for side in (LEFT, RIGHT):
@@ -159,23 +163,12 @@ def test_matching_views_match_per_agent_loops(case):
     ([[2, 1], [0, 0], [2, 1]], {}, "more than once"),
     ([[0, 0]], dict(proposing_side="up"), "unknown proposing side 'up'"),
     ([[0, 0]], dict(proposing_side="Left"), "unknown proposing side 'Left'"),
+    ([[1, 1], [0, -1]], {}, "out of range"),
+    ([[3, 0]], {}, "out of range"),
 ])
 def test_matching_rejects_bad_input(pairs, kwargs, message):
     with pytest.raises(ValueError, match=message):
         ml.Matching(pairs, 3, 3, **kwargs)
-
-
-def test_edge_set_from_empty_pairs():
-    assert EdgeSet.from_pairs([], 3, 4) == EdgeSet.empty(3, 4)
-
-
-def test_edge_set_from_pairs_rejects_out_of_range_and_drops_duplicates():
-    for bad in ([(0, -1), (1, 2)], [(-1, 0)], [(3, 0)], [(0, 4)]):
-        with pytest.raises(ValueError):
-            EdgeSet.from_pairs(bad, 3, 4)
-    edges = EdgeSet.from_pairs([(1, 2), (0, 3), (1, 2)], 3, 4)
-    assert edges.pairs().tolist() == [[0, 3], [1, 2]]
-    assert edges.edge_count == 2
 
 
 # shapes: empty sides, 1 x n and n x 1, and sizes around the 64-row block
@@ -204,22 +197,18 @@ def mask_pairs(draw):
 @settings(max_examples=200, deadline=None)
 @given(mask_pairs())
 def test_edge_set_operations_equal_dense_formulas(case):
-    ma, mb, rng = case
+    ma, mb, _ = case
     nl, nr = ma.shape
-    a, b = EdgeSet.from_mask(ma), EdgeSet.from_mask(mb)
+    a, b = EdgeSet(np.flatnonzero(ma), nl, nr), EdgeSet(np.flatnonzero(mb), nl, nr)
     assert (a.n_left, a.n_right) == (nl, nr)
-    assert np.array_equal(a.mask, ma) and not a.flat.flags.writeable
-    assert a == EdgeSet.from_pairs(np.argwhere(ma).tolist(), nl, nr)
+    assert np.array_equal(mask(a), ma) and not a.flat.flags.writeable
     assert np.array_equal(a.pairs(), np.argwhere(ma))
     assert a.edge_count == np.count_nonzero(ma)
     assert np.array_equal(a.degrees(LEFT), ma.sum(axis=1))
     assert np.array_equal(a.degrees(RIGHT), ma.sum(axis=0))
     assert a.is_full() == ma.all()
-    if ma.size:
-        for i, j in zip(rng.integers(nl, size=10), rng.integers(nr, size=10)):
-            assert a.contains(int(i), int(j)) == ma[i, j]
-    assert np.array_equal((a & b).mask, ma & mb)
-    assert a.issubset(b) == bool(np.all(~ma | mb))
+    assert np.array_equal(mask(a & b), ma & mb)
+    assert ((a & b) == a) == bool(np.all(~ma | mb))
     assert (a == b) == np.array_equal(ma, mb)
     for side, rows in ((LEFT, ma), (RIGHT, ma.T)):
         indptr, indices = a.csr(side)
@@ -252,9 +241,9 @@ def test_edge_set_of_another_shape_rejected(small_market, consumer):
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 4), (1, 1), (5, 7), (70, 3)])
 def test_edge_set_pairs_match_argwhere(shape):
     rng = np.random.default_rng(sum(shape))
-    for mask in (rng.random(shape) < 0.4, np.zeros(shape, bool), np.ones(shape, bool)):
-        got = EdgeSet.from_mask(mask).pairs()
-        want = np.argwhere(mask)
+    for allowed in (rng.random(shape) < 0.4, np.zeros(shape, bool), np.ones(shape, bool)):
+        got = EdgeSet(np.flatnonzero(allowed), *shape).pairs()
+        want = np.argwhere(allowed)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -280,10 +269,10 @@ def test_kernel_matches_reference_on_generated_markets(nl, nr, cap_l, cap_r, den
     m = ml.generate_market(nl, nr, cap_l, cap_r, model=ml.linear_model(0.8), seed=nl * nr)
     edges = None
     if density is not None:
-        mask = np.random.default_rng(nl).random((nl, nr)) < density
-        mask[0] = False
-        mask[:, 1] = False
-        edges = EdgeSet.from_mask(mask)
+        allowed = np.random.default_rng(nl).random((nl, nr)) < density
+        allowed[0] = False
+        allowed[:, 1] = False
+        edges = EdgeSet(np.flatnonzero(allowed), nl, nr)
     for side in (LEFT, RIGHT):
         assert_same_run(ml.run_da(m, side, edges), reference_da(m, side, edges))
 
@@ -383,10 +372,10 @@ def test_extreme_matchings_unmatched_sets_agree():
     rng = np.random.default_rng(17)
     for _ in range(10):
         m = ml.generate_market(60, 60, model=ml.linear_model(0.7), seed=int(rng.integers(1 << 32)))
-        edges = EdgeSet.from_mask(rng.random((60, 60)) < 0.1)
+        edges = EdgeSet(np.flatnonzero(rng.random((60, 60)) < 0.1), 60, 60)
         left_opt, right_opt = ml.extreme_matchings(m, edges)
-        assert set(left_opt.unmatched(LEFT)) == set(right_opt.unmatched(LEFT))
-        assert set(left_opt.unmatched(RIGHT)) == set(right_opt.unmatched(RIGHT))
+        for side in (LEFT, RIGHT):
+            assert np.array_equal(left_opt.matched_mask(side), right_opt.matched_mask(side))
 
 
 def test_multi_stable_agents_unique_instance():
@@ -398,7 +387,7 @@ def test_multi_stable_agents_unique_instance():
 
 def test_multi_stable_agents_cyclic_instance():
     m = cyclic_three_market()
-    stable = ml.brute_force_stable_set(m)
+    stable = brute_force_stable_set(m)
     assert len(stable) == 3
     left, right = ml.multi_stable_agents(m)
     assert left == frozenset({0, 1, 2})
@@ -416,7 +405,7 @@ def test_multi_stable_agents_match_brute_force():
     for _ in range(15):
         n = int(rng.integers(2, 8))
         m = ml.generate_market(n, n, model=ml.linear_model(0.6), seed=int(rng.integers(1 << 32)))
-        stable = ml.brute_force_stable_set(m)
+        stable = brute_force_stable_set(m)
         left, right = ml.multi_stable_agents(m)
         expect_left = {i for i in range(n)
                        if len({s.partner(LEFT)[i] for s in stable}) > 1}
@@ -457,7 +446,7 @@ def test_empty_matching_blocks_everywhere():
     m = ml.generate_market(6, 6, model=ml.linear_model(0.5), seed=12)
     empty = ml.Matching([], 6, 6)
     rng = np.random.default_rng(0)
-    edges = EdgeSet.from_mask(rng.random((6, 6)) < 0.5)
+    edges = EdgeSet(np.flatnonzero(rng.random((6, 6)) < 0.5), 6, 6)
     blocking = ml.verify_stability(m, edges, empty)
     assert sorted(blocking) == sorted(map(tuple, edges.pairs()))
 
@@ -479,15 +468,15 @@ def test_verify_stability_capacitated_under_capacity_blocks():
 def test_brute_force_guards():
     m = ml.generate_market(9, 9, model=ml.linear_model(0.5), seed=1)
     with pytest.raises(ValueError):
-        ml.brute_force_stable_set(m)
+        brute_force_stable_set(m)
     m2 = ml.generate_market(4, 2, cap_right=2, model=ml.linear_model(0.5), seed=1)
     with pytest.raises(ValueError):
-        ml.brute_force_stable_set(m2)
+        brute_force_stable_set(m2)
 
 
 def test_brute_force_single():
     m = ml.generate_market(1, 1, model=ml.linear_model(0.5), seed=6)
-    stable = ml.brute_force_stable_set(m)
+    stable = brute_force_stable_set(m)
     assert len(stable) == 1 and stable[0].pairs() == {(0, 0)}
 
 
@@ -495,7 +484,7 @@ def test_brute_force_contains_da_outputs():
     rng = np.random.default_rng(23)
     for _ in range(10):
         m = ml.generate_market(3, 3, model=ml.linear_model(0.6), seed=int(rng.integers(1 << 32)))
-        stable = ml.brute_force_stable_set(m)
+        stable = brute_force_stable_set(m)
         a, b = ml.extreme_matchings(m)
         assert any(a.edges == s.edges for s in stable)
         assert any(b.edges == s.edges for s in stable)
@@ -506,12 +495,12 @@ def test_brute_force_unmatched_invariance_restricted():
     for _ in range(30):
         n = int(rng.integers(2, 6))
         m = ml.generate_market(n, n, model=ml.linear_model(0.5), seed=int(rng.integers(1 << 32)))
-        edges = EdgeSet.from_mask(rng.random((n, n)) < 0.6)
-        stable = ml.brute_force_stable_set(m, edges)
+        edges = EdgeSet(np.flatnonzero(rng.random((n, n)) < 0.6), n, n)
+        stable = brute_force_stable_set(m, edges)
         assert stable, "a stable matching always exists"
-        unmatched = {tuple(sorted(s.unmatched(LEFT))) for s in stable}
+        unmatched = {tuple(np.flatnonzero(~s.matched_mask(LEFT)).tolist()) for s in stable}
         assert len(unmatched) == 1
-        unmatched_r = {tuple(sorted(s.unmatched(RIGHT))) for s in stable}
+        unmatched_r = {tuple(np.flatnonzero(~s.matched_mask(RIGHT)).tolist()) for s in stable}
         assert len(unmatched_r) == 1
 
 
@@ -521,7 +510,7 @@ def test_brute_force_unmatched_invariance_restricted():
 def test_max_matching_complete_and_empty():
     assert ml.max_bipartite_matching(EdgeSet.full(7, 7)) == 7
     assert ml.max_bipartite_matching(EdgeSet.full(3, 9)) == 3
-    assert ml.max_bipartite_matching(EdgeSet.empty(5, 5)) == 0
+    assert ml.max_bipartite_matching(EdgeSet([], 5, 5)) == 0
 
 
 def test_max_matching_against_exhaustive():
@@ -529,5 +518,6 @@ def test_max_matching_against_exhaustive():
     for _ in range(150):
         nl = int(rng.integers(1, 9))
         nr = int(rng.integers(1, 9))
-        mask = rng.random((nl, nr)) < float(rng.uniform(0.1, 0.9))
-        assert ml.max_bipartite_matching(EdgeSet.from_mask(mask)) == exhaustive_max_matching(mask)
+        allowed = rng.random((nl, nr)) < float(rng.uniform(0.1, 0.9))
+        assert (ml.max_bipartite_matching(EdgeSet(np.flatnonzero(allowed), nl, nr))
+                == exhaustive_max_matching(allowed))

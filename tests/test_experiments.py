@@ -27,6 +27,8 @@ from matchlab.experiments import (
 )
 from matchlab.market import LEFT, RIGHT
 
+from conftest import exhaustive_max_matching, mask
+
 
 def test_decile_partition_sizes():
     for n in (10, 97, 100, 2003):
@@ -215,7 +217,7 @@ def test_min_L_matches_naive_scan(monkeypatch):
     run_da = experiments.run_da
 
     def recording_run_da(market, side, edges):
-        da_edges.append(edges.mask.tobytes())
+        da_edges.append(mask(edges).tobytes())
         return run_da(market, side, edges)
 
     monkeypatch.setattr(experiments, "run_da", recording_run_da)
@@ -392,15 +394,13 @@ def test_lower_bound_small_verdicts_match_brute_force():
     from matchlab.analysis import acceptable_edges, lower_bound_loss_level
     from matchlab.engine import EdgeSet
 
-    from conftest import exhaustive_max_matching
-
     rng = np.random.default_rng(27)
     for _ in range(25):
         n = int(rng.integers(2, 9))
         m = ml.generate_market(n, n, model=ml.linear_model(0.5), seed=int(rng.integers(1 << 32)))
         level = lower_bound_loss_level(n)
         edges = acceptable_edges(m, level, level, 1.5 * level, 1.5 * level)
-        assert ml.max_bipartite_matching(edges) == exhaustive_max_matching(edges.mask)
+        assert ml.max_bipartite_matching(edges) == exhaustive_max_matching(mask(edges))
 
 
 def test_lower_bound_report_fields():

@@ -1,8 +1,10 @@
 """Every public name the package lists resolves, so a removed name cannot
-linger in an `__all__` or in the package's own imports."""
+linger in an `__all__`, in the package's own imports or in README's
+library tour."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -27,3 +29,11 @@ def test_package_imports_resolve():
     for module, name in imported:
         source = importlib.import_module(f"matchlab.{module}")
         assert hasattr(source, name) and hasattr(matchlab, name), f"{module}.{name}"
+
+
+def test_readme_library_tour_runs():
+    # the tour as README shows it, on 200 agents a side instead of 2000
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (tour,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert "2000" in tour
+    exec(tour.replace("2000", "200"), {})

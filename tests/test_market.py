@@ -1,5 +1,6 @@
 import ast
 import inspect
+import math
 import threading
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -18,12 +19,11 @@ from matchlab.market import (
     LEFT,
     RIGHT,
     _philox_keys,
-    aligned_rank,
     preference_argsort,
     rank_order,
 )
 
-from conftest import serial_score_rows
+from conftest import monotonicity_audit, serial_score_rows
 
 B = _BLOCK_ROWS
 
@@ -58,14 +58,14 @@ def curved_model():
 
 def test_custom_model_monotonicity_grid():
     model = curved_model()
-    assert ml.monotonicity_audit(model, LEFT, grid=50)
-    assert ml.monotonicity_audit(model, RIGHT, grid=50)
+    assert monotonicity_audit(model, LEFT, grid=50)
+    assert monotonicity_audit(model, RIGHT, grid=50)
 
     def bad(r, s):
         return (r - 0.5) ** 2 + s
 
     broken = ml.custom_model("broken", bad, bad, ratio_low=1.0, slope_cap=1.0)
-    assert not ml.monotonicity_audit(broken, LEFT)
+    assert not monotonicity_audit(broken, LEFT)
 
 
 @pytest.mark.parametrize("model", [ml.linear_model(0.3), ml.linear_model(0.8), curved_model()],
@@ -97,26 +97,21 @@ def test_rank_order_round_trip(ratings):
     assert (np.diff(sorted_ratings) <= 0).all()
 
 
-def test_aligned_rank_one_to_one_identity():
-    assert aligned_rank(6, 1, 1, 100) == 6
-
-
-def test_aligned_rank_capacity_weighted():
-    # company rank 3, 8 positions each -> worker rank 24 (1-based), 23 zero-based
-    assert aligned_rank(2, 8, 1, 2000) == 23
-    # worker rank 17 -> company rank ceil(17/8) = 3
-    assert aligned_rank(16, 1, 8, 250) == 2
-    # overflow past the other side's end
-    assert aligned_rank(249, 8, 1, 1999) is None
-
-
-@given(st.integers(0, 400), st.integers(1, 8), st.integers(1, 8))
-def test_aligned_rank_matches_ceiling_formula(rank, cap_own, cap_other):
-    import math
-
-    target = math.ceil(cap_own * (rank + 1) / cap_other)
-    got = aligned_rank(rank, cap_own, cap_other, n_other=10**9)
-    assert got == target - 1
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 8), st.integers(1, 8),
+       st.integers(0, 2**32 - 1))
+def test_aligned_ratings_match_ceiling_formula(n_left, n_right, cap_left, cap_right, seed):
+    # rank r (0-based) aligns with 1-based rank ceil(cap_own (r + 1) / cap_other)
+    # on the other side, and with no one past that side's end
+    m = ml.generate_market(n_left, n_right, cap_left, cap_right, model=ml.linear_model(0.5),
+                           seed=seed)
+    for side, other in ((LEFT, RIGHT), (RIGHT, LEFT)):
+        want = np.full(m.n(side), np.nan)
+        for agent, rank in enumerate(m.agent_rank(side).tolist()):
+            target = math.ceil(m.cap(side) * (rank + 1) / m.cap(other))
+            if target <= m.n(other):
+                want[agent] = m.ratings(other)[m.rank_to_agent(other)[target - 1]]
+        assert np.array_equal(m.aligned_ratings(side), want, equal_nan=True)
 
 
 def test_generate_minimal_market():
@@ -364,10 +359,10 @@ def test_unbalanced_rating_ranges():
 def test_market_aligned_agents():
     m = ml.generate_market(16, 2, cap_right=8, model=ml.linear_model(0.5), seed=21)
     top_company = int(m.rank_to_agent(RIGHT)[0])
-    aligned = m.aligned_agent(RIGHT, top_company)
-    assert aligned == int(m.rank_to_agent(LEFT)[7])  # worker of rank 8
-    worker_17 = int(m.rank_to_agent(LEFT)[8])  # rank 9 -> company ceil(9/8) = 2
-    assert m.aligned_agent(LEFT, worker_17) == int(m.rank_to_agent(RIGHT)[1])
+    worker_8 = int(m.rank_to_agent(LEFT)[7])  # worker of rank 8
+    assert m.aligned_ratings(RIGHT)[top_company] == m.ratings_left[worker_8]
+    worker_9 = int(m.rank_to_agent(LEFT)[8])  # rank 9 -> company ceil(9/8) = 2
+    assert m.aligned_ratings(LEFT)[worker_9] == m.ratings_right[m.rank_to_agent(RIGHT)[1]]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -410,7 +405,7 @@ def test_custom_model_round_trip_requires_registry(tmp_path):
 
 def test_utility_monotone_for_generated_models():
     for weight in (0.5, 0.8, 0.999):
-        assert ml.monotonicity_audit(ml.linear_model(weight), LEFT)
+        assert monotonicity_audit(ml.linear_model(weight), LEFT)
 
 
 def test_utility_extended_linear_consistency():
