@@ -254,6 +254,15 @@ def test_interview_params_validation():
             ml.InterviewParams(window, cutoff)
 
 
+@pytest.mark.parametrize("cutoffs", [{"score_cutoff_left": 3.0}, {"score_cutoff_right": -0.1},
+                                     {"score_cutoff_left": 0.2, "score_cutoff_right": 1.5}])
+def test_interview_params_asymmetric_cutoffs_validated(cutoffs):
+    # the cutoff is one value for both sides; a per-side cutoff is refused,
+    # not dropped in favour of the shared one
+    with pytest.raises(TypeError):
+        ml.InterviewParams(0.2, 0.5, **cutoffs)
+
+
 # --- selected edges ---------------------------------------------------------------
 
 

@@ -97,10 +97,30 @@ def test_rank_order_round_trip(ratings):
     assert (np.diff(sorted_ratings) <= 0).all()
 
 
+def test_aligned_rank_one_to_one_identity():
+    m = ml.generate_market(100, 100, model=ml.linear_model(0.5), seed=6)
+    for side, other in ((LEFT, RIGHT), (RIGHT, LEFT)):
+        agent = m.rank_to_agent(side)[6]
+        assert m.aligned_ratings(side)[agent] == m.ratings(other)[m.rank_to_agent(other)[6]]
+
+
+def test_aligned_rank_capacity_weighted():
+    m = ml.generate_market(2000, 250, cap_right=8, model=ml.linear_model(0.5), seed=22)
+    workers, companies = m.rank_to_agent(LEFT), m.rank_to_agent(RIGHT)
+    # company rank 3, 8 positions each -> worker rank 24 (1-based), 23 zero-based
+    assert m.aligned_ratings(RIGHT)[companies[2]] == m.ratings_left[workers[23]]
+    # worker rank 17 -> company rank ceil(17/8) = 3
+    assert m.aligned_ratings(LEFT)[workers[16]] == m.ratings_right[companies[2]]
+    # overflow past the other side's end
+    short = ml.generate_market(1999, 250, cap_right=8, model=ml.linear_model(0.5), seed=22)
+    assert np.isnan(short.aligned_ratings(RIGHT)[short.rank_to_agent(RIGHT)[249]])
+    assert not np.isnan(short.aligned_ratings(RIGHT)[short.rank_to_agent(RIGHT)[248]])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 8), st.integers(1, 8),
        st.integers(0, 2**32 - 1))
-def test_aligned_ratings_match_ceiling_formula(n_left, n_right, cap_left, cap_right, seed):
+def test_aligned_rank_matches_ceiling_formula(n_left, n_right, cap_left, cap_right, seed):
     # rank r (0-based) aligns with 1-based rank ceil(cap_own (r + 1) / cap_other)
     # on the other side, and with no one past that side's end
     m = ml.generate_market(n_left, n_right, cap_left, cap_right, model=ml.linear_model(0.5),
