@@ -333,16 +333,10 @@ class SelectedSetParams:
     interviews per mid-rating agent."""
 
     expected_degree: float
-    cone_halfwidth: float | None = None
 
     def __post_init__(self) -> None:
         if self.expected_degree < 1:
             raise ValueError("expected_degree must be at least 1")
-
-    def halfwidth(self, n: int) -> float:
-        if self.cone_halfwidth is not None:
-            return self.cone_halfwidth
-        return selected_cone_halfwidth(self.expected_degree, n)
 
 
 def selected_weight(x, y, expected_degree: float, sigma: float):
@@ -383,7 +377,7 @@ def selected_edges(market: Market, params: SelectedSetParams) -> EdgeSet:
     n = market.n_left
     if market.n_right != n or market.cap_left != 1 or market.cap_right != 1:
         raise ValueError("selected_edges needs a balanced one-to-one market")
-    sigma = params.halfwidth(n)
+    sigma = selected_cone_halfwidth(params.expected_degree, n)
     if sigma > 0.5:
         raise ValueError("cone halfwidth above 1/2; increase n or reduce expected_degree")
     scores_l, scores_r = market.scores(LEFT), market.scores(RIGHT)
@@ -409,14 +403,12 @@ def selected_edges(market: Market, params: SelectedSetParams) -> EdgeSet:
 
 def _truncation_thresholds(market: Market, side: str, shift: float) -> np.ndarray:
     """Per-agent reservation loss: benchmark minus the benchmark evaluated at
-    the aligned rating shifted down by `shift` (rating axis extended
-    linearly below zero)."""
-    aligned = market.aligned_ratings(side)
-    bench = benchmark_vector(market, side)
-    shifted = np.asarray(
-        market.model.utility_extended(side, aligned - shift, 1.0), dtype=float
-    )
-    return bench - shifted
+    the aligned rating shifted down by `shift`.  Below zero the rating axis
+    is extended linearly, with the model's lower slope bound `mu_floor`."""
+    r = market.aligned_ratings(side) - shift
+    model = market.model
+    shifted = model.utility(side, np.maximum(r, 0.0), 1.0) + model.mu_floor * np.minimum(r, 0.0)
+    return benchmark_vector(market, side) - shifted
 
 
 def truncated_edges(market: Market, params: LossParams, t_left: float = 1.0,

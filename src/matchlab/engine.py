@@ -390,14 +390,14 @@ def extreme_matchings(market: Market, edges: EdgeSet | None = None) -> tuple[Mat
     return run_da(market, LEFT, edges), run_da(market, RIGHT, edges)
 
 
-def multi_stable_agents(market: Market, edges: EdgeSet | None = None) -> tuple[frozenset, frozenset]:
+def multi_stable_agents(market: Market) -> tuple[frozenset, frozenset]:
     """Agents whose partner differs between the two extreme stable matchings.
 
     Returns (left agents, right agents).  One-to-one markets only.
     """
     if market.cap_left != 1 or market.cap_right != 1:
         raise ValueError("multi_stable_agents needs a one-to-one market")
-    left_opt, right_opt = extreme_matchings(market, edges)
+    left_opt, right_opt = extreme_matchings(market)
     left = frozenset(np.flatnonzero(left_opt.partner(LEFT) != right_opt.partner(LEFT)).tolist())
     right = frozenset(np.flatnonzero(left_opt.partner(RIGHT) != right_opt.partner(RIGHT)).tolist())
     return left, right

@@ -9,11 +9,9 @@ score for that partner through a strictly increasing utility function.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -26,6 +24,8 @@ __all__ = [
     "LEFT",
     "RIGHT",
     "SIDES",
+    "CustomModel",
+    "LinearModel",
     "Market",
     "UtilityModel",
     "MODEL_REGISTRY",
@@ -61,126 +61,104 @@ def stream_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class UtilityModel:
-    """Monotone utility pair over (partner public rating, own private score).
+class LinearModel:
+    """``weight * rating + (1 - weight) * score`` on both sides."""
 
-    The linear kind evaluates ``weight * rating + (1 - weight) * score`` on
-    both sides.  Custom kinds supply one strictly increasing callable per
-    side together with declared derivative bounds: ``slope_cap`` bounds the
-    rating partial from above and ``ratio_low`` bounds the ratio of the
-    rating and score partials from below.  Declarations are trusted, not
-    checked.  A custom callable must be elementwise: markets evaluate it
-    on blocks of rows, so an entry may depend only on its own (rating,
-    score) pair.  `utility` takes an optional `out` array: the linear kind
-    computes into it, and a custom callable's result is assigned into it,
-    so markets fill their utility matrices in place.
-    """
-
-    kind: str
-    weight: float | None = None
-    name: str | None = None
-    fn_left: Callable | None = None
-    fn_right: Callable | None = None
-    slope_cap: float | None = None
-    ratio_low: float | None = None
-    slope_floor: float | None = None
+    weight: float
 
     def __post_init__(self) -> None:
-        if self.kind == "linear":
-            if self.weight is None or not 0.0 < self.weight < 1.0:
-                raise ValueError("linear model needs a rating weight in (0, 1)")
-        elif self.kind == "custom":
-            if self.fn_left is None or self.fn_right is None:
-                raise ValueError("custom model needs one utility callable per side")
-            if self.slope_cap is None or self.ratio_low is None:
-                raise ValueError("custom model needs declared derivative bounds")
-        else:
-            raise ValueError(f"unknown model kind {self.kind!r}")
+        if not 0.0 < self.weight < 1.0:
+            raise ValueError("linear model needs a rating weight in (0, 1)")
 
     @property
     def mu(self) -> float:
         """Upper bound on the rating partial derivative."""
-        return self.weight if self.kind == "linear" else self.slope_cap
+        return self.weight
+
+    mu_floor = mu  # lower bound on the rating partial: the same constant
 
     @property
     def rho(self) -> float:
         """Lower bound on (rating partial) / (score partial)."""
-        if self.kind == "linear":
-            return self.weight / (1.0 - self.weight)
-        return self.ratio_low
-
-    @property
-    def mu_floor(self) -> float:
-        """Lower bound on the rating partial, used by the below-zero extension."""
-        if self.kind == "linear":
-            return self.weight
-        return self.slope_floor if self.slope_floor is not None else self.slope_cap
+        return self.weight / (1.0 - self.weight)
 
     def utility(self, side: str, rating, score, out=None):
         """`side`'s utility for partners of public `rating` that it scores
         `score`, broadcast elementwise.  With `out`, the result is written
         into that array and returned; the bits are the same either way."""
-        if self.kind == "linear":
-            return np.add(self.weight * rating, np.multiply(1.0 - self.weight, score, out=out), out=out)
+        return np.add(self.weight * rating, np.multiply(1.0 - self.weight, score, out=out), out=out)
+
+    def describe(self) -> dict:
+        return {"kind": "linear", "weight": self.weight}
+
+
+@dataclass(frozen=True)
+class CustomModel:
+    """Custom monotone utility pair with declared derivative bounds.
+
+    One strictly increasing callable per side.  ``slope_cap`` (`mu`) bounds
+    the rating partial from above and ``slope_floor`` (`mu_floor`, default
+    ``slope_cap``) from below; ``ratio_low`` (`rho`) bounds the ratio of the
+    rating and score partials from below.  Declarations are trusted, not
+    checked.  Both callables must be elementwise in (rating, score), as
+    utility matrices are evaluated on blocks of rows; `utility` assigns a
+    callable's new array into `out` when given one.  Models passed to
+    `register_model` round-trip through market files; others stay in memory.
+    """
+
+    name: str
+    fn_left: Callable
+    fn_right: Callable
+    _: KW_ONLY
+    ratio_low: float
+    slope_cap: float
+    slope_floor: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.fn_left is None or self.fn_right is None:
+            raise ValueError("custom model needs one utility callable per side")
+        if self.slope_cap is None or self.ratio_low is None:
+            raise ValueError("custom model needs declared derivative bounds")
+        for bound in ("ratio_low", "slope_cap", "slope_floor"):
+            if getattr(self, bound) is not None:
+                object.__setattr__(self, bound, float(getattr(self, bound)))
+
+    @property
+    def mu(self) -> float:
+        return self.slope_cap
+
+    @property
+    def rho(self) -> float:
+        return self.ratio_low
+
+    @property
+    def mu_floor(self) -> float:
+        return self.slope_cap if self.slope_floor is None else self.slope_floor
+
+    def utility(self, side: str, rating, score, out=None):
         fn = self.fn_left if side == LEFT else self.fn_right
         if out is None:
             return fn(rating, score)
         out[...] = fn(rating, score)
         return out
 
-    def utility_extended(self, side: str, rating, score):
-        """Utility with the rating axis linearly extended below zero."""
-        if self.kind == "linear":
-            return self.utility(side, rating, score)
-        r = np.asarray(rating, dtype=float)
-        base = self.utility(side, np.maximum(r, 0.0), score)
-        return base + self.mu_floor * np.minimum(r, 0.0)
-
     def describe(self) -> dict:
-        if self.kind == "linear":
-            return {"kind": "linear", "weight": self.weight}
         return {"kind": "custom", "name": self.name}
 
 
-MODEL_REGISTRY: dict[str, UtilityModel] = {}
+# a market's utility model; `custom_model` and `linear_model` build one
+UtilityModel = LinearModel | CustomModel
+custom_model = CustomModel
+MODEL_REGISTRY: dict[str, CustomModel] = {}
 
 
-def linear_model(weight: float) -> UtilityModel:
+def linear_model(weight: float) -> LinearModel:
     """Linear separable utilities with the given rating weight."""
-    return UtilityModel(kind="linear", weight=float(weight))
+    return LinearModel(float(weight))
 
 
-def custom_model(
-    name: str,
-    fn_left: Callable,
-    fn_right: Callable,
-    *,
-    ratio_low: float,
-    slope_cap: float,
-    slope_floor: float | None = None,
-) -> UtilityModel:
-    """Custom monotone utility pair with declared derivative bounds.
-
-    Both callables must be elementwise in (rating, score): utility matrices
-    are evaluated on blocks of rows, not on whole matrices.  A callable
-    returns a new array; when `UtilityModel.utility` is given `out`, that
-    result is assigned into `out`, so the callable never sees it.  Models
-    passed to `register_model` can round-trip through market files;
-    unregistered ones only live in memory.
-    """
-    return UtilityModel(
-        kind="custom",
-        name=name,
-        fn_left=fn_left,
-        fn_right=fn_right,
-        ratio_low=float(ratio_low),
-        slope_cap=float(slope_cap),
-        slope_floor=None if slope_floor is None else float(slope_floor),
-    )
-
-
-def register_model(model: UtilityModel) -> UtilityModel:
-    if model.kind != "custom" or not model.name:
+def register_model(model: CustomModel) -> CustomModel:
+    if not isinstance(model, CustomModel) or not model.name:
         raise ValueError("only named custom models belong in the registry")
     MODEL_REGISTRY[model.name] = model
     return model
@@ -202,6 +180,8 @@ def _usable_cpus() -> int:
     """CPUs this process may run blocks on: one in a multiprocessing worker
     (a `--jobs` process), whose sibling workers keep the other CPUs busy;
     else every CPU it has affinity for."""
+    import multiprocessing  # here, not at module top: startup never needs it
+
     if multiprocessing.parent_process() is not None:
         return 1
     try:
@@ -226,6 +206,8 @@ def _map_blocks(fn: Callable[[int], object], n_rows: int) -> list:
     workers = min(2, _usable_cpus(), len(starts))
     if workers < 2:
         return [fn(lo) for lo in starts]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, starts))
 

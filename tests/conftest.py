@@ -4,10 +4,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis.vendor.pretty import for_type_by_name
 
 import matchlab as ml
+from matchlab.analysis import selected_cone_halfwidth
 from matchlab.engine import worst_partner
 from matchlab.market import LEFT, RIGHT, other_side, stream_rng
+
+# Hypothesis prints a dataclass through its init fields, and a Market's
+# score InitVars are not attributes; print a falsifying market by its repr
+for_type_by_name("matchlab.market", "Market", lambda market, p, cycle: p.text(repr(market)))
 
 
 def mask(edges):
@@ -196,7 +202,7 @@ def dense_double_cut_edges(market, side, cut):
 
 def dense_selected_edges(market, params):
     n = market.n_left
-    sigma = params.halfwidth(n)
+    sigma = selected_cone_halfwidth(params.expected_degree, n)
     p = ml.selected_survival(market.ratings_left[:, None], market.ratings_right[None, :],
                              params.expected_degree, sigma, n)
     if p.max() > 1.0:
@@ -347,7 +353,7 @@ def selected_degree_stats(market, params):
     where the protocol calibrates the expected count to `expected_degree`.
     """
     edges = ml.selected_edges(market, params)
-    sigma = params.halfwidth(market.n_left)
+    sigma = selected_cone_halfwidth(params.expected_degree, market.n_left)
     out = {}
     for side in (LEFT, RIGHT):
         deg = edges.degrees(side)

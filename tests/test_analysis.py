@@ -307,7 +307,7 @@ def test_selected_edges_cone_respected():
     m = ml.generate_market(500, 500, model=ml.linear_model(0.8), seed=52)
     params = ml.SelectedSetParams(8.0)
     edges = ml.selected_edges(m, params)
-    sigma = params.halfwidth(500)
+    sigma = selected_cone_halfwidth(params.expected_degree, 500)
     gaps = np.abs(m.ratings_left[:, None] - m.ratings_right[None, :])
     assert (gaps[mask(edges)] <= 2 * sigma).all()
 

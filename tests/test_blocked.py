@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import matchlab as ml
 from matchlab import engine
-from matchlab.analysis import _truncation_thresholds
+from matchlab.analysis import _truncation_thresholds, selected_cone_halfwidth
 from matchlab.engine import CutSpec, EdgeSet, _candidate_lists, double_cut_edges
 from matchlab.experiments import ExperimentConfig, _loss_grid
 from matchlab.market import _BLOCK_ROWS, LEFT, RIGHT
@@ -251,12 +251,11 @@ def test_candidate_lists_order_nan_utilities_last():
 
 
 @settings(max_examples=30, deadline=None)
-@given(coarse_markets(balanced=True, one_to_one=True),
-       st.sampled_from([1.0, 3.0, 10.0]), st.sampled_from([None, 0.1, 0.3]))
-def test_selected_edges_match_dense(case, degree, halfwidth):
+@given(coarse_markets(balanced=True, one_to_one=True), st.sampled_from([1.0, 3.0, 10.0]))
+def test_selected_edges_match_dense(case, degree):
     market, _ = case
-    params = ml.SelectedSetParams(degree, halfwidth)
-    if params.halfwidth(market.n_left) > 0.5:
+    params = ml.SelectedSetParams(degree)
+    if selected_cone_halfwidth(degree, market.n_left) > 0.5:
         return
     try:
         want = dense_selected_edges(market, params)

@@ -323,10 +323,11 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_startup_imports_no_process_pool_or_secrets():
-    # `--jobs` above 1 and a drawn seed import these when they run, so
-    # startup, which every command pays, does not
+    # `--jobs` above 1, a threaded row pass and a drawn seed import these
+    # when they run, so startup, which every command pays, does not
     code = ("import sys, matchlab.cli; matchlab.cli.build_parser(); "
-            "print(sorted({'concurrent.futures.process', 'secrets'} & sys.modules.keys()))")
+            "print(sorted({'concurrent.futures', 'concurrent.futures.process', 'multiprocessing',"
+            " 'secrets'} & sys.modules.keys()))")
     assert fresh_python(code) == "[]"
 
 

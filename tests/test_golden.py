@@ -15,7 +15,10 @@ on commit 4b96f8c, before every command filled its config through one
 flag table; the edges-selected-300 and edges-interview-300 cases were
 recorded on commit 0271339, while a generated market still held its score
 matrices; the run-m2o-L-right case was recorded on commit 9b6ccd7, while
-the loss rows came from two report classes.  That command prints the table below for the current tree.  A
+the loss rows came from two report classes; the run-unbalanced-acceptable,
+run-unbalanced-unit and edges-unbalanced-truncated cases were recorded on
+commit ca0e5fe, while one utility model class held both the linear and the
+custom kind.  That command prints the table below for the current tree.  A
 change that alters any artifact's bytes must say so and re-record them.
 """
 
@@ -81,6 +84,14 @@ CASES = {
     # one side's loss cap set and the other's not: only the right side's
     # bottom zone widens (2 of 10 right agents, no left agent)
     "run-m2o-L-right": ["run", "--nw", "30", "--nc", "10", "--d", "3", "--L-right", "0.2"],
+    # an unbalanced one-to-one market: the short side rates on (ratio - 1,
+    # ratio) under the default ranges, both sides on [0, 1] under "unit";
+    # truncation there shifts aligned ratings below zero
+    "run-unbalanced-acceptable": ["run", "--nw", "40", "--nc", "20", "--edges", "acceptable",
+                                  "--L", "0.3", "--sigma", "0.1"],
+    "run-unbalanced-unit": ["run", "--nw", "40", "--nc", "20", "--edges", "acceptable",
+                            "--L", "0.3", "--sigma", "0.1", "--rating-ranges", "unit"],
+    "edges-unbalanced-truncated": ["edges", "--nw", "40", "--nc", "20", "--edges", "truncated"],
 }
 
 SEED = "11"
@@ -113,6 +124,10 @@ GOLDEN = {
     'edges-truncated-L': {
         'edge_summary.json': '1eacb60809f9a058f43f22be015c1543e28867e9663dc3889909985c195badbf',
         'edges.csv': 'b7c1c921ada59af32f8354a6b2d9ab64fcfab0b77802acb81b6f89fdb844a2a4',
+    },
+    'edges-unbalanced-truncated': {
+        'edge_summary.json': '45d0f5cb61ec2409bbf4269d01a50dd70cae97bc21d3b6940df6eb8dadc5cdf5',
+        'edges.csv': '447634113b5f9c31d578ff5a9622e9ced09f4781ad6d79356a1257a2e5cbf855',
     },
     'edges-viable': {
         'edge_summary.json': 'f5646c4ece980972903b6fa84446226cf3cb2ba839f0f7e43c2e030837885f6f',
@@ -183,6 +198,16 @@ GOLDEN = {
         'audit.json': '82340c9c2a11769c50a0605b7eac847215304386952ec66d9a5378e596367f5b',
         'losses.csv': '543cc71bd01f48760c80cf1847de17fdcf91b81148eba0b3cbd3a1162be95c8f',
         'matching.csv': '18549daeb10e98932350068e55ea4fec7dc51097d8837143e83446159de71ee5',
+    },
+    'run-unbalanced-acceptable': {
+        'audit.json': '8b646650fd2a0d9211f04168ef65d5a4afb50cf7cdd62ca82c6beaa57b2aa6d0',
+        'losses.csv': '4a4346f5f537c6f0f197a10d9f62ce5ead7f768a0389da44a3d65cc24c2137f8',
+        'matching.csv': '2aba20866bc72de0f7d79c1aeb1c35ba188d50bcb03dcb5c76713945d0657419',
+    },
+    'run-unbalanced-unit': {
+        'audit.json': '0751e98ca87ccfc83bc72d9f46ab272cee4f8564b0bde2c2afdcb8bb336079b8',
+        'losses.csv': 'b6d7445f3b0f36370a0c29db36993b1b544f643d512352e1e33d25466643bffd',
+        'matching.csv': '5e9be859efce8dc527f19406eb0b267559272f53c0cd7d9eb135d309a544fb88',
     },
     'truncation': {
         'report.csv': '572ce8ad6ec4b4d421436bc14b7ed67f4111df2d029e00f5fed67c60278974dd',

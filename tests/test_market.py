@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import inspect
 import math
 import threading
@@ -11,13 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from hypothesis.vendor.pretty import pretty
 
 import matchlab as ml
 from matchlab import market as market_module
+from matchlab.analysis import _truncation_thresholds
 from matchlab.market import (
     _BLOCK_ROWS,
     LEFT,
     RIGHT,
+    LinearModel,
     _philox_keys,
     preference_argsort,
     rank_order,
@@ -293,13 +297,14 @@ def test_pooled_calls_leave_no_thread_running(monkeypatch, call):
         m.utility_matrix(side)
     pools = []
 
-    class CountingPool(market_module.ThreadPoolExecutor):
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(market_module, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(market_module, "ThreadPoolExecutor", CountingPool)
+    # _map_blocks imports the pool class when it runs, so patch its source
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     before = threading.active_count()
     call(m)
     assert pools  # the call did run blocks on threads
@@ -429,13 +434,75 @@ def test_utility_monotone_for_generated_models():
 
 
 def test_utility_extended_linear_consistency():
-    model = ml.linear_model(0.8)
-    assert model.utility_extended(LEFT, -0.5, 1.0) == pytest.approx(0.8 * -0.5 + 0.2)
-    curved = curved_model()
-    # continuous at zero and sloped by slope_floor below it
-    at_zero = float(curved.utility_extended(LEFT, 0.0, 1.0))
-    below = float(curved.utility_extended(LEFT, -0.1, 1.0))
+    # the below-zero rating extension, as truncation reads it: for a linear
+    # model, the bits of the linear formula, below zero too
+    for market in (ml.generate_market(40, 40, model=ml.linear_model(0.8), seed=3),
+                   ml.generate_market(40, 20, model=ml.linear_model(0.3), seed=3)):
+        w = market.model.weight
+        for side in (LEFT, RIGHT):
+            aligned = market.aligned_ratings(side)
+            bench = ml.benchmark_vector(market, side)
+            for shift in (0.0, 0.25, 0.5, 1.0, 2.5):
+                want = bench - (w * (aligned - shift) + (1 - w))
+                got = _truncation_thresholds(market, side, shift)
+                assert np.array_equal(got, want, equal_nan=True)
+            assert (aligned - 2.5 < 0).any() and (aligned - 0.25 >= 0).any()
+    # a custom model: continuous at zero and sloped by slope_floor below it
+    market = ml.generate_market(5, 5, model=curved_model(), seed=3)
+    a = market.aligned_ratings(LEFT)[0]
+    bench = ml.benchmark_vector(market, LEFT)[0]
+    at_zero = bench - _truncation_thresholds(market, LEFT, a)[0]
+    below = bench - _truncation_thresholds(market, LEFT, a + 0.1)[0]
+    assert at_zero == pytest.approx(float(curved_model().utility(LEFT, 0.0, 1.0)))
     assert below == pytest.approx(at_zero - 0.1 * 0.4)
+
+
+@pytest.mark.parametrize("settings_", [{"fn_left": abs}, {"fn_right": abs}, {"slope_cap": 3.0},
+                                       {"ratio_low": 1.0}, {"slope_floor": 0.5}, {"name": "x"}],
+                         ids=["fn_left", "fn_right", "slope_cap", "ratio_low", "slope_floor", "name"])
+def test_linear_model_refuses_custom_settings(settings_):
+    with pytest.raises(TypeError):
+        LinearModel(0.5, **settings_)
+
+
+def test_custom_model_has_no_weight():
+    assert not hasattr(curved_model(), "weight")
+    with pytest.raises(TypeError):
+        ml.custom_model("x", abs, abs, ratio_low=1.0, slope_cap=1.0, weight=0.5)
+
+
+@pytest.mark.parametrize("missing", ["fn_left", "fn_right", "ratio_low", "slope_cap"])
+def test_custom_model_refuses_missing_callable_or_bound(missing):
+    args = {"fn_left": abs, "fn_right": abs, "ratio_low": 1.0, "slope_cap": 1.0, missing: None}
+    with pytest.raises(ValueError):
+        ml.custom_model("x", **args)
+
+
+def test_saved_model_meta_is_unchanged(tmp_path):
+    # the meta strings as market files wrote them while one model class
+    # held both kinds
+    def meta(market):
+        ml.save_market(market, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as data:
+            return bytes(data["meta"]).decode("utf-8")
+
+    linear = ml.generate_market(30, 25, cap_right=2, model=ml.linear_model(0.7), seed=123)
+    assert meta(linear) == (
+        '{"cap_left": 1, "cap_right": 2, "model": {"kind": "linear", "weight": 0.7}, "n_left": 30, '
+        '"n_right": 25, "rating_range_left": [0.0, 1.0], "rating_range_right": [0.0, 1.0], "seed": 123}')
+    custom = ml.register_model(curved_model())
+    try:
+        assert meta(ml.generate_market(5, 5, model=custom, seed=1)) == (
+            '{"cap_left": 1, "cap_right": 1, "model": {"kind": "custom", "name": "curved"}, '
+            '"n_left": 5, "n_right": 5, "rating_range_left": [0.0, 1.0], '
+            '"rating_range_right": [0.0, 1.0], "seed": 1}')
+    finally:
+        ml.MODEL_REGISTRY.pop("curved", None)
+
+
+def test_hypothesis_prints_a_market_by_its_repr():
+    market = ml.generate_market(3, 3, model=ml.linear_model(0.5), seed=1)
+    assert pretty(market) == repr(market)
 
 
 @settings(max_examples=200, deadline=None)
