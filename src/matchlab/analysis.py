@@ -123,11 +123,10 @@ def benchmark_vector(market: Market, side: str) -> np.ndarray:
     return out
 
 
-def achieved_utilities(market: Market, matching: Matching, side: str,
-                       unmatched=np.nan) -> np.ndarray:
-    """Per-agent utility of the worst held match; `unmatched` where empty."""
+def achieved_utilities(market: Market, matching: Matching, side: str) -> np.ndarray:
+    """Per-agent utility of the worst held match; NaN where empty."""
     worst_u, _ = worst_partner(market, side, matching)
-    return np.where(matching.matched_mask(side), worst_u, unmatched)
+    return np.where(matching.matched_mask(side), worst_u, np.nan)
 
 
 def _bottom_zone(market: Market, side: str, sigma: float | None) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import operator
 import os
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -252,10 +252,8 @@ class Market:
 
     ``scores(LEFT)[i, j]`` is left agent i's private score for right agent
     j; ``scores(RIGHT)[j, i]`` is right agent j's score for left agent i.
-    `scores_left` and `scores_right` are constructor arguments only: pass
-    both to hold given arrays (a loaded or hand-built market), or neither,
-    and the market draws its scores from `seed` whenever it needs them
-    (a generated market), so it holds no score matrix.
+    Every market draws its scores from `seed` whenever it needs them, so it
+    holds no score matrix.
     """
 
     n_left: int
@@ -265,32 +263,19 @@ class Market:
     ratings_left: np.ndarray
     ratings_right: np.ndarray
     model: UtilityModel
-    seed: int | None = None
+    seed: int
     rating_range_left: tuple[float, float] = (0.0, 1.0)
     rating_range_right: tuple[float, float] = (0.0, 1.0)
-    scores_left: InitVar[np.ndarray | None] = None
-    scores_right: InitVar[np.ndarray | None] = None
-    _held_scores: dict = field(default_factory=dict, init=False, repr=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self, scores_left, scores_right) -> None:
+    def __post_init__(self) -> None:
         for name in ("ratings_left", "ratings_right"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             setattr(self, name, arr)
         if self.ratings_left.shape != (self.n_left,) or self.ratings_right.shape != (self.n_right,):
             raise ValueError("rating vector shapes disagree with side sizes")
-        if scores_left is None and scores_right is None:
-            _check_seed(self.seed)
-            return
-        if scores_left is None or scores_right is None:
-            raise ValueError("a market needs both score arrays or neither")
-        for side, scores in ((LEFT, scores_left), (RIGHT, scores_right)):
-            arr = np.asarray(scores, dtype=float)
-            if arr.shape != (self.n(side), self.n(other_side(side))):
-                raise ValueError(f"scores_{side} must be (n_{side}, n_{other_side(side)})")
-            arr.setflags(write=False)
-            self._held_scores[side] = arr
+        _check_seed(self.seed)
 
     # -- side-indexed accessors ------------------------------------------
     def n(self, side: str) -> int:
@@ -305,12 +290,9 @@ class Market:
     def scores(self, side: str) -> np.ndarray:
         """(n_side, n_other) private scores of `side` agents for the other side.
 
-        The held array if the market was given one; else a fresh draw from
-        the market's seed on every call, which is never cached, so a caller
-        that keeps it pays for the matrix and one that drops it frees it."""
-        held = self._held_scores.get(side)
-        if held is not None:
-            return held
+        A fresh draw from the market's seed on every call, which is never
+        cached, so a caller that keeps it pays for the matrix and one that
+        drops it frees it."""
         out = np.empty((self.n(side), self.n(other_side(side))))
         _fill_score_rows(self.seed, _SCORE_LABELS[side], out)
         return out
@@ -348,20 +330,15 @@ class Market:
 
     def _utility_matrix(self, side: str) -> np.ndarray:
         # written in place one block of rows at a time, so no temporary is
-        # larger than a block: a block's scores are the held rows, or a
-        # fresh draw into the block of `out` that its utilities then
-        # overwrite while it is in cache
+        # larger than a block: a block's scores are drawn into the block of
+        # `out` that its utilities then overwrite while it is in cache
         rating = self.ratings(other_side(side))[None, :]
         out = np.empty((self.n(side), self.n(other_side(side))))
 
         def utility(lo: int, scores: np.ndarray) -> None:
             self.model.utility(side, rating, scores, out=out[lo:lo + _BLOCK_ROWS])
 
-        held = self._held_scores.get(side)
-        if held is None:
-            _fill_score_rows(self.seed, _SCORE_LABELS[side], out, then=utility)
-        else:
-            _map_blocks(lambda lo: utility(lo, held[lo:lo + _BLOCK_ROWS]), out.shape[0])
+        _fill_score_rows(self.seed, _SCORE_LABELS[side], out, then=utility)
         return out
 
     def preference_order(self, side: str) -> np.ndarray:
@@ -396,11 +373,6 @@ class Market:
         opp_agents = self.rank_to_agent(opp)[target[valid] - 1]
         out[valid] = self.ratings(opp)[opp_agents]
         return out
-
-
-# the InitVar defaults stay behind as class attributes; without them a stray
-# `market.scores_left` raises AttributeError instead of reading None
-del Market.scores_left, Market.scores_right
 
 
 def _resolve_ranges(n_left: int, n_right: int, cap_left: int, cap_right: int,
@@ -592,7 +564,9 @@ def generate_market(
 
 
 def save_market(market: Market, path) -> None:
-    """Write a self-describing dump that round-trips bit-exactly."""
+    """Write a self-describing dump that round-trips bit-exactly: the meta
+    JSON and the two rating vectors.  The seed in the meta fixes the
+    scores, so the file holds no score array."""
     meta = {
         "n_left": market.n_left,
         "n_right": market.n_right,
@@ -605,20 +579,26 @@ def save_market(market: Market, path) -> None:
     }
     meta_bytes = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            meta=meta_bytes,
-            ratings_left=market.ratings_left,
-            ratings_right=market.ratings_right,
-            scores_left=market.scores(LEFT),
-            scores_right=market.scores(RIGHT),
-        )
+        np.savez(fh, meta=meta_bytes, ratings_left=market.ratings_left,
+                 ratings_right=market.ratings_right)
 
 
 def load_market(path) -> Market:
-    """Inverse of :func:`save_market`; custom models must be registered."""
+    """Inverse of :func:`save_market`; custom models must be registered.
+
+    The loaded market draws its scores from the file's seed, so a file that
+    records no integer seed is refused, as is a size that would not fit in
+    memory, before any array is read.  A file that also holds `scores_left` and
+    `scores_right` (written before market files dropped them) loads only
+    when each equals the seed's draw bit for bit.
+    """
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        try:
+            seed = _check_seed(meta["seed"])
+        except TypeError:  # null or not an integer: no scores can be drawn
+            raise ValueError(f"market file {path} records no integer seed: {meta['seed']!r}") from None
+        _check_fits(int(meta["n_left"]), int(meta["n_right"]))
         spec = meta["model"]
         if spec["kind"] == "linear":
             model = linear_model(spec["weight"])
@@ -627,17 +607,23 @@ def load_market(path) -> Market:
             if name not in MODEL_REGISTRY:
                 raise KeyError(f"custom model {name!r} not in MODEL_REGISTRY; register it before loading")
             model = MODEL_REGISTRY[name]
-        return Market(
+        market = Market(
             n_left=int(meta["n_left"]),
             n_right=int(meta["n_right"]),
             cap_left=int(meta["cap_left"]),
             cap_right=int(meta["cap_right"]),
             ratings_left=data["ratings_left"],
             ratings_right=data["ratings_right"],
-            scores_left=data["scores_left"],
-            scores_right=data["scores_right"],
             model=model,
-            seed=meta["seed"],
+            seed=seed,
             rating_range_left=tuple(meta["rating_range_left"]),
             rating_range_right=tuple(meta["rating_range_right"]),
         )
+        for side in SIDES:
+            key = f"scores_{side}"
+            if key in data.files:
+                held, drawn = data[key], market.scores(side)
+                if held.shape != drawn.shape or held.tobytes() != drawn.tobytes():
+                    raise ValueError(f"market file {path}: {key} differs from the scores "
+                                     f"that seed {market.seed} draws")
+    return market

@@ -1,19 +1,34 @@
 import heapq
 import itertools
+import json
 import random
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 import pytest
-from hypothesis.vendor.pretty import for_type_by_name
 
 import matchlab as ml
 from matchlab.analysis import selected_cone_halfwidth
 from matchlab.engine import worst_partner
 from matchlab.market import LEFT, RIGHT, other_side, stream_rng
 
-# Hypothesis prints a dataclass through its init fields, and a Market's
-# score InitVars are not attributes; print a falsifying market by its repr
-for_type_by_name("matchlab.market", "Market", lambda market, p, cycle: p.text(repr(market)))
+
+@dataclass(eq=False)
+class HeldScoresMarket(ml.Market):
+    """A market that holds given score matrices instead of drawing them from
+    its seed: ties, NaNs and hand-set preference profiles, which no seed
+    draws on purpose."""
+
+    seed: int = 0
+    _: KW_ONLY
+    scores_left: np.ndarray
+    scores_right: np.ndarray
+
+    def scores(self, side):
+        return self.scores_left if side == LEFT else self.scores_right
+
+    def _utility_matrix(self, side):
+        return self.model.utility(side, self.ratings(other_side(side))[None, :], self.scores(side))
 
 
 def mask(edges):
@@ -34,7 +49,7 @@ def make_manual_market(scores_left, scores_right, ratings_left=None, ratings_rig
         ratings_left = np.full(nl, 0.5)
     if ratings_right is None:
         ratings_right = np.full(nr, 0.5)
-    return ml.Market(
+    return HeldScoresMarket(
         n_left=nl,
         n_right=nr,
         cap_left=cap_left,
@@ -44,8 +59,19 @@ def make_manual_market(scores_left, scores_right, ratings_left=None, ratings_rig
         scores_left=scores_left,
         scores_right=scores_right,
         model=ml.linear_model(weight),
-        seed=None,
     )
+
+
+def rewrite_market_file(src, dst, arrays=(), **meta):
+    """Copy the market file `src` to `dst` with the meta keys `meta` set and
+    the named `arrays` added or replaced: an old-format or a crafted file."""
+    with np.load(src) as data:
+        fields = dict(data)
+    old_meta = json.loads(bytes(fields["meta"]).decode("utf-8"))
+    fields["meta"] = np.frombuffer(json.dumps({**old_meta, **meta}, sort_keys=True).encode("utf-8"),
+                                   dtype=np.uint8)
+    with open(dst, "wb") as fh:
+        np.savez(fh, **{**fields, **dict(arrays)})
 
 
 def reference_da(market, side, edges=None, order_seed=None):
@@ -377,8 +403,8 @@ def monotonicity_audit(model, side=LEFT, grid=50) -> bool:
 def proposer_weakly_dominates(market, side, matching, other):
     """Every `side` agent weakly prefers their `matching` partner set to the
     one in `other` (worst-match comparison; unmatched counts as -inf)."""
-    a = ml.achieved_utilities(market, matching, side, unmatched=-np.inf)
-    b = ml.achieved_utilities(market, other, side, unmatched=-np.inf)
+    a = worst_partner(market, side, matching)[0]
+    b = worst_partner(market, side, other)[0]
     return bool(np.all(a >= b))
 
 

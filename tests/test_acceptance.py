@@ -17,7 +17,7 @@ from matchlab.analysis import (
     lower_bound_loss_level,
     selected_cone_halfwidth,
 )
-from matchlab.engine import EdgeSet
+from matchlab.engine import EdgeSet, worst_partner
 from matchlab.experiments import (
     ExperimentConfig,
     exp_edge_counts,
@@ -62,12 +62,10 @@ def test_criterion_01_oracle_equivalence():
         right_da = ml.run_da(m, RIGHT, edges)
         in_set = any(left_da.edges == s.edges for s in stable) and any(
             right_da.edges == s.edges for s in stable)
-        ul = [ml.achieved_utilities(m, s, LEFT, unmatched=-np.inf) for s in stable]
-        ur = [ml.achieved_utilities(m, s, RIGHT, unmatched=-np.inf) for s in stable]
-        left_best = all((ml.achieved_utilities(m, left_da, LEFT, unmatched=-np.inf) >= u).all()
-                        for u in ul)
-        right_best = all((ml.achieved_utilities(m, right_da, RIGHT, unmatched=-np.inf) >= u).all()
-                         for u in ur)
+        ul = [worst_partner(m, LEFT, s)[0] for s in stable]
+        ur = [worst_partner(m, RIGHT, s)[0] for s in stable]
+        left_best = all((worst_partner(m, LEFT, left_da)[0] >= u).all() for u in ul)
+        right_best = all((worst_partner(m, RIGHT, right_da)[0] >= u).all() for u in ur)
         unmatched_l = {tuple(np.flatnonzero(~s.matched_mask(LEFT)).tolist()) for s in stable}
         unmatched_r = {tuple(np.flatnonzero(~s.matched_mask(RIGHT)).tolist()) for s in stable}
         invariant = len(unmatched_l) == 1 and len(unmatched_r) == 1
@@ -263,9 +261,8 @@ def test_criterion_11_double_cut_dominance():
         else:
             alpha = 0.05
         cut = ml.CutSpec(target=target, rating_floor=float(m.ratings_right[target]) - alpha)
-        full_u = ml.achieved_utilities(m, ml.run_da(m, LEFT), RIGHT, unmatched=-np.inf)[target]
-        cut_u = ml.achieved_utilities(m, ml.run_double_cut_da(m, LEFT, cut), RIGHT,
-                                      unmatched=-np.inf)[target]
+        full_u = worst_partner(m, RIGHT, ml.run_da(m, LEFT))[0][target]
+        cut_u = worst_partner(m, RIGHT, ml.run_double_cut_da(m, LEFT, cut))[0][target]
         if not full_u >= cut_u:
             violations += 1
     report(11, violations == 0,

@@ -26,6 +26,7 @@ from matchlab.experiments import ExperimentConfig, _loss_grid
 from matchlab.market import _BLOCK_ROWS, LEFT, RIGHT
 
 from conftest import (
+    HeldScoresMarket,
     dense_acceptable_edges,
     dense_double_cut_edges,
     dense_interview_edges,
@@ -66,11 +67,11 @@ def coarse_markets(draw, balanced=False, one_to_one=False):
     def grid(*shape):
         return rng.integers(0, levels, shape) / (levels - 1)
 
-    market = ml.Market(
+    market = HeldScoresMarket(
         n_left=n_left, n_right=n_right, cap_left=caps[0], cap_right=caps[1],
         ratings_left=grid(n_left), ratings_right=grid(n_right),
         scores_left=grid(n_left, n_right), scores_right=grid(n_right, n_left),
-        model=ml.linear_model(0.5), seed=None,
+        model=ml.linear_model(0.5),
     )
     return market, rng
 
@@ -239,10 +240,10 @@ def test_candidate_lists_order_nan_utilities_last():
     scores = np.round(rng.random((n, n)) * 3) / 3
     scores[::5, ::3] = np.nan
     scores[7] = np.nan
-    market = ml.Market(n_left=n, n_right=n, cap_left=1, cap_right=1,
-                       ratings_left=np.full(n, 0.5), ratings_right=rng.random(n),
-                       scores_left=scores, scores_right=scores.T.copy(),
-                       model=ml.linear_model(0.5), seed=None)
+    market = HeldScoresMarket(n_left=n, n_right=n, cap_left=1, cap_right=1,
+                              ratings_left=np.full(n, 0.5), ratings_right=rng.random(n),
+                              scores_left=scores, scores_right=scores.T.copy(),
+                              model=ml.linear_model(0.5))
     edges = EdgeSet(np.flatnonzero(rng.random((n, n)) < 0.6), n, n)
     for side in (LEFT, RIGHT):
         got = _candidate_lists(market, side, edges)

@@ -16,6 +16,8 @@ from matchlab import cli, experiments
 from matchlab.cli import main
 from matchlab.experiments import EXPERIMENTS, SHARED_FIELDS, ExperimentConfig
 
+from conftest import rewrite_market_file
+
 
 def run_cli(args, capsys=None):
     code = main(args)
@@ -532,6 +534,50 @@ def test_market_file_refuses_market_flags_and_seed(argv, named, tmp_path, capsys
     assert main([argv[0], "--market", str(market), "--out", str(out)]) == 0
     summary = "audit.json" if argv[0] == "run" else "edge_summary.json"
     assert strict_json(out / summary)["seed"] == 3
+
+
+# a capacitated unbalanced market; `selected` needs a balanced one-to-one one
+MANY_TO_ONE = ["--nw", "40", "--nc", "12", "--d", "3", "--lambda", "0.7", "--seed", "11"]
+
+
+@pytest.mark.parametrize("argv,market_flags", [
+    (["run", "--edges", "acceptable", "--L", "0.3"], MANY_TO_ONE),
+    (["run", "--edges", "interview", "--p", "0.3", "--q", "0.5"], MANY_TO_ONE),
+    (["edges", "--edges", "interview", "--p", "0.3", "--q", "0.5"], MANY_TO_ONE),
+    (["edges", "--edges", "selected", "--k", "6"], ["--n", "40", "--seed", "11"]),
+], ids=["run-acceptable", "run-interview", "edges-interview", "edges-selected"])
+def test_market_file_writes_the_artifacts_of_its_flags(argv, market_flags, tmp_path, capsys):
+    # interview and selected read the market's raw scores
+    market = tmp_path / "m.npz"
+    assert main(["generate", *market_flags, "--out", str(market)]) == 0
+    from_flags, from_file = tmp_path / "flags", tmp_path / "file"
+    code = main([*argv, *market_flags, "--out", str(from_flags)])
+    assert main([argv[0], "--market", str(market), *argv[1:], "--out", str(from_file)]) == code
+    names = sorted(p.name for p in from_flags.iterdir())
+    assert names == sorted(p.name for p in from_file.iterdir())
+    for name in names:
+        want, got = (from_flags / name).read_text(), (from_file / name).read_text()
+        if name.endswith(".json"):
+            want = want.replace('"market_file": null', f'"market_file": {json.dumps(str(market))}')
+        assert got == want
+
+
+def test_market_file_without_seed_or_too_large_is_refused(tmp_path, capsys):
+    market, bad = tmp_path / "m.npz", tmp_path / "bad.npz"
+    assert main(["generate", "--n", "6", "--seed", "3", "--out", str(market)]) == 0
+    n = 100_000
+    for arrays, meta, message in (
+            ((), {"seed": None}, "records no integer seed: None"),
+            ((), {"seed": "7"}, "records no integer seed: '7'"),
+            ({"ratings_left": np.full(n, 0.5), "ratings_right": np.full(n, 0.5)},
+             {"n_left": n, "n_right": n}, "of physical memory")):
+        rewrite_market_file(market, bad, arrays, **meta)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["run", "--market", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
 
 
 def test_run_artifacts_strict_json(tmp_path, capsys):

@@ -360,8 +360,8 @@ def test_double_cut_dominance_sample():
         target = int(rng.integers(50))
         alpha = float(rng.choice([0.05, 0.2, 0.6]))
         cut = ml.CutSpec(target=target, rating_floor=float(m.ratings_right[target]) - alpha)
-        full = ml.achieved_utilities(m, ml.run_da(m, LEFT), RIGHT, unmatched=-np.inf)[target]
-        cut_u = ml.achieved_utilities(m, ml.run_double_cut_da(m, LEFT, cut), RIGHT, unmatched=-np.inf)[target]
+        full = worst_partner(m, RIGHT, ml.run_da(m, LEFT))[0][target]
+        cut_u = worst_partner(m, RIGHT, ml.run_double_cut_da(m, LEFT, cut))[0][target]
         assert full >= cut_u
 
 

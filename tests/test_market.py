@@ -27,7 +27,7 @@ from matchlab.market import (
     rank_order,
 )
 
-from conftest import monotonicity_audit, serial_score_rows
+from conftest import monotonicity_audit, rewrite_market_file, serial_score_rows
 
 B = _BLOCK_ROWS
 
@@ -167,42 +167,44 @@ def test_score_streams_independent_of_order():
         assert np.array_equal(row, m.scores(RIGHT)[j])
 
 
-def test_generated_market_holds_no_score_matrix():
-    # each block of score rows is drawn into the utility rows it becomes;
-    # tracemalloc sees numpy's buffers
+def test_generated_market_holds_no_score_matrix(tmp_path):
+    # each block of score rows is drawn into the utility rows it becomes, in
+    # a generated market and in one loaded from its file; tracemalloc sees
+    # numpy's buffers
     n = 1000
-    tracemalloc.start()
-    try:
-        m = ml.generate_market(n, n, model=ml.linear_model(0.8), seed=7)
-        _, generate_peak = tracemalloc.get_traced_memory()
-        for side in (LEFT, RIGHT):
-            m.utility_matrix(side)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert generate_peak < n * n * 8
-    assert peak < 2 * n * n * 8 + 2 * 2**20
-    # scores are redrawn on every call, never cached
-    first, second = m.scores(LEFT), m.scores(LEFT)
-    assert not np.shares_memory(first, second)
+    path = tmp_path / "m.npz"
+    ml.save_market(ml.generate_market(n, n, model=ml.linear_model(0.8), seed=7), path)
     left, _ = serial_score_rows(7, n, n)
-    assert first.tobytes() == second.tobytes() == left.tobytes()
+    for make in (lambda: ml.generate_market(n, n, model=ml.linear_model(0.8), seed=7),
+                 lambda: ml.load_market(path)):
+        tracemalloc.start()
+        try:
+            m = make()
+            _, generate_peak = tracemalloc.get_traced_memory()
+            for side in (LEFT, RIGHT):
+                m.utility_matrix(side)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert generate_peak < n * n * 8
+        assert peak < 2 * n * n * 8 + 2 * 2**20
+        # scores are redrawn on every call, never cached
+        first, second = m.scores(LEFT), m.scores(LEFT)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == second.tobytes() == left.tobytes()
 
 
 def test_market_refuses_incomplete_scores():
+    # a market takes no scores: it draws them from its seed, which it needs
     m = ml.generate_market(4, 3, model=ml.linear_model(0.5), seed=2)
     base = dict(n_left=4, n_right=3, cap_left=1, cap_right=1, ratings_left=m.ratings_left,
                 ratings_right=m.ratings_right, model=m.model)
-    with pytest.raises(ValueError, match="both score arrays or neither"):
-        ml.Market(**base, seed=2, scores_left=m.scores(LEFT))
     with pytest.raises(TypeError, match="seed must be a non-negative integer, got None"):
-        ml.Market(**base)
+        ml.Market(**base, seed=None)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         ml.Market(**base, seed=-1)
-    with pytest.raises(ValueError, match=r"scores_right must be \(n_right, n_left\)"):
-        ml.Market(**base, scores_left=m.scores(LEFT), scores_right=m.scores(LEFT))
-    held = ml.Market(**base, scores_left=m.scores(LEFT), scores_right=m.scores(RIGHT))
-    assert held.scores(LEFT) is held.scores(LEFT)
+    with pytest.raises(TypeError, match="scores_left"):
+        ml.Market(**base, seed=2, scores_left=m.scores(LEFT))
     for name in ("scores_left", "scores_right"):
         with pytest.raises(AttributeError):
             getattr(m, name)
@@ -404,6 +406,54 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.rating_range_left == m.rating_range_left
 
 
+def test_saved_market_holds_no_score_array(tmp_path):
+    path = tmp_path / "m.npz"
+    ml.save_market(ml.generate_market(300, 300, model=ml.linear_model(0.8), seed=5), path)
+    assert path.stat().st_size < 16 * 1024
+    with np.load(path) as data:
+        assert sorted(data.files) == ["meta", "ratings_left", "ratings_right"]
+
+
+def test_old_market_file_loads_only_with_its_seeds_scores(tmp_path):
+    # files once held both score matrices; they load when those equal the seed's draws
+    m = ml.generate_market(30, 25, cap_right=2, model=ml.linear_model(0.7), seed=123)
+    new, old = tmp_path / "new.npz", tmp_path / "old.npz"
+    ml.save_market(m, new)
+    scores = {"scores_left": m.scores(LEFT), "scores_right": m.scores(RIGHT)}
+    rewrite_market_file(new, old, scores)
+    loaded = ml.load_market(old)
+    assert loaded.seed == 123 and np.array_equal(loaded.ratings_left, m.ratings_left)
+    for side in (LEFT, RIGHT):
+        assert loaded.scores(side).tobytes() == m.scores(side).tobytes()
+    for key in scores:
+        changed = {**scores, key: scores[key].copy()}
+        changed[key][3, 4] = np.nextafter(changed[key][3, 4], 2.0)
+        rewrite_market_file(new, old, changed)
+        with pytest.raises(ValueError, match=f"{key} differs from the scores that seed 123 draws"):
+            ml.load_market(old)
+    rewrite_market_file(new, old, {**scores, "scores_right": scores["scores_right"][:, :-1]})
+    with pytest.raises(ValueError, match="scores_right differs"):
+        ml.load_market(old)
+
+
+def test_load_market_refuses_seedless_or_oversized_file(tmp_path):
+    new, bad = tmp_path / "new.npz", tmp_path / "bad.npz"
+    ml.save_market(ml.generate_market(4, 4, model=ml.linear_model(0.5), seed=1), new)
+    for seed in (None, "1", 1.5):
+        rewrite_market_file(new, bad, seed=seed)
+        with pytest.raises(ValueError, match="records no integer seed"):
+            ml.load_market(bad)
+    rewrite_market_file(new, bad, seed=-1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        ml.load_market(bad)
+    # a file of a few KB names any size: refused before any array is read
+    n = 100_000
+    rewrite_market_file(new, bad, {"ratings_left": np.full(n, 0.5), "ratings_right": np.full(n, 0.5)},
+                        n_left=n, n_right=n)
+    with pytest.raises(ValueError, match="of physical memory"):
+        ml.load_market(bad)
+
+
 def test_save_is_byte_deterministic(tmp_path):
     m = ml.generate_market(20, 20, model=ml.linear_model(0.6), seed=4)
     p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
@@ -501,8 +551,9 @@ def test_saved_model_meta_is_unchanged(tmp_path):
 
 
 def test_hypothesis_prints_a_market_by_its_repr():
-    market = ml.generate_market(3, 3, model=ml.linear_model(0.5), seed=1)
-    assert pretty(market) == repr(market)
+    # through its init fields, each an attribute
+    text = pretty(ml.generate_market(3, 3, model=ml.linear_model(0.5), seed=1))
+    assert text.startswith("Market(n_left=3,") and "seed=1" in text
 
 
 @settings(max_examples=200, deadline=None)
