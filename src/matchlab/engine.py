@@ -64,7 +64,8 @@ class EdgeSet:
         """(indptr, indices) of the `side` agents' rows, partners ascending."""
         agents, partners = np.divmod(self.flat, self.n_right)
         if side != LEFT:
-            order = np.argsort(partners, kind="stable")
+            # a stable sort of small integers is a radix sort
+            order = np.argsort(partners.astype(np.min_scalar_type(self.n_right)), kind="stable")
             agents, partners = partners[order], agents[order]
         indptr = np.zeros((self.n_left if side == LEFT else self.n_right) + 1, dtype=np.int64)
         np.cumsum(np.bincount(agents, minlength=indptr.size - 1), out=indptr[1:])
@@ -259,8 +260,21 @@ def _candidate_lists(market: Market, proposing_side: str, edges: EdgeSet | None)
     return indptr, indices
 
 
-# Each round scans about this many list entries per agent on the larger side.
-_WINDOW_BUDGET = 4
+# Each free proposer reads a window of its list per round, `_WINDOW_START`
+# entries at first.  The window doubles, up to `_WINDOW_CAP`, after each round
+# in which the proposer makes no proposal, and falls back to `_WINDOW_START`
+# once it makes one.  When a round's windows add up to more than
+# `_ROUND_BUDGET` entries per agent on the larger side, all are scaled down
+# to fit.  Windows of any size give the same run.
+_WINDOW_START = 4
+_WINDOW_CAP = 32
+_ROUND_BUDGET = 8
+
+
+def _fit_budget(length: np.ndarray, budget: int) -> np.ndarray:
+    """Window lengths scaled down in proportion to sum to about `budget`,
+    at least one entry each."""
+    return np.maximum(length * budget // length.sum(), 1)
 
 
 def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = None) -> Matching:
@@ -269,12 +283,20 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
     Receivers hold their `cap` best proposals so far and bump the worst;
     proposers that exhaust their lists stay unmatched.  The set of proposals
     does not depend on processing order (McVitie & Wilson 1971), so the run
-    goes in synchronous rounds: every free proposer scans a window of its
-    list, proposes to the first entries whose receiver it beats, and each
-    receiver keeps its `cap` best of held plus new proposals.  A receiver's
-    threshold (its worst held proposal once full) only rises, so an entry
-    skipped in the window is a proposal sequential DA would make and lose;
-    it counts in ``proposal_counts``.
+    goes in synchronous rounds: every free proposer reads a window of its
+    list (sized per proposer, see `_WINDOW_START`), proposes to the first
+    entries whose receiver it beats, and each receiver keeps its `cap` best
+    of held plus new proposals.  A receiver's threshold (its worst held
+    proposal once full) only rises, so an entry skipped in the window is a
+    proposal sequential DA would make and lose; it counts in
+    ``proposal_counts``.
+
+    About one scanned entry in a hundred wins, so only two gathers run over
+    the whole window: each entry's receiver and that receiver's threshold
+    utility.  On full lists, an entry whose threshold is above the
+    proposer's best utility at any receiver loses unread.  The rest, a few
+    per cent there, get their utility gathered, the exact test (ties go to
+    the lower index) and the choice of proposals.
     """
     prop = proposing_side
     recv = other_side(prop)
@@ -283,43 +305,59 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
     _check_shape(edges, market)
     indptr, indices = _candidate_lists(market, prop, edges)
     end = np.diff(indptr)
-    u_flat = market.utility_matrix(recv).ravel()  # [j * n_p + i]: receiver j's utility for i
+    u_recv = market.utility_matrix(recv)
+    u_flat = u_recv.ravel()  # [j * n_p + i]: receiver j's utility for i
+    # each proposer's best utility at any receiver, NaNs ignored; restricted
+    # lists are too short to pay for this pass, so +inf lets every entry by
+    if edges is None or edges.is_full():
+        best = np.fmax.reduce(u_recv, axis=0, initial=-np.inf)
+    else:
+        best = np.full(n_p, np.inf)
 
     ptr = np.zeros(n_p, dtype=np.int64)
     n_match = np.zeros(n_p, dtype=np.int64)
+    window = np.full(n_p, _WINDOW_START, dtype=np.int64)
     held = np.full((n_r, cap_r), -1, dtype=np.int64)  # best first, -1 pads free slots
     thr_u = np.full(n_r, -np.inf)  # worst held key once full; (-inf, n_p) while room
     thr_i = np.full(n_r, n_p, dtype=np.int64)
-    budget = _WINDOW_BUDGET * max(n_p, n_r)
+    seen = np.zeros(n_r, dtype=bool)  # scratch: the receivers proposed to in a round
+    budget = _ROUND_BUDGET * max(n_p, n_r)
 
     while True:
         free = np.flatnonzero((n_match < cap_p) & (ptr < end))
         if free.size == 0:
             break
-        # window of the next k list entries of each free proposer
-        k = max(1, budget // free.size)
-        length = np.minimum(end[free] - ptr[free], k)
-        first = np.cumsum(length) - length
-        seg = np.repeat(np.arange(free.size), length)
-        offs = np.arange(seg.size) - first[seg]
-        i = free[seg]
+        length = np.minimum(end[free] - ptr[free], window[free])
+        if length.sum() > budget:
+            length = _fit_budget(length, budget)
+        first = np.cumsum(length) - length  # each window's offset in the round
+        at = np.repeat(indptr[free] + ptr[free] - first, length)
+        at += np.arange(at.size)
+        j = indices[at]
+        t = thr_u[j]
+        cand = np.flatnonzero(t <= np.repeat(best[free], length))
+        seg = np.searchsorted(first, cand, side="right") - 1  # each candidate's window
         # full lists arrive in a narrow dtype, in which j * n_p would wrap
-        j = indices[indptr[i] + ptr[i] + offs].astype(np.int64, copy=False)
+        i, j = free[seg], j[cand].astype(np.int64)
         u = u_flat[j * n_p + i]
-        beat = _ranks_above(u, i, thr_u[j], thr_i[j])
+        beat = _ranks_above(u, i, t[cand], thr_i[j])
+        cand, seg, i, j, u = cand[beat], seg[beat], i[beat], j[beat], u[beat]
         # the first `open` beating entries of each window are proposals
-        rank = np.cumsum(beat)
-        rank -= (rank - beat)[first][seg]
+        rank = np.arange(1, seg.size + 1) - np.searchsorted(seg, seg)
         open_ = (cap_p - n_match[free])[seg]
-        chosen = beat & (rank <= open_)
-        filled = chosen & (rank == open_)
-        step = length.copy()
-        step[seg[filled]] = offs[filled] + 1
-        ptr[free] += step
+        chosen = rank <= open_
+        filled = rank == open_
+        # a proposer that fills its last open slot stops right after it
+        length[seg[filled]] = cand[filled] - first[seg[filled]] + 1
+        ptr[free] += length
+        window[free] = np.minimum(window[free] * 2, _WINDOW_CAP)
+        window[i] = _WINDOW_START
 
         # receivers keep their cap_r best of held plus new, keys (u desc, i asc)
         new_i, new_j, new_u = i[chosen], j[chosen], u[chosen]
-        touched = np.unique(new_j)
+        seen[new_j] = True
+        touched = np.flatnonzero(seen)
+        seen[touched] = False
         slots = held[touched]
         has = slots >= 0
         old_i = slots[has]

@@ -39,6 +39,7 @@ from .market import (
     RIGHT,
     SIDES,
     Market,
+    _check_fits,
     _check_seed,
     generate_market,
     linear_model,
@@ -585,6 +586,8 @@ def exp_loss_scaling(config: ExperimentConfig) -> ExperimentReport:
     scaling = [(run, n) for n in config.n_values for run in range(config.runs)]
     exceedance_runs = [] if config.exceedance_n is None else [
         (run, config.exceedance_n) for run in range(config.runs)]
+    for n in sorted({n for _, n in scaling + exceedance_runs}):
+        _check_fits(n, n)  # every size, before the first market is drawn
     pooled = _map_runs(_non_bottom_losses, config, scaling + exceedance_runs)
     results = [{"run": run, "n": n, **_loss_stats(vals), "non_bottom": int(vals.size)}
                for (run, n), vals in zip(scaling, pooled)]

@@ -221,22 +221,48 @@ def preference_argsort(u: np.ndarray) -> np.ndarray:
     so arithmetic on the result cannot wrap below zero; a caller that
     multiplies an entry by a size widens it first.
 
-    Each block of rows gets an unstable sort; a row whose sorted values hold
-    an exact repeat or a NaN, where the order of equal keys matters, is sorted
-    again stably.  Working block by block keeps the temporaries small instead
-    of allocating a full negated copy of `u`, and lets `_map_blocks` sort two
-    blocks at once.
+    Each block of rows is sorted by value, not by argsort: every entry
+    becomes one uint64 key, its float64 bits mapped so that the unsigned
+    order is the descending order of the values (-0.0 first made 0.0), with
+    the low bits, as many as the largest column index needs, replaced by the
+    column.
+    One `np.sort` of the keys then orders each row, ties going to the lower
+    column, and the low bits read back as the indices.  A row in which two
+    keys agree above the low bits (an exact tie, or distinct values that
+    differ only there) or which holds a NaN is sorted again stably.  Working
+    block by block keeps the temporaries small, and lets `_map_blocks` sort
+    two blocks at once.
     """
-    out = np.empty(u.shape, dtype=np.min_scalar_type(-max(u.shape[1], 1)))
+    n_cols = u.shape[1]
+    out = np.empty(u.shape, dtype=np.min_scalar_type(-max(n_cols, 1)))
+    if n_cols == 0:
+        return out
+    low = np.uint64(max(1, (n_cols - 1).bit_length()))
+    low_mask = (np.uint64(1) << low) - np.uint64(1)
+    cols = np.arange(n_cols, dtype=np.uint64)
 
     def sort(lo: int) -> None:
-        neg = -u[lo:lo + _BLOCK_ROWS]
-        idx = np.argsort(neg, axis=1)
-        vals = np.take_along_axis(neg, idx, axis=1)
-        redo = np.isnan(vals[:, -1:]).any(axis=1) | (vals[:, 1:] == vals[:, :-1]).any(axis=1)
-        for r in np.flatnonzero(redo):
-            idx[r] = np.argsort(neg[r], kind="stable")
-        out[lo:lo + idx.shape[0]] = idx
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        key = np.add(u[rows], 0.0, dtype=np.float64).view(np.uint64)  # -0.0 + 0.0 is 0.0
+        # non-negative values: flip the 63 value bits, so larger sorts first,
+        # below 2**63; negative values keep their bits, above 2**63
+        flip = key >> np.uint64(63)
+        flip -= np.uint64(1)
+        flip >>= np.uint64(1)
+        key ^= flip
+        key &= ~low_mask
+        key |= cols
+        key.sort(axis=1)
+        idx = out[rows]
+        np.bitwise_and(key, low_mask, out=idx, casting="unsafe")
+        key >>= low
+        redo = (key[:, 1:] == key[:, :-1]).any(axis=1)
+        # with no collision, NaNs sort to a row's ends: positive ones first,
+        # negative ones last
+        at = np.arange(lo, lo + idx.shape[0])
+        redo |= np.isnan(u[at, idx[:, 0]]) | np.isnan(u[at, idx[:, -1]])
+        if redo.any():
+            idx[redo] = np.argsort(-u[rows][redo], axis=1, kind="stable")
 
     _map_blocks(sort, u.shape[0])
     return out
@@ -346,7 +372,8 @@ class Market:
 
         The values equal ``np.argsort(-u, axis=1, kind="stable")`` of this
         side's utility matrix, in `preference_argsort`'s narrow signed dtype
-        (int16 for 129 to 32768 partners).  Sorted on every call, not cached:
+        (int16 for 129 to 32768 partners), from its packed-key value sort.
+        Sorted on every call, not cached:
         no suite reads a side's full lists twice, so a cached n x n table
         would only hold memory."""
         return preference_argsort(self.utility_matrix(side))

@@ -270,6 +270,20 @@ def test_loss_scaling_refuses_exceedance_n_without_loss_bound(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("sizes", [["--n-values", "2000", "200000"],
+                                   ["--n-values", "5", "--exceedance-n", "200000"]])
+def test_loss_scaling_refuses_oversized_n_before_any_run(tmp_path, capsys, monkeypatch, sizes):
+    def never(*args, **kwargs):
+        raise AssertionError("generate_market ran before the size check")
+
+    monkeypatch.setattr(experiments, "generate_market", never)
+    code = main(["experiment", "loss-scaling", "--n", "5", *sizes, "--runs", "1",
+                 "--seed", "1", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "a 200000 x 200000 market needs" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_loss_scaling_writes_null_for_empty_non_bottom_pool(tmp_path, capsys):
     # at n = 1 and seed 1, run 1 has every matched agent in the bottom zone
     out = tmp_path / "ls"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import matchlab as ml
+from matchlab import engine
 from matchlab.engine import EdgeSet, double_cut_edges, worst_partner
 from matchlab.market import LEFT, RIGHT
 
@@ -275,6 +276,41 @@ def test_kernel_matches_reference_on_generated_markets(nl, nr, cap_l, cap_r, den
         edges = EdgeSet(np.flatnonzero(allowed), nl, nr)
     for side in (LEFT, RIGHT):
         assert_same_run(ml.run_da(m, side, edges), reference_da(m, side, edges))
+
+
+@pytest.fixture(scope="module")
+def window_cases():
+    """(market, proposing side, edges, reference run): generated markets in
+    both shapes with full lists and with acceptable-edge sets, and a market
+    whose utilities tie often, each from both sides."""
+    rng = np.random.default_rng(21)
+    grid = lambda shape: np.round(rng.random(shape) * 4) / 4
+    markets = [ml.generate_market(300, 129, 2, 3, model=ml.linear_model(0.8), seed=21),
+               ml.generate_market(129, 300, 2, 3, model=ml.linear_model(0.8), seed=22)]
+    runs = [(m, edges) for m in markets
+            for edges in (None, ml.acceptable_edges(m, 0.15, 0.15))]
+    runs.append((make_manual_market(grid((300, 129)), grid((129, 300)), cap_left=2, cap_right=3),
+                 None))
+    return [(m, side, edges, reference_da(m, side, edges))
+            for m, edges in runs for side in (LEFT, RIGHT)]
+
+
+@pytest.mark.parametrize("start,cap,per_agent,rescales", [
+    pytest.param(1, 1, 1, False, id="one-entry"),  # one entry per proposer per round
+    pytest.param(64, 4096, 1 << 40, False, id="long"),  # long windows, never scaled down
+    pytest.param(64, 4096, 1, True, id="long-scaled"),  # long windows, scaled to fit
+])
+def test_window_rule_extremes_match_reference(monkeypatch, window_cases, start, cap,
+                                              per_agent, rescales):
+    monkeypatch.setattr(engine, "_WINDOW_START", start)
+    monkeypatch.setattr(engine, "_WINDOW_CAP", cap)
+    monkeypatch.setattr(engine, "_ROUND_BUDGET", per_agent)
+    fitted = []
+    fit = engine._fit_budget
+    monkeypatch.setattr(engine, "_fit_budget", lambda *a: fitted.append(1) or fit(*a))
+    for market, side, edges, want in window_cases:
+        assert_same_run(ml.run_da(market, side, edges), want)
+    assert bool(fitted) == rescales
 
 
 def test_matching_symmetry_and_capacity(small_market):

@@ -577,6 +577,39 @@ def test_preference_argsort_across_row_blocks():
         assert np.array_equal(m.preference_order(side), want)
 
 
+# values whose float64 bits differ only in the lowest bits, so their packed
+# sort keys collide once the column index replaces those bits: each base and
+# its three nearest neighbours on both sides
+_NEIGHBOUR_BASES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.7, -0.7, 1.0,
+                    -3.5, 1e300, np.inf, -np.inf, np.nan)
+
+
+def _neighbours(x: float) -> list[float]:
+    out = [x]
+    for toward in (np.inf, -np.inf):
+        y = x
+        for _ in range(3):
+            y = float(np.nextafter(y, toward))
+            out.append(y)
+    return out
+
+
+@st.composite
+def colliding_rows(draw):
+    """1 to 3 rows of 1 to 300 columns, so the column index takes 1 to 9
+    bits, drawn from a few bases' nextafter neighbours."""
+    bases = draw(st.lists(st.sampled_from(_NEIGHBOUR_BASES), min_size=1, max_size=3))
+    pool = [v for b in bases for v in _neighbours(b)]
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 300)))
+    return draw(arrays(float, shape, elements=st.sampled_from(pool)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(colliding_rows())
+def test_preference_argsort_redoes_colliding_packed_keys(u):
+    assert np.array_equal(preference_argsort(u), np.argsort(-u, axis=1, kind="stable"))
+
+
 @pytest.mark.parametrize("shape,dtype", [((2, 0), np.int8), ((2, 128), np.int8),
                                          ((2, 129), np.int16), ((2, 32768), np.int16),
                                          ((2, 32769), np.int32)])
