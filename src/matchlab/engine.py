@@ -64,8 +64,7 @@ class EdgeSet:
         """(indptr, indices) of the `side` agents' rows, partners ascending."""
         agents, partners = np.divmod(self.flat, self.n_right)
         if side != LEFT:
-            # a stable sort of small integers is a radix sort
-            order = np.argsort(partners.astype(np.min_scalar_type(self.n_right)), kind="stable")
+            order = np.argsort(partners, kind="stable")
             agents, partners = partners[order], agents[order]
         indptr = np.zeros((self.n_left if side == LEFT else self.n_right) + 1, dtype=np.int64)
         np.cumsum(np.bincount(agents, minlength=indptr.size - 1), out=indptr[1:])
@@ -293,10 +292,10 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
 
     About one scanned entry in a hundred wins, so only two gathers run over
     the whole window: each entry's receiver and that receiver's threshold
-    utility.  On full lists, an entry whose threshold is above the
-    proposer's best utility at any receiver loses unread.  The rest, a few
-    per cent there, get their utility gathered, the exact test (ties go to
-    the lower index) and the choice of proposals.
+    utility.  An entry whose threshold is above the proposer's best utility
+    at any receiver loses unread.  The rest, a few per cent on full lists,
+    get their utility gathered, the exact test (ties go to the lower index)
+    and the choice of proposals.
     """
     prop = proposing_side
     recv = other_side(prop)
@@ -307,12 +306,7 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
     end = np.diff(indptr)
     u_recv = market.utility_matrix(recv)
     u_flat = u_recv.ravel()  # [j * n_p + i]: receiver j's utility for i
-    # each proposer's best utility at any receiver, NaNs ignored; restricted
-    # lists are too short to pay for this pass, so +inf lets every entry by
-    if edges is None or edges.is_full():
-        best = np.fmax.reduce(u_recv, axis=0, initial=-np.inf)
-    else:
-        best = np.full(n_p, np.inf)
+    best = np.fmax.reduce(u_recv, axis=0, initial=-np.inf)  # per proposer, NaNs ignored
 
     ptr = np.zeros(n_p, dtype=np.int64)
     n_match = np.zeros(n_p, dtype=np.int64)

@@ -166,13 +166,18 @@ class ExperimentConfig:
             return MODEL_REGISTRY[self.model_name]
         return linear_model(self.weight)
 
-    def sides(self) -> tuple[int, int]:
-        return self.n_left, self.n_left if self.n_right is None else self.n_right
+    def sides(self, n: int | None = None) -> tuple[int, int]:
+        """(n_left, n_right) of this config's markets, or n x n for a size `n`."""
+        sides = self.n_left, self.n_left if self.n_right is None else self.n_right
+        return sides if n is None else (n, n)
+
+    def check_sizes(self, sizes) -> None:
+        """Refuse every n x n market size that would not fit in memory."""
+        for n in sorted(set(sizes)):
+            _check_fits(*self.sides(n))
 
     def make_market(self, run_index: int, n_left: int | None = None) -> Market:
-        nl, nr = self.sides()
-        if n_left is not None:
-            nl = nr = n_left
+        nl, nr = self.sides(n_left)
         return generate_market(nl, nr, self.cap_left, self.cap_right, model=self.model(),
                                seed=derive_run_seed(self.seed, run_index),
                                rating_ranges=self.rating_ranges)
@@ -586,8 +591,7 @@ def exp_loss_scaling(config: ExperimentConfig) -> ExperimentReport:
     scaling = [(run, n) for n in config.n_values for run in range(config.runs)]
     exceedance_runs = [] if config.exceedance_n is None else [
         (run, config.exceedance_n) for run in range(config.runs)]
-    for n in sorted({n for _, n in scaling + exceedance_runs}):
-        _check_fits(n, n)  # every size, before the first market is drawn
+    config.check_sizes(n for _, n in scaling + exceedance_runs)  # before the first draw
     pooled = _map_runs(_non_bottom_losses, config, scaling + exceedance_runs)
     results = [{"run": run, "n": n, **_loss_stats(vals), "non_bottom": int(vals.size)}
                for (run, n), vals in zip(scaling, pooled)]

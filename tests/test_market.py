@@ -581,7 +581,7 @@ def test_preference_argsort_across_row_blocks():
 # sort keys collide once the column index replaces those bits: each base and
 # its three nearest neighbours on both sides
 _NEIGHBOUR_BASES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.7, -0.7, 1.0,
-                    -3.5, 1e300, np.inf, -np.inf, np.nan)
+                    -3.5, 1e300, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1))
 
 
 def _neighbours(x: float) -> list[float]:
@@ -608,6 +608,18 @@ def colliding_rows(draw):
 @given(colliding_rows())
 def test_preference_argsort_redoes_colliding_packed_keys(u):
     assert np.array_equal(preference_argsort(u), np.argsort(-u, axis=1, kind="stable"))
+
+
+def test_preference_argsort_orders_nan_payloads_by_column():
+    # NaNs whose payloads differ above the column bits get distinct keys,
+    # positive ones sorting first and negative ones (x86's default NaN) last;
+    # the stable argsort puts every NaN last in column order
+    def nan(bits):
+        return float(np.array(bits, dtype=np.uint64).view(np.float64))
+    pos, neg = nan(0x7FF8_0000_0000_0000), nan(0xFFF8_0000_0000_0000)
+    pos_hi, neg_hi = nan(0x7FF8_0000_0010_0000), nan(0xFFF8_0000_0010_0000)
+    u = np.array([[pos, 1.0, pos_hi], [neg_hi, 1.0, neg], [neg, 0.5, pos_hi]])
+    assert np.array_equal(preference_argsort(u), [[1, 0, 2], [1, 0, 2], [1, 0, 2]])
 
 
 @pytest.mark.parametrize("shape,dtype", [((2, 0), np.int8), ((2, 128), np.int8),
