@@ -20,7 +20,7 @@ from .engine import (
     _check_shape,
     _edge_chunks,
     _mutual_edges,
-    _prefers_to_worst,
+    _preferred_edges,
     extreme_matchings,
     worst_partner,
 )
@@ -287,8 +287,7 @@ def viable_edges(market: Market, edges: EdgeSet | None = None) -> EdgeSet:
     input edge set exactly.
     """
     left_opt, right_opt = extreme_matchings(market, edges)
-    return _mutual_edges(market, _prefers_to_worst(market, LEFT, right_opt, weak=True),
-                         _prefers_to_worst(market, RIGHT, left_opt, weak=True), edges)
+    return _preferred_edges(market, edges, right_opt, left_opt, weak=True)
 
 
 @dataclass(frozen=True)

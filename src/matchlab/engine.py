@@ -189,6 +189,15 @@ def _edge_chunks(edges: EdgeSet):
         yield (flat, *np.divmod(flat, edges.n_right))
 
 
+def _kept_edges(edges: EdgeSet, keep_left, keep_right) -> EdgeSet:
+    """The edges of `edges` that both tests keep, tested edge by edge, one
+    chunk at a time, with two equal-length index arrays: ``keep_left(i, j)``
+    and ``keep_right(j, i)``."""
+    kept = [flat[keep_left(i, j) & keep_right(j, i)] for flat, i, j in _edge_chunks(edges)]
+    return EdgeSet(np.concatenate([np.empty(0, dtype=np.int64), *kept]),
+                   edges.n_left, edges.n_right)
+
+
 def _mutual_edges(market: Market, keep_left, keep_right, edges: EdgeSet | None = None) -> EdgeSet:
     """The edges of `edges` (None: every edge) that both sides keep.
 
@@ -207,8 +216,7 @@ def _mutual_edges(market: Market, keep_left, keep_right, edges: EdgeSet | None =
     _check_shape(edges, market)
     n_left, n_right = market.n_left, market.n_right
     if edges is not None and not edges.is_full():
-        kept = [flat[keep_left(i, j) & keep_right(j, i)] for flat, i, j in _edge_chunks(edges)]
-        return EdgeSet(np.concatenate([np.empty(0, dtype=np.int64), *kept]), n_left, n_right)
+        return _kept_edges(edges, keep_left, keep_right)
     every = slice(None)
 
     def kept(lo: int) -> np.ndarray:
@@ -293,9 +301,12 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
     About one scanned entry in a hundred wins, so only two gathers run over
     the whole window: each entry's receiver and that receiver's threshold
     utility.  An entry whose threshold is above the proposer's best utility
-    at any receiver loses unread.  The rest, a few per cent on full lists,
-    get their utility gathered, the exact test (ties go to the lower index)
-    and the choice of proposals.
+    at any receiver (`Market.best_utility`, cached with the receivers'
+    utility matrix) loses unread.  The rest, a few per cent on full lists,
+    get their utility gathered and compared with the threshold.  An entry
+    that ties the threshold is proposed even when the held proposer's lower
+    index wins the tie: the receiver's ordering bounces it, and the
+    proposer's pointer counts it, as sequential DA would.
     """
     prop = proposing_side
     recv = other_side(prop)
@@ -306,14 +317,13 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
     end = np.diff(indptr)
     u_recv = market.utility_matrix(recv)
     u_flat = u_recv.ravel()  # [j * n_p + i]: receiver j's utility for i
-    best = np.fmax.reduce(u_recv, axis=0, initial=-np.inf)  # per proposer, NaNs ignored
+    best = market.best_utility(recv)  # per proposer, NaNs ignored
 
     ptr = np.zeros(n_p, dtype=np.int64)
     n_match = np.zeros(n_p, dtype=np.int64)
     window = np.full(n_p, _WINDOW_START, dtype=np.int64)
     held = np.full((n_r, cap_r), -1, dtype=np.int64)  # best first, -1 pads free slots
-    thr_u = np.full(n_r, -np.inf)  # worst held key once full; (-inf, n_p) while room
-    thr_i = np.full(n_r, n_p, dtype=np.int64)
+    thr_u = np.full(n_r, -np.inf)  # worst held utility once full; -inf while room
     seen = np.zeros(n_r, dtype=bool)  # scratch: the receivers proposed to in a round
     budget = _ROUND_BUDGET * max(n_p, n_r)
 
@@ -334,9 +344,10 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
         # full lists arrive in a narrow dtype, in which j * n_p would wrap
         i, j = free[seg], j[cand].astype(np.int64)
         u = u_flat[j * n_p + i]
-        beat = _ranks_above(u, i, t[cand], thr_i[j])
+        beat = u >= t[cand]
         cand, seg, i, j, u = cand[beat], seg[beat], i[beat], j[beat], u[beat]
-        # the first `open` beating entries of each window are proposals
+        # the first `open` entries of each window that reach their
+        # receiver's threshold are proposals
         rank = np.arange(1, seg.size + 1) - np.searchsorted(seg, seg)
         open_ = (cap_p - n_match[free])[seg]
         chosen = rank <= open_
@@ -369,7 +380,6 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
         held[all_j[keep], pos[keep]] = all_i[keep]
         full = pos == cap_r - 1
         thr_u[all_j[full]] = all_u[full]
-        thr_i[all_j[full]] = all_i[full]
 
     rj, slot = np.nonzero(held >= 0)
     ri = held[rj, slot]
@@ -460,25 +470,42 @@ def worst_partner(market: Market, side: str, matching: Matching,
 
 
 def _prefers_to_worst(market: Market, side: str, matching: Matching, weak: bool = False):
-    """Test of the edges a `side` agent strictly prefers to its worst held
-    partner, with a free slot worse than any edge.  With `weak`, the worst
-    partner itself qualifies too.
-
-    Called as ``keep(agents, partners)`` either with two slices, for the
-    block of the (n_side, n_other) test that `_mutual_edges` asks for, or
-    with two equal-length index arrays, for those edges only."""
+    """(per-agent worst utility, test) of the edges a `side` agent strictly
+    prefers to its worst held partner, with a free slot (-inf) worse than
+    any edge.  With `weak`, the worst partner itself qualifies too.  The
+    test is called as ``keep(agents, partners)`` with two equal-length
+    index arrays."""
     wu, wj = worst_partner(market, side, matching, spare_is_worst=True)
     bound = wj + 1 if weak else wj
     u = market.utility_matrix(side)
 
     def keep(agents, partners):
-        ub = u[agents, partners]
-        if isinstance(agents, slice):
-            agents = np.arange(market.n(side))[agents, None]
-            partners = np.arange(market.n(other_side(side)))[partners]
-        return _ranks_above(ub, partners, wu[agents], bound[agents])
+        return _ranks_above(u[agents, partners], partners, wu[agents], bound[agents])
 
-    return keep
+    return wu, keep
+
+
+def _preferred_edges(market: Market, edges: EdgeSet | None, left: Matching, right: Matching,
+                     weak: bool = False) -> EdgeSet:
+    """The edges of `edges` (None: every edge) that the left end prefers to
+    its worst partner in `left` and the right end to its worst in `right`,
+    by `_prefers_to_worst`.
+
+    A restricted set is tested edge by edge.  The complete set goes in two
+    steps: each block of left rows makes one ``u >= worst`` comparison per
+    side (`_mutual_edges`), which for every float, NaN and +-inf included,
+    keeps a superset of the exact test's edges; the exact test with its
+    index tie rule then runs only on the edges both sides pass, for a
+    stable matching about one per matched pair plus exact ties.
+    """
+    _check_shape(edges, market)
+    worst_l, keep_l = _prefers_to_worst(market, LEFT, left, weak)
+    worst_r, keep_r = _prefers_to_worst(market, RIGHT, right, weak)
+    if edges is None or edges.is_full():
+        u_l, u_r = market.utility_matrix(LEFT), market.utility_matrix(RIGHT)
+        edges = _mutual_edges(market, lambda rows, cols: u_l[rows, cols] >= worst_l[rows, None],
+                              lambda rows, cols: u_r[rows, cols] >= worst_r[rows, None])
+    return _kept_edges(edges, keep_l, keep_r)
 
 
 def verify_stability(market: Market, edges: EdgeSet | None, matching: Matching) -> list[tuple[int, int]]:
@@ -486,10 +513,10 @@ def verify_stability(market: Market, edges: EdgeSet | None, matching: Matching) 
 
     An edge blocks when both endpoints strictly prefer each other to their
     worst current assignment, with a free slot treated as worse than any
-    edge in the set.
+    edge in the set.  The complete set is audited in two steps
+    (`_preferred_edges`).
     """
-    block = _mutual_edges(market, _prefers_to_worst(market, LEFT, matching),
-                          _prefers_to_worst(market, RIGHT, matching), edges).flat
+    block = _preferred_edges(market, edges, matching, matching).flat
     left, right = np.divmod(np.setdiff1d(block, matching.edges.flat, assume_unique=True),
                             market.n_right)
     return list(zip(left.tolist(), right.tolist()))

@@ -279,7 +279,9 @@ class Market:
     ``scores(LEFT)[i, j]`` is left agent i's private score for right agent
     j; ``scores(RIGHT)[j, i]`` is right agent j's score for left agent i.
     Every market draws its scores from `seed` whenever it needs them, so it
-    holds no score matrix.
+    holds no score matrix.  It caches each side's utility matrix on first
+    use, and beside it the column maxima (`best_utility`) taken during the
+    same fill.
     """
 
     n_left: int
@@ -352,20 +354,34 @@ class Market:
 
     def utility_matrix(self, side: str) -> np.ndarray:
         """(n_side, n_other) utilities of `side` agents for the other side."""
-        return self._cached("utility", side, self._utility_matrix)
+        key = ("utility", side)
+        if key not in self._cache:
+            self._cache[key], self._cache[("best_utility", side)] = self._utility_matrix(side)
+        return self._cache[key]
 
-    def _utility_matrix(self, side: str) -> np.ndarray:
-        # written in place one block of rows at a time, so no temporary is
-        # larger than a block: a block's scores are drawn into the block of
-        # `out` that its utilities then overwrite while it is in cache
+    def best_utility(self, side: str) -> np.ndarray:
+        """Per agent of the other side, the highest utility any `side` agent
+        has for it, NaNs ignored (-inf when every entry is NaN): the column
+        maxima of `utility_matrix(side)`, taken while the matrix is filled
+        and cached beside it.  The sign of a zero maximum may differ from a
+        whole-matrix `np.fmax.reduce`'s."""
+        self.utility_matrix(side)
+        return self._cache[("best_utility", side)]
+
+    def _utility_matrix(self, side: str) -> tuple[np.ndarray, np.ndarray]:
+        # (utility matrix, column maxima), written in place one block of rows
+        # at a time, so no temporary is larger than a block: a block's scores
+        # are drawn into the block of `out` that its utilities then
+        # overwrite, and its column maxima are taken, while it is in cache
         rating = self.ratings(other_side(side))[None, :]
         out = np.empty((self.n(side), self.n(other_side(side))))
 
-        def utility(lo: int, scores: np.ndarray) -> None:
-            self.model.utility(side, rating, scores, out=out[lo:lo + _BLOCK_ROWS])
+        def utility(lo: int, scores: np.ndarray) -> np.ndarray:
+            block = self.model.utility(side, rating, scores, out=out[lo:lo + _BLOCK_ROWS])
+            return np.fmax.reduce(block, axis=0, initial=-np.inf)
 
-        _fill_score_rows(self.seed, _SCORE_LABELS[side], out, then=utility)
-        return out
+        maxima = _fill_score_rows(self.seed, _SCORE_LABELS[side], out, then=utility)
+        return out, np.fmax.reduce(maxima, axis=0, initial=-np.inf)
 
     def preference_order(self, side: str) -> np.ndarray:
         """Full preference lists: partners by descending utility, ties by index.
@@ -515,9 +531,10 @@ def _philox_keys(seed: int, label: int, rows) -> np.ndarray:
 
 
 def _fill_score_rows(seed: int, label: int, out: np.ndarray,
-                     then: Callable[[int, np.ndarray], None] | None = None) -> None:
+                     then: Callable[[int, np.ndarray], object] | None = None) -> list:
     """Fill row i of `out` from stream (seed, label, i); with `then`, call
-    ``then(lo, rows)`` on each block of rows just drawn, while it is in cache.
+    ``then(lo, rows)`` on each block of rows just drawn, while it is in cache,
+    and return its results in block order (Nones without `then`).
 
     The stream keys are hashed in one vectorised pass.  The blocks of rows
     then go through `_map_blocks`: a block resets one Philox to each row's
@@ -536,10 +553,9 @@ def _fill_score_rows(seed: int, label: int, out: np.ndarray,
             bitgen.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
                             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
             draw.random(out=row)
-        if then is not None:
-            then(lo, rows)
+        return None if then is None else then(lo, rows)
 
-    _map_blocks(fill, out.shape[0])
+    return _map_blocks(fill, out.shape[0])
 
 
 def generate_market(

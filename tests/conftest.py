@@ -9,7 +9,7 @@ import pytest
 
 import matchlab as ml
 from matchlab.analysis import selected_cone_halfwidth
-from matchlab.engine import worst_partner
+from matchlab.engine import _ranks_above, worst_partner
 from matchlab.market import LEFT, RIGHT, other_side, stream_rng
 
 
@@ -28,7 +28,8 @@ class HeldScoresMarket(ml.Market):
         return self.scores_left if side == LEFT else self.scores_right
 
     def _utility_matrix(self, side):
-        return self.model.utility(side, self.ratings(other_side(side))[None, :], self.scores(side))
+        u = self.model.utility(side, self.ratings(other_side(side))[None, :], self.scores(side))
+        return u, np.fmax.reduce(u, axis=0, initial=-np.inf)
 
 
 def mask(edges):
@@ -181,11 +182,12 @@ def dense_acceptable_edges(market, loss_cap_left, loss_cap_right, sigma_left=0.0
 
 
 def _dense_beats_worst(market, side, matching, weak):
+    """`_ranks_above` on the whole (n_side, n_other) matrix: each partner
+    against the agent's worst held one (a free slot ranks below every edge)."""
     wu, wj = worst_partner(market, side, matching, spare_is_worst=True)
-    u = market.utility_matrix(side)
+    bound = wj + 1 if weak else wj
     idx = np.arange(market.n(other_side(side)))[None, :]
-    by_index = idx <= wj[:, None] if weak else idx < wj[:, None]
-    return (u > wu[:, None]) | ((u == wu[:, None]) & by_index)
+    return _ranks_above(market.utility_matrix(side), idx, wu[:, None], bound[:, None])
 
 
 def dense_viable_edges(market, edges=None):

@@ -222,6 +222,99 @@ def test_verify_stability_matches_dense(case, density, stable, chunk):
         assert got == []
 
 
+def nan_inf_score(rating, score):
+    # NaN where the private score is one half, -inf where it is zero
+    u = 0.5 * rating + 0.5 * score
+    return np.where(score == 0.5, np.nan, np.where(score == 0.0, -np.inf, u))
+
+
+def audit_markets():
+    """The complete-set audit's markets, each spanning several row blocks."""
+    rng = np.random.default_rng(17)
+
+    def held(model, levels, caps=(1, 1), shape=(2 * B + 5, 2 * B - 3)):
+        nl, nr = shape
+        grid = lambda *s: rng.integers(0, levels, s) / (levels - 1)
+        return HeldScoresMarket(n_left=nl, n_right=nr, cap_left=caps[0], cap_right=caps[1],
+                                ratings_left=grid(nl), ratings_right=grid(nr),
+                                scores_left=grid(nl, nr), scores_right=grid(nr, nl), model=model)
+
+    nan_inf = ml.custom_model("nan-inf", nan_inf_score, nan_inf_score, ratio_low=1.0, slope_cap=0.5)
+    return [
+        pytest.param(ml.generate_market(2 * B + 7, 2 * B + 7, model=ml.linear_model(0.8), seed=17),
+                     id="linear"),
+        # 3 * (B + 10) right slots for 2 * B + 9 left agents: DA leaves free slots
+        pytest.param(ml.generate_market(2 * B + 9, B + 10, 1, 3, model=ml.linear_model(0.6),
+                                        seed=18), id="capacitated"),
+        pytest.param(held(ml.linear_model(0.5), 3), id="tied"),
+        pytest.param(held(ml.linear_model(0.5), 3, caps=(2, 3)), id="tied-capacitated"),
+        pytest.param(held(nan_inf, 5), id="nan-inf"),
+    ]
+
+
+def audit_matchings(market, rng):
+    """(id, matching): DA from both sides, a shuffled one-to-one matching or
+    a random capacitated one, and the empty matching."""
+    out = [(side, ml.run_da(market, side)) for side in (LEFT, RIGHT)]
+    if market.cap_left == market.cap_right == 1:
+        k = min(market.n_left, market.n_right)
+        pairs = np.column_stack((rng.permutation(market.n_left)[:k],
+                                 rng.permutation(market.n_right)[:k]))
+        out.append(("shuffled", ml.Matching(pairs, market.n_left, market.n_right)))
+    else:
+        out.append(("random", random_matching(rng, market)))
+    return out + [("empty", ml.Matching([], market.n_left, market.n_right))]
+
+
+@contextmanager
+def restricted_path():
+    """Send a complete `EdgeSet` down the restricted, edge-by-edge path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EdgeSet, "is_full", lambda self: False)
+        yield
+
+
+@pytest.mark.parametrize("market", audit_markets())
+def test_complete_set_audit_matches_dense_and_restricted(market):
+    rng = np.random.default_rng(market.n_left)
+    full = EdgeSet.full(market.n_left, market.n_right)
+    matchings = audit_matchings(market, rng)
+    for kind, matching in matchings:
+        want = dense_verify_stability(market, None, matching)
+        assert ml.verify_stability(market, None, matching) == want, kind
+        assert ml.verify_stability(market, full, matching) == want, kind
+        with restricted_path():
+            assert ml.verify_stability(market, full, matching) == want, kind
+        if kind in (LEFT, RIGHT):
+            assert want == []
+        if kind == "empty":
+            # every edge blocks but those an endpoint rates NaN
+            usable = ~(np.isnan(market.utility_matrix(LEFT))
+                       | np.isnan(market.utility_matrix(RIGHT)).T)
+            assert want == list(map(tuple, np.argwhere(usable).tolist()))
+    # the weak two-step test, on pairs of these matchings, against its
+    # restricted path: the form `viable_edges` uses
+    for (_, left), (_, right) in zip(matchings, matchings[1:] + matchings[:1]):
+        got = engine._preferred_edges(market, None, left, right, weak=True)
+        with restricted_path():
+            assert got == engine._preferred_edges(market, full, left, right, weak=True)
+    want = ml.viable_edges(market)
+    assert np.array_equal(mask(want), dense_viable_edges(market))
+    with restricted_path():
+        assert ml.viable_edges(market, full) == want
+
+
+@pytest.mark.parametrize("market", audit_markets())
+def test_best_utility_is_the_column_maxima(market):
+    for side in (LEFT, RIGHT):
+        got = market.best_utility(side)
+        want = np.fmax.reduce(market.utility_matrix(side), axis=0, initial=-np.inf)
+        assert got.shape == (market.n(ml.other_side(side)),)
+        # the sign of a zero may differ; == (and DA's <=) treats the two alike
+        assert np.array_equal(got, want)
+        assert got is market.best_utility(side)
+
+
 @settings(max_examples=60, deadline=None)
 @given(coarse_markets(), st.sampled_from([0.0, 0.1, 0.5, 0.95]))
 def test_candidate_lists_match_per_row_sort(case, density):
@@ -282,3 +375,34 @@ def test_utility_matrix_matches_whole_array(n_left, n_right):
             got = m.utility_matrix(side)
             assert got.flags.c_contiguous and got.dtype == np.float64
             assert np.array_equal(got, dense_utility_matrix(m, side))
+
+
+def nan_high_rating(rating, score):
+    # NaN for every partner rated above 0.9: whole columns of NaN
+    return np.where(rating > 0.9, np.nan, 0.3 * rating + 0.7 * score)
+
+
+@pytest.mark.parametrize("model,nan_columns", [
+    (ml.linear_model(0.8), False),
+    (ml.custom_model("curved-bound", curved, lambda r, s: r * r + s, ratio_low=0.1, slope_cap=2.0),
+     False),
+    (ml.custom_model("nan-high-rating", nan_high_rating, nan_high_rating,
+                     ratio_low=0.1, slope_cap=1.0), True),
+], ids=["linear", "custom", "nan"])
+def test_best_utility_filled_with_the_matrix_and_reused(model, nan_columns):
+    m = ml.generate_market(2 * B + 5, 3 * B + 1, model=model, seed=23)
+    fills, bounds = [], []
+    fill, best = m._utility_matrix, m.best_utility
+    m._utility_matrix = lambda side: fills.append(side) or fill(side)
+    m.best_utility = lambda side: bounds.append(best(side)) or bounds[-1]
+    for _ in range(2):
+        for side in (LEFT, RIGHT):
+            ml.run_da(m, side)
+    assert sorted(fills) == [LEFT, RIGHT]  # one fill per side, bound included
+    assert len(bounds) == 4
+    assert bounds[0] is bounds[2] and bounds[1] is bounds[3]
+    for side in (LEFT, RIGHT):
+        want = np.fmax.reduce(m.utility_matrix(side), axis=0, initial=-np.inf)
+        assert np.array_equal(m.best_utility(side), want)
+    # an all-NaN column's bound is -inf
+    assert np.isneginf(m.best_utility(LEFT)).any() == nan_columns

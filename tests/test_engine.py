@@ -99,6 +99,24 @@ def test_kernel_matches_reference_with_ties(case):
     assert_same_run(ml.run_da(market, side, edges), reference_da(market, side, edges))
 
 
+@pytest.mark.parametrize("caps", [(1, 1), (2, 3)])
+@pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_kernel_matches_reference_with_receiver_ties(caps, restricted, side):
+    # every receiver rates its proposers on three levels only, so most
+    # proposals meet a held proposal of exactly equal utility, which the
+    # lower index wins
+    rng = np.random.default_rng(31)
+    nl, nr = 45, 38
+    market = make_manual_market(rng.integers(0, 3, (nl, nr)) / 2, rng.integers(0, 3, (nr, nl)) / 2,
+                                cap_left=caps[0], cap_right=caps[1])
+    for s in (LEFT, RIGHT):
+        u = market.utility_matrix(s)
+        assert all(np.unique(row).size == 3 for row in u)
+    edges = EdgeSet(np.flatnonzero(rng.random((nl, nr)) < 0.6), nl, nr) if restricted else None
+    assert_same_run(ml.run_da(market, side, edges), reference_da(market, side, edges))
+
+
 def loop_worst_partner(market, side, sets, spare_is_worst):
     """Per-agent reference for `worst_partner`: lowest utility, ties to the
     higher partner index; (-inf, n_other) for agents without one, and with

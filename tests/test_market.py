@@ -238,7 +238,7 @@ def pooled_outputs(m):
         u = m.utility_matrix(side)
         order = m.preference_order(side)
         assert np.array_equal(order, np.argsort(-u, axis=1, kind="stable"))
-        out += [u.tobytes(), order.tobytes()]
+        out += [u.tobytes(), m.best_utility(side).tobytes(), order.tobytes()]
     # a matching that many edges block, so the audit has blocks to report
     k = min(m.n_left, m.n_right)
     shifted = ml.Matching(np.column_stack((np.arange(k), (np.arange(k) + 1) % m.n_right)),
