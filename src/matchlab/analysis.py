@@ -261,14 +261,13 @@ def acceptable_entry_levels(market: Market, caps, sigmas_left, sigmas_right,
 
 def _first_cap(u: np.ndarray, bench: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Per entry, the smallest k with ``u >= bench - caps[k]`` (``caps.size``
-    where none holds, as for a NaN utility).
+    where none holds).
 
     A sorted search for ``bench - u`` among the caps gives an estimate that
     rounding may leave one step off; exact comparisons in the form the
     acceptable-edge test uses then move each entry down or up until none moves.
     """
-    with np.errstate(invalid="ignore"):
-        k = np.searchsorted(caps, bench - u)  # NaN sorts after every cap
+    k = np.searchsorted(caps, bench - u)
     while True:
         down = np.flatnonzero(k > 0)
         down = down[u[down] >= bench[down] - caps[k[down] - 1]]

@@ -198,25 +198,18 @@ def _kept_edges(edges: EdgeSet, keep_left, keep_right) -> EdgeSet:
                    edges.n_left, edges.n_right)
 
 
-def _mutual_edges(market: Market, keep_left, keep_right, edges: EdgeSet | None = None) -> EdgeSet:
-    """The edges of `edges` (None: every edge) that both sides keep.
+def _mutual_edges(market: Market, keep_left, keep_right) -> EdgeSet:
+    """The edges of the complete set that both sides keep.
 
-    A side's test is called as ``keep(agents, partners)``, its own agents
-    first.  On the complete set the tests run one block of left rows at a
-    time with two slices, returning that block of the side's
-    (n_side, n_other) boolean test, and None keeps every edge: the
-    right-side test covers those left agents only, so its transpose stays
-    in cache, and each block contributes the flat indices of its kept
-    edges, already in row-major order.  The blocks run through
-    `_map_blocks`, so a test may raise but must not write to shared state.
-    A restricted set is tested edge by edge, one chunk at a time, with two
-    equal-length index arrays, so the cost tracks its edge count; it needs
-    both tests.
+    The tests run one block of left rows at a time, each called as
+    ``keep(agents, partners)`` with two slices, its own agents first, and
+    return that block of the side's boolean test; None keeps every edge.
+    The right-side test covers those left agents only, so its transpose
+    stays in cache, and each block gives the flat indices of its kept
+    edges, already row-major.  The blocks run through `_map_blocks`, so a
+    test may raise but must not write to shared state.
     """
-    _check_shape(edges, market)
     n_left, n_right = market.n_left, market.n_right
-    if edges is not None and not edges.is_full():
-        return _kept_edges(edges, keep_left, keep_right)
     every = slice(None)
 
     def kept(lo: int) -> np.ndarray:
@@ -256,10 +249,9 @@ def _candidate_lists(market: Market, proposing_side: str, edges: EdgeSet | None)
         order = np.argsort(key)
         order = order[np.argsort(prop.astype(np.min_scalar_type(hi - lo))[order], kind="stable")]
         rows, keys = prop[order], key[order]
-        # rows holding an exact tie or a NaN are sorted again stably
+        # rows holding an exact tie are sorted again stably
         redo = np.zeros(hi - lo, dtype=bool)
         redo[rows[1:][(rows[1:] == rows[:-1]) & (keys[1:] == keys[:-1])]] = True
-        redo[prop[np.isnan(key)]] = True
         if redo.any():
             again = np.flatnonzero(redo[prop])
             order[redo[rows]] = again[np.lexsort((key[again], prop[again]))]
@@ -317,7 +309,7 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
     end = np.diff(indptr)
     u_recv = market.utility_matrix(recv)
     u_flat = u_recv.ravel()  # [j * n_p + i]: receiver j's utility for i
-    best = market.best_utility(recv)  # per proposer, NaNs ignored
+    best = market.best_utility(recv)  # per proposer
 
     ptr = np.zeros(n_p, dtype=np.int64)
     n_match = np.zeros(n_p, dtype=np.int64)
@@ -493,10 +485,9 @@ def _preferred_edges(market: Market, edges: EdgeSet | None, left: Matching, righ
 
     A restricted set is tested edge by edge.  The complete set goes in two
     steps: each block of left rows makes one ``u >= worst`` comparison per
-    side (`_mutual_edges`), which for every float, NaN and +-inf included,
-    keeps a superset of the exact test's edges; the exact test with its
-    index tie rule then runs only on the edges both sides pass, for a
-    stable matching about one per matched pair plus exact ties.
+    side (`_mutual_edges`), a superset of the exact test; the exact test,
+    with its index tie rule, then runs only on the edges both sides pass:
+    for a stable matching, about one per matched pair plus exact ties.
     """
     _check_shape(edges, market)
     worst_l, keep_l = _prefers_to_worst(market, LEFT, left, weak)

@@ -34,7 +34,6 @@ __all__ = [
     "linear_model",
     "load_market",
     "other_side",
-    "preference_argsort",
     "rank_order",
     "register_model",
     "save_market",
@@ -96,8 +95,9 @@ class LinearModel:
 class CustomModel:
     """Custom monotone utility pair with declared derivative bounds.
 
-    One strictly increasing callable per side.  ``slope_cap`` (`mu`) bounds
-    the rating partial from above and ``slope_floor`` (`mu_floor`, default
+    One strictly increasing callable per side, returning finite values (a
+    utility fill refuses any other).  ``slope_cap`` (`mu`) bounds the rating
+    partial from above and ``slope_floor`` (`mu_floor`, default
     ``slope_cap``) from below; ``ratio_low`` (`rho`) bounds the ratio of the
     rating and score partials from below.  Declarations are trusted, not
     checked.  Both callables must be elementwise in (rating, score), as
@@ -229,9 +229,9 @@ def preference_argsort(u: np.ndarray) -> np.ndarray:
     One `np.sort` of the keys then orders each row, ties going to the lower
     column, and the low bits read back as the indices.  A row in which two
     keys agree above the low bits (an exact tie, or distinct values that
-    differ only there) or which holds a NaN is sorted again stably.  Working
-    block by block keeps the temporaries small, and lets `_map_blocks` sort
-    two blocks at once.
+    differ only there) is sorted again stably.  Working block by block keeps
+    the temporaries small, and lets `_map_blocks` sort two blocks at once.
+    The values must be finite, as a market's utilities are.
     """
     n_cols = u.shape[1]
     out = np.empty(u.shape, dtype=np.min_scalar_type(-max(n_cols, 1)))
@@ -257,15 +257,20 @@ def preference_argsort(u: np.ndarray) -> np.ndarray:
         np.bitwise_and(key, low_mask, out=idx, casting="unsafe")
         key >>= low
         redo = (key[:, 1:] == key[:, :-1]).any(axis=1)
-        # with no collision, NaNs sort to a row's ends: positive ones first,
-        # negative ones last
-        at = np.arange(lo, lo + idx.shape[0])
-        redo |= np.isnan(u[at, idx[:, 0]]) | np.isnan(u[at, idx[:, -1]])
         if redo.any():
             idx[redo] = np.argsort(-u[rows][redo], axis=1, kind="stable")
 
     _map_blocks(sort, u.shape[0])
     return out
+
+
+def _check_finite(u: np.ndarray, model: UtilityModel, side: str, lo: int = 0) -> None:
+    """Refuse `side` utilities (rows from agent `lo` on) unless all are
+    finite, so every sort, DA run and audit reads one strict order."""
+    if not np.isfinite(u).all():
+        i, j = np.argwhere(~np.isfinite(u))[0]
+        raise ValueError(f"utility model {model.describe()} gives {side} agent {lo + i} a "
+                         f"non-finite utility ({u[i, j]}) for partner {j}; utilities must be finite")
 
 
 # stream labels of the score rows (seed, label, row); ratings use labels 0 and 1
@@ -299,6 +304,9 @@ class Market:
     def __post_init__(self) -> None:
         for name in ("ratings_left", "ratings_right"):
             arr = np.asarray(getattr(self, name), dtype=float)
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise ValueError(f"{name}[{bad[0]}] is {arr[bad[0]]}; ratings must be finite")
             arr.setflags(write=False)
             setattr(self, name, arr)
         if self.ratings_left.shape != (self.n_left,) or self.ratings_right.shape != (self.n_right,):
@@ -361,10 +369,9 @@ class Market:
 
     def best_utility(self, side: str) -> np.ndarray:
         """Per agent of the other side, the highest utility any `side` agent
-        has for it, NaNs ignored (-inf when every entry is NaN): the column
-        maxima of `utility_matrix(side)`, taken while the matrix is filled
-        and cached beside it.  The sign of a zero maximum may differ from a
-        whole-matrix `np.fmax.reduce`'s."""
+        has for it: the column maxima of `utility_matrix(side)`, taken while
+        the matrix is filled and cached beside it.  The sign of a zero
+        maximum may differ from a whole-matrix `np.max`'s."""
         self.utility_matrix(side)
         return self._cache[("best_utility", side)]
 
@@ -372,16 +379,17 @@ class Market:
         # (utility matrix, column maxima), written in place one block of rows
         # at a time, so no temporary is larger than a block: a block's scores
         # are drawn into the block of `out` that its utilities then
-        # overwrite, and its column maxima are taken, while it is in cache
+        # overwrite, is checked and gives its column maxima, while in cache
         rating = self.ratings(other_side(side))[None, :]
         out = np.empty((self.n(side), self.n(other_side(side))))
 
         def utility(lo: int, scores: np.ndarray) -> np.ndarray:
             block = self.model.utility(side, rating, scores, out=out[lo:lo + _BLOCK_ROWS])
-            return np.fmax.reduce(block, axis=0, initial=-np.inf)
+            _check_finite(block, self.model, side, lo)
+            return np.maximum.reduce(block, axis=0)
 
         maxima = _fill_score_rows(self.seed, _SCORE_LABELS[side], out, then=utility)
-        return out, np.fmax.reduce(maxima, axis=0, initial=-np.inf)
+        return out, np.maximum.reduce(maxima, axis=0)
 
     def preference_order(self, side: str) -> np.ndarray:
         """Full preference lists: partners by descending utility, ties by index.
@@ -440,13 +448,16 @@ def _resolve_ranges(n_left: int, n_right: int, cap_left: int, cap_right: int,
 
 
 def _check_fits(n_left: int, n_right: int) -> None:
-    """Refuse a market whose dense work would not fit in physical memory.
+    """Refuse a market with an empty side, or whose dense work would not fit
+    in physical memory.
 
     The bound is four n_left x n_right float64 matrices: the two utility
     matrices a market caches, plus the two score matrices that
     `interview_edges` or `selected_edges` redraws.  A full-list DA's
     preference lists fit inside it: 2 bytes a cell (int16) up to 32768
     partners, 4 beyond."""
+    if n_left < 1 or n_right < 1:
+        raise ValueError("both sides need at least one agent")
     need = 4 * n_left * n_right * 8
     try:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -578,11 +589,9 @@ def generate_market(
     one-to-one markets get the widened/offset rating ranges under "auto";
     pass rating_ranges="unit" to force both sides onto [0, 1].
     """
-    if n_left < 1 or n_right < 1:
-        raise ValueError("both sides need at least one agent")
+    _check_fits(n_left, n_right)
     if cap_left < 1 or cap_right < 1:
         raise ValueError("capacities must be at least 1")
-    _check_fits(n_left, n_right)
     seed = _check_seed(seed)  # before the rating draws, whose own error names no seed
     range_left, range_right = _resolve_ranges(n_left, n_right, cap_left, cap_right, rating_ranges)
 

@@ -10,14 +10,15 @@ import pytest
 import matchlab as ml
 from matchlab.analysis import selected_cone_halfwidth
 from matchlab.engine import _ranks_above, worst_partner
-from matchlab.market import LEFT, RIGHT, other_side, stream_rng
+from matchlab.market import LEFT, RIGHT, _check_finite, other_side, stream_rng
 
 
 @dataclass(eq=False)
 class HeldScoresMarket(ml.Market):
     """A market that holds given score matrices instead of drawing them from
-    its seed: ties, NaNs and hand-set preference profiles, which no seed
-    draws on purpose."""
+    its seed: ties and hand-set preference profiles, which no seed draws on
+    purpose.  Its utilities pass the same finiteness check as a drawn
+    market's."""
 
     seed: int = 0
     _: KW_ONLY
@@ -29,7 +30,8 @@ class HeldScoresMarket(ml.Market):
 
     def _utility_matrix(self, side):
         u = self.model.utility(side, self.ratings(other_side(side))[None, :], self.scores(side))
-        return u, np.fmax.reduce(u, axis=0, initial=-np.inf)
+        _check_finite(u, self.model, side)
+        return u, np.maximum.reduce(u, axis=0)
 
 
 def mask(edges):

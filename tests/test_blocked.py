@@ -108,20 +108,11 @@ def test_acceptable_edges_match_dense(case, cap_l, cap_r, sigma_l, sigma_r):
     assert np.array_equal(got, dense_acceptable_edges(market, cap_l, cap_r, sigma_l, sigma_r))
 
 
-def nan_mid_score(rating, score):
-    # NaN utility wherever the private score is exactly one half
-    return np.where(score == 0.5, np.nan, 0.5 * rating + 0.5 * score)
-
-
-NAN_MODEL = ml.custom_model("nan-mid-score", nan_mid_score, nan_mid_score,
-                            ratio_low=1.0, slope_cap=0.5)
-
-
 @settings(max_examples=100, deadline=None)
 @given(coarse_markets(), st.sampled_from([0.0, 0.01, 0.05, 0.125]),
        st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.125]), st.integers(1, 12),
        st.sampled_from(["theory", "fixed"]), st.sampled_from([0.0, 0.25, 0.5]),
-       st.sampled_from(["half", "decimal", "nan"]), st.booleans(), CHUNKS)
+       st.sampled_from(["half", "decimal"]), st.booleans(), CHUNKS)
 def test_acceptable_entry_levels_reproduce_every_level(case, start, step, count, rule, sigma,
                                                        values, within_top, chunk):
     market, rng = case
@@ -134,9 +125,6 @@ def test_acceptable_entry_levels_reproduce_every_level(case, start, step, count,
         market = replace(market, ratings_left=tenths(nl), ratings_right=tenths(nr),
                          scores_left=tenths(nl, nr), scores_right=tenths(nr, nl),
                          model=ml.linear_model(0.8))
-    elif values == "nan":
-        market = replace(market, model=NAN_MODEL, scores_left=market.scores(LEFT),
-                         scores_right=market.scores(RIGHT))
     caps = _loss_grid(ExperimentConfig("min-L", grid_start=start,
                                        grid_stop=start + step * (count - 1), grid_step=step))
     if rule == "theory":
@@ -222,12 +210,6 @@ def test_verify_stability_matches_dense(case, density, stable, chunk):
         assert got == []
 
 
-def nan_inf_score(rating, score):
-    # NaN where the private score is one half, -inf where it is zero
-    u = 0.5 * rating + 0.5 * score
-    return np.where(score == 0.5, np.nan, np.where(score == 0.0, -np.inf, u))
-
-
 def audit_markets():
     """The complete-set audit's markets, each spanning several row blocks."""
     rng = np.random.default_rng(17)
@@ -239,7 +221,6 @@ def audit_markets():
                                 ratings_left=grid(nl), ratings_right=grid(nr),
                                 scores_left=grid(nl, nr), scores_right=grid(nr, nl), model=model)
 
-    nan_inf = ml.custom_model("nan-inf", nan_inf_score, nan_inf_score, ratio_low=1.0, slope_cap=0.5)
     return [
         pytest.param(ml.generate_market(2 * B + 7, 2 * B + 7, model=ml.linear_model(0.8), seed=17),
                      id="linear"),
@@ -248,7 +229,6 @@ def audit_markets():
                                         seed=18), id="capacitated"),
         pytest.param(held(ml.linear_model(0.5), 3), id="tied"),
         pytest.param(held(ml.linear_model(0.5), 3, caps=(2, 3)), id="tied-capacitated"),
-        pytest.param(held(nan_inf, 5), id="nan-inf"),
     ]
 
 
@@ -288,10 +268,8 @@ def test_complete_set_audit_matches_dense_and_restricted(market):
         if kind in (LEFT, RIGHT):
             assert want == []
         if kind == "empty":
-            # every edge blocks but those an endpoint rates NaN
-            usable = ~(np.isnan(market.utility_matrix(LEFT))
-                       | np.isnan(market.utility_matrix(RIGHT)).T)
-            assert want == list(map(tuple, np.argwhere(usable).tolist()))
+            # every edge blocks
+            assert want == [(i, j) for i in range(market.n_left) for j in range(market.n_right)]
     # the weak two-step test, on pairs of these matchings, against its
     # restricted path: the form `viable_edges` uses
     for (_, left), (_, right) in zip(matchings, matchings[1:] + matchings[:1]):
@@ -308,7 +286,7 @@ def test_complete_set_audit_matches_dense_and_restricted(market):
 def test_best_utility_is_the_column_maxima(market):
     for side in (LEFT, RIGHT):
         got = market.best_utility(side)
-        want = np.fmax.reduce(market.utility_matrix(side), axis=0, initial=-np.inf)
+        want = market.utility_matrix(side).max(axis=0)
         assert got.shape == (market.n(ml.other_side(side)),)
         # the sign of a zero may differ; == (and DA's <=) treats the two alike
         assert np.array_equal(got, want)
@@ -325,23 +303,6 @@ def test_candidate_lists_match_per_row_sort(case, density):
         want_ptr, want_idx = per_row_candidate_lists(market, side, edges)
         assert np.array_equal(indptr, want_ptr)
         assert np.array_equal(indices, want_idx)
-
-
-def test_candidate_lists_order_nan_utilities_last():
-    rng = np.random.default_rng(5)
-    n = 2 * B + 1
-    scores = np.round(rng.random((n, n)) * 3) / 3
-    scores[::5, ::3] = np.nan
-    scores[7] = np.nan
-    market = HeldScoresMarket(n_left=n, n_right=n, cap_left=1, cap_right=1,
-                              ratings_left=np.full(n, 0.5), ratings_right=rng.random(n),
-                              scores_left=scores, scores_right=scores.T.copy(),
-                              model=ml.linear_model(0.5))
-    edges = EdgeSet(np.flatnonzero(rng.random((n, n)) < 0.6), n, n)
-    for side in (LEFT, RIGHT):
-        got = _candidate_lists(market, side, edges)
-        want = per_row_candidate_lists(market, side, edges)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @settings(max_examples=30, deadline=None)
@@ -377,19 +338,11 @@ def test_utility_matrix_matches_whole_array(n_left, n_right):
             assert np.array_equal(got, dense_utility_matrix(m, side))
 
 
-def nan_high_rating(rating, score):
-    # NaN for every partner rated above 0.9: whole columns of NaN
-    return np.where(rating > 0.9, np.nan, 0.3 * rating + 0.7 * score)
-
-
-@pytest.mark.parametrize("model,nan_columns", [
-    (ml.linear_model(0.8), False),
-    (ml.custom_model("curved-bound", curved, lambda r, s: r * r + s, ratio_low=0.1, slope_cap=2.0),
-     False),
-    (ml.custom_model("nan-high-rating", nan_high_rating, nan_high_rating,
-                     ratio_low=0.1, slope_cap=1.0), True),
-], ids=["linear", "custom", "nan"])
-def test_best_utility_filled_with_the_matrix_and_reused(model, nan_columns):
+@pytest.mark.parametrize("model", [
+    ml.linear_model(0.8),
+    ml.custom_model("curved-bound", curved, lambda r, s: r * r + s, ratio_low=0.1, slope_cap=2.0),
+], ids=["linear", "custom"])
+def test_best_utility_filled_with_the_matrix_and_reused(model):
     m = ml.generate_market(2 * B + 5, 3 * B + 1, model=model, seed=23)
     fills, bounds = [], []
     fill, best = m._utility_matrix, m.best_utility
@@ -402,7 +355,4 @@ def test_best_utility_filled_with_the_matrix_and_reused(model, nan_columns):
     assert len(bounds) == 4
     assert bounds[0] is bounds[2] and bounds[1] is bounds[3]
     for side in (LEFT, RIGHT):
-        want = np.fmax.reduce(m.utility_matrix(side), axis=0, initial=-np.inf)
-        assert np.array_equal(m.best_utility(side), want)
-    # an all-NaN column's bound is -inf
-    assert np.isneginf(m.best_utility(LEFT)).any() == nan_columns
+        assert np.array_equal(m.best_utility(side), m.utility_matrix(side).max(axis=0))

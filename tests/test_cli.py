@@ -584,7 +584,8 @@ def test_market_file_without_seed_or_too_large_is_refused(tmp_path, capsys):
             ((), {"seed": None}, "records no integer seed: None"),
             ((), {"seed": "7"}, "records no integer seed: '7'"),
             ({"ratings_left": np.full(n, 0.5), "ratings_right": np.full(n, 0.5)},
-             {"n_left": n, "n_right": n}, "of physical memory")):
+             {"n_left": n, "n_right": n}, "of physical memory"),
+            ({"ratings_left": np.empty(0)}, {"n_left": 0}, "both sides need at least one agent")):
         rewrite_market_file(market, bad, arrays, **meta)
         capsys.readouterr()
         out = tmp_path / "out"
@@ -592,6 +593,41 @@ def test_market_file_without_seed_or_too_large_is_refused(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("rating", [np.nan, np.inf, -np.inf])
+def test_market_file_with_non_finite_rating_is_refused(rating, tmp_path, capsys):
+    market, bad = tmp_path / "m.npz", tmp_path / "bad.npz"
+    assert main(["generate", "--n", "6", "--seed", "3", "--out", str(market)]) == 0
+    ratings = np.linspace(0.1, 0.9, 6)
+    ratings[4] = rating
+    rewrite_market_file(market, bad, {"ratings_right": ratings})
+    for argv in (["run"], ["edges", "--edges", "interview", "--p", "0.3", "--q", "0.2"]):
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([*argv, "--market", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: ratings_right[4] is {rating}; ratings must be finite\n")
+        assert not out.exists()
+
+
+def test_custom_model_with_nan_utility_is_refused(tmp_path, capsys):
+    def nan_below(rating, score):
+        return np.where(score < 0.4, np.nan, 0.5 * rating + 0.5 * score)
+
+    model = ml.register_model(ml.custom_model("nan-below", nan_below, nan_below,
+                                              ratio_low=1.0, slope_cap=0.5))
+    try:
+        market = tmp_path / "m.npz"
+        ml.save_market(ml.generate_market(20, 20, model=model, seed=5), market)
+        out = tmp_path / "out"
+        assert main(["run", "--market", str(market), "--out", str(out)]) == 1
+    finally:
+        ml.MODEL_REGISTRY.pop("nan-below", None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: utility model {'kind': 'custom', 'name': 'nan-below'} gives ")
+    assert err.endswith("; utilities must be finite\n") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_run_artifacts_strict_json(tmp_path, capsys):

@@ -2,6 +2,7 @@ import ast
 import concurrent.futures
 import inspect
 import math
+import re
 import threading
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -223,12 +224,12 @@ def test_scores_equal_serial_row_draws(n_left, n_right, cap_right):
     assert m.scores(RIGHT).tobytes() == right.tobytes()
 
 
-def tied_nan_model():
-    # coarse steps make exact ties; a low score gives a NaN utility
+def tied_model():
+    # coarse steps make exact ties
     def u(r, s):
-        return np.where(s < 0.05, np.nan, np.floor(4.0 * (r + s)) / 4.0)
+        return np.floor(4.0 * (r + s)) / 4.0
 
-    return ml.custom_model("tied-nan", u, u, ratio_low=1.0, slope_cap=1.0)
+    return ml.custom_model("tied", u, u, ratio_low=1.0, slope_cap=1.0)
 
 
 def pooled_outputs(m):
@@ -248,7 +249,7 @@ def pooled_outputs(m):
     return out + [ml.acceptable_edges(m, 0.3, 0.2, 0.1, 0.0).flat.tobytes()]
 
 
-@pytest.mark.parametrize("model", [ml.linear_model(0.5), tied_nan_model()], ids=["linear", "tied-nan"])
+@pytest.mark.parametrize("model", [ml.linear_model(0.5), tied_model()], ids=["linear", "tied"])
 @pytest.mark.parametrize("n_left,n_right", [(1, B + 1), (B - 1, 2 * B + 1), (B, 1), (B + 1, B),
                                             (2 * B + 1, B - 1)])
 def test_pooled_output_does_not_depend_on_worker_count(monkeypatch, n_left, n_right, model):
@@ -284,6 +285,20 @@ def test_generate_refuses_negative_seed():
         ml.generate_market(3, 3, model=ml.linear_model(0.5), seed=-1)
 
 
+def counted_pools(monkeypatch) -> list:
+    """The list that every thread pool created from here on is added to."""
+    pools = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    # _map_blocks imports the pool class when it runs, so patch its source
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    return pools
+
+
 @pytest.mark.parametrize("call", [
     # a generated market draws its score rows in its first utility fill
     lambda m: ml.generate_market(2 * B + 1, B + 2, model=ml.linear_model(0.5),
@@ -297,20 +312,56 @@ def test_pooled_calls_leave_no_thread_running(monkeypatch, call):
     m = ml.generate_market(2 * B + 1, B + 2, model=ml.linear_model(0.5), seed=42)
     for side in (LEFT, RIGHT):  # so the call's own pass is what starts threads
         m.utility_matrix(side)
-    pools = []
-
-    class CountingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-
     monkeypatch.setattr(market_module, "_usable_cpus", lambda: 2)
-    # _map_blocks imports the pool class when it runs, so patch its source
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    pools = counted_pools(monkeypatch)
     before = threading.active_count()
     call(m)
     assert pools  # the call did run blocks on threads
     assert threading.active_count() == before
+
+
+def poisoned_model(m, side, cells):
+    """A linear-like custom model that gives `side`'s utility `value` at
+    each (agent, partner, value) of `cells`, found by the score that `m`,
+    drawn from the same seed, holds there."""
+    scores = m.scores(side)
+    bad = {scores[i, j]: value for i, j, value in cells}
+
+    def poisoned(r, s):
+        u = 0.5 * r + 0.5 * s
+        for score, value in bad.items():
+            u = np.where(s == score, value, u)
+        return u
+
+    def plain(r, s):
+        return 0.5 * r + 0.5 * s
+
+    fns = (poisoned, plain) if side == LEFT else (plain, poisoned)
+    return ml.custom_model("poisoned", *fns, ratio_low=1.0, slope_cap=0.5)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("side,cells,first", [
+    (LEFT, [(3, 5, np.nan)], "left agent 3 a non-finite utility (nan) for partner 5"),
+    # the first block that fails is the one reported, whichever thread ran it
+    (RIGHT, [(2 * B + 3, 1, -np.inf), (B + 6, 9, np.inf)],
+     f"right agent {B + 6} a non-finite utility (inf) for partner 9"),
+    (LEFT, [(B + 1, 4, -np.inf)], f"left agent {B + 1} a non-finite utility (-inf) for partner 4"),
+], ids=["nan-first-block", "inf-past-first-block", "neg-inf-past-first-block"])
+def test_utility_fill_refuses_non_finite_values(monkeypatch, cpus, side, cells, first):
+    n_left, n_right = 3 * B, 2 * B + 9
+    drawn = ml.generate_market(n_left, n_right, model=ml.linear_model(0.5), seed=47)
+    m = ml.generate_market(n_left, n_right, model=poisoned_model(drawn, side, cells), seed=47)
+    monkeypatch.setattr(market_module, "_usable_cpus", lambda: cpus)
+    pools = counted_pools(monkeypatch)
+    before = threading.active_count()
+    message = "utility model {'kind': 'custom', 'name': 'poisoned'} gives " + first
+    for call in (m.utility_matrix, lambda s: ml.run_da(m, ml.other_side(s))):
+        with pytest.raises(ValueError, match=re.escape(message) + "; utilities must be finite"):
+            call(side)
+    assert bool(pools) == (cpus == 2)  # the refusals came back through the pool
+    assert threading.active_count() == before
+    m.utility_matrix(ml.other_side(side))  # the other side is finite
 
 
 def test_process_pool_workers_run_blocks_inline():
@@ -558,18 +609,16 @@ def test_hypothesis_prints_a_market_by_its_repr():
 
 @settings(max_examples=200, deadline=None)
 @given(arrays(float, st.tuples(st.integers(0, 12), st.integers(0, 12)),
-              elements=st.sampled_from([0.0, -0.0, 0.5, 1.0, np.nan, np.inf, -np.inf])))
+              elements=st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, -np.inf])))
 def test_preference_argsort_equals_stable_argsort(u):
     assert np.array_equal(preference_argsort(u), np.argsort(-u, axis=1, kind="stable"))
 
 
 def test_preference_argsort_across_row_blocks():
-    # more rows than one sort block; some rows tie, some hold NaN, most are distinct
+    # more rows than one sort block; some rows tie, most are distinct
     rng = np.random.default_rng(3)
     u = rng.random((700, 50))
     u[::7] = np.round(u[::7] * 4) / 4
-    u[5::11, ::3] = np.nan
-    u[9] = np.nan
     assert np.array_equal(preference_argsort(u), np.argsort(-u, axis=1, kind="stable"))
     m = ml.generate_market(300, 40, model=ml.linear_model(0.8), seed=4)
     for side in (LEFT, RIGHT):
@@ -581,7 +630,7 @@ def test_preference_argsort_across_row_blocks():
 # sort keys collide once the column index replaces those bits: each base and
 # its three nearest neighbours on both sides
 _NEIGHBOUR_BASES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.7, -0.7, 1.0,
-                    -3.5, 1e300, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1))
+                    -3.5, 1e300, np.inf, -np.inf)
 
 
 def _neighbours(x: float) -> list[float]:
@@ -608,18 +657,6 @@ def colliding_rows(draw):
 @given(colliding_rows())
 def test_preference_argsort_redoes_colliding_packed_keys(u):
     assert np.array_equal(preference_argsort(u), np.argsort(-u, axis=1, kind="stable"))
-
-
-def test_preference_argsort_orders_nan_payloads_by_column():
-    # NaNs whose payloads differ above the column bits get distinct keys,
-    # positive ones sorting first and negative ones (x86's default NaN) last;
-    # the stable argsort puts every NaN last in column order
-    def nan(bits):
-        return float(np.array(bits, dtype=np.uint64).view(np.float64))
-    pos, neg = nan(0x7FF8_0000_0000_0000), nan(0xFFF8_0000_0000_0000)
-    pos_hi, neg_hi = nan(0x7FF8_0000_0010_0000), nan(0xFFF8_0000_0010_0000)
-    u = np.array([[pos, 1.0, pos_hi], [neg_hi, 1.0, neg], [neg, 0.5, pos_hi]])
-    assert np.array_equal(preference_argsort(u), [[1, 0, 2], [1, 0, 2], [1, 0, 2]])
 
 
 @pytest.mark.parametrize("shape,dtype", [((2, 0), np.int8), ((2, 128), np.int8),
