@@ -299,12 +299,21 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
     that ties the threshold is proposed even when the held proposer's lower
     index wins the tie: the receiver's ordering bounces it, and the
     proposer's pointer counts it, as sequential DA would.
+
+    A one-to-one market run with no edge set keeps its matching and its
+    proposers' lists in the market's cache until a run from the other side,
+    which derives its matching from them by rotations (`_other_optimum`)
+    instead of running the rounds again; the matching and
+    ``proposal_counts`` are those the rounds would give.
     """
     prop = proposing_side
     recv = other_side(prop)
     n_p, n_r = market.n(prop), market.n(recv)
     cap_p, cap_r = market.cap(prop), market.cap(recv)
     _check_shape(edges, market)
+    handoff = edges is None and cap_p == 1 and cap_r == 1
+    if handoff and ("da", recv) in market._cache:
+        return _other_optimum(market, *market._cache.pop(("da", recv)))
     indptr, indices = _candidate_lists(market, prop, edges)
     end = np.diff(indptr)
     u_recv = market.utility_matrix(recv)
@@ -376,7 +385,109 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
     rj, slot = np.nonzero(held >= 0)
     ri = held[rj, slot]
     pairs = np.column_stack((ri, rj) if prop == LEFT else (rj, ri))
-    return Matching(pairs, market.n_left, market.n_right, prop, ptr)
+    matching = Matching(pairs, market.n_left, market.n_right, prop, ptr)
+    if handoff:
+        market._cache[("da", prop)] = (matching, indices)
+    return matching
+
+
+def _other_optimum(market: Market, first: Matching, lists: np.ndarray) -> Matching:
+    """The stable matching that run_da from the receivers' side gives, derived
+    from `first`, the proposers' optimum of a complete one-to-one market, and
+    the proposers' full lists (row-major, flat) by rotation elimination
+    (Gusfield & Irving 1989).
+
+    X is the side that proposed in `first`, Y the other.  For a matched X
+    agent i, s(i) is the first entry after its partner in its list whose Y
+    agent prefers i to its own partner (an unmatched Y agent accepts anyone),
+    and next(i) is that Y agent's partner; i has no next when it has no s(i)
+    or s(i) is unmatched.  Every cycle of `next` is an exposed rotation, and
+    all are found at once by pointer doubling; every agent on one moves to
+    its s(i).  s only moves forward, so it is scanned again only for the
+    agents that moved (from s(i) + 1) and those whose s(i) got a new partner
+    (from s(i)).  With no cycle left the matching is Y's optimum; the X
+    agents `first` leaves unmatched stay unmatched (rural hospitals).  A Y
+    agent's DA proposals run down its list to its partner, so it counts one
+    more than the X agents it ranks above that partner, or all of them if it
+    is unmatched.
+    """
+    x = first.proposing_side
+    y = other_side(x)
+    n_x, n_y = market.n(x), market.n(y)
+    u_y = market.utility_matrix(y)
+    u_flat = u_y.ravel()  # [j * n_x + i]: Y agent j's utility for i
+    # each Y agent's partner, n_x if it has none: the same Y agents stay
+    # matched, and n_x is also where next points when there is none
+    held = first.partner(y)
+    matched = held >= 0
+    held[~matched] = n_x
+    held_u = np.full(n_y, -np.inf)  # each Y agent's utility for its partner
+    held_u[matched] = u_y[matched, held[matched]]
+
+    def scan(agents: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """Per agent, the first list position from `start` on whose Y agent
+        prefers it to that Y agent's partner; n_y where there is none."""
+        out = np.full(agents.size, n_y, dtype=np.int64)
+        todo, pos = np.arange(agents.size), start.astype(np.int64)
+        width = _WINDOW_START
+        while todo.size:
+            length = np.minimum(n_y - pos, width)
+            first_at = np.cumsum(length) - length  # each window's offset
+            i = agents[todo]
+            at = np.repeat(i * n_y + pos - first_at, length) + np.arange(length.sum())
+            j = lists[at].astype(np.int64)
+            i = np.repeat(i, length)
+            hit = np.flatnonzero(_ranks_above(u_flat[j * n_x + i], i, held_u[j], held[j]))
+            seg = np.searchsorted(first_at, hit, side="right") - 1
+            lead = np.diff(seg, prepend=-1) != 0  # each window's first hit
+            hit, seg = hit[lead], seg[lead]
+            out[todo[seg]] = pos[seg] + hit - first_at[seg]
+            pos += length
+            more = np.ones(todo.size, dtype=bool)
+            more[seg] = False
+            more &= pos < n_y
+            todo, pos = todo[more], pos[more]
+            width *= 2
+        return out
+
+    s_pos = np.full(n_x, n_y, dtype=np.int64)  # list position of s(i); n_y: none
+    agents = held[matched]
+    # a matched proposer's count is one past its partner's list position
+    s_pos[agents] = scan(agents, first.proposal_counts[agents])
+    while True:
+        has = np.flatnonzero(s_pos < n_y)
+        s = np.zeros(n_x, dtype=np.int64)
+        s[has] = lists[has * n_y + s_pos[has]]
+        reach = np.full(n_x + 1, n_x)  # next, n_x where there is none
+        reach[has] = held[s[has]]
+        for _ in range(n_x.bit_length()):  # reach = next^(2^k), 2^k > n_x
+            reach = reach[reach]
+        on_cycle = np.zeros(n_x + 1, dtype=bool)
+        on_cycle[reach] = True  # every tail has ended on its cycle
+        on_cycle = on_cycle[:n_x]
+        movers = np.flatnonzero(on_cycle)
+        if movers.size == 0:
+            break
+        targets = s[movers]
+        held[targets] = movers
+        held_u[targets] = u_y[targets, movers]
+        new_partner = np.zeros(n_y, dtype=bool)
+        new_partner[targets] = True
+        passed = has[new_partner[s[has]] & ~on_cycle[has]]
+        s_pos[movers] = scan(movers, s_pos[movers] + 1)
+        s_pos[passed] = scan(passed, s_pos[passed])
+
+    idx = np.arange(n_x)
+
+    def count(lo: int) -> np.ndarray:
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        return _ranks_above(u_y[rows], idx, held_u[rows, None], held[rows, None]).sum(axis=1)
+
+    counts = np.concatenate(_map_blocks(count, n_y)) + 1
+    counts[~matched] = n_x
+    j = np.flatnonzero(matched)
+    pairs = np.column_stack((held[j], j) if x == LEFT else (j, held[j]))
+    return Matching(pairs, market.n_left, market.n_right, y, counts)
 
 
 def double_cut_edges(market: Market, proposing_side: str, cut: CutSpec) -> EdgeSet:
@@ -420,7 +531,8 @@ def run_double_cut_da(market: Market, proposing_side: str, cut: CutSpec) -> Matc
 
 
 def extreme_matchings(market: Market, edges: EdgeSet | None = None) -> tuple[Matching, Matching]:
-    """(left-optimal, right-optimal) stable matchings via the two proposing directions."""
+    """(left-optimal, right-optimal) stable matchings via the two proposing
+    directions; `run_da` derives the second by rotations when it can."""
     return run_da(market, LEFT, edges), run_da(market, RIGHT, edges)
 
 

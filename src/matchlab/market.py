@@ -286,7 +286,8 @@ class Market:
     Every market draws its scores from `seed` whenever it needs them, so it
     holds no score matrix.  It caches each side's utility matrix on first
     use, and beside it the column maxima (`best_utility`) taken during the
-    same fill.
+    same fill.  Under ``("da", side)`` it holds a one-to-one `run_da`'s
+    matching and lists until the run from the other side (`engine.run_da`).
     """
 
     n_left: int
@@ -311,6 +312,9 @@ class Market:
             setattr(self, name, arr)
         if self.ratings_left.shape != (self.n_left,) or self.ratings_right.shape != (self.n_right,):
             raise ValueError("rating vector shapes disagree with side sizes")
+        for name in ("cap_left", "cap_right"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} is {getattr(self, name)}; capacities must be at least 1")
         _check_seed(self.seed)
 
     # -- side-indexed accessors ------------------------------------------
@@ -397,9 +401,11 @@ class Market:
         The values equal ``np.argsort(-u, axis=1, kind="stable")`` of this
         side's utility matrix, in `preference_argsort`'s narrow signed dtype
         (int16 for 129 to 32768 partners), from its packed-key value sort.
-        Sorted on every call, not cached:
-        no suite reads a side's full lists twice, so a cached n x n table
-        would only hold memory."""
+        Sorted on every call, not cached here.  A one-to-one `run_da` with
+        no edge set keeps the lists it sorted, with its matching, until the
+        run from the other side derives its matching from them.  No suite
+        reads a side's full lists twice, so a table cached for longer would
+        only hold memory."""
         return preference_argsort(self.utility_matrix(side))
 
     # -- alignment ----------------------------------------------------------
@@ -590,8 +596,6 @@ def generate_market(
     pass rating_ranges="unit" to force both sides onto [0, 1].
     """
     _check_fits(n_left, n_right)
-    if cap_left < 1 or cap_right < 1:
-        raise ValueError("capacities must be at least 1")
     seed = _check_seed(seed)  # before the rating draws, whose own error names no seed
     range_left, range_right = _resolve_ranges(n_left, n_right, cap_left, cap_right, rating_ranges)
 

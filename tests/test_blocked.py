@@ -343,7 +343,9 @@ def test_utility_matrix_matches_whole_array(n_left, n_right):
     ml.custom_model("curved-bound", curved, lambda r, s: r * r + s, ratio_low=0.1, slope_cap=2.0),
 ], ids=["linear", "custom"])
 def test_best_utility_filled_with_the_matrix_and_reused(model):
-    m = ml.generate_market(2 * B + 5, 3 * B + 1, model=model, seed=23)
+    # capacity 2: every run takes DA's rounds, none derives its matching
+    # from the other side's by rotations
+    m = ml.generate_market(2 * B + 5, 3 * B + 1, cap_left=2, model=model, seed=23)
     fills, bounds = [], []
     fill, best = m._utility_matrix, m.best_utility
     m._utility_matrix = lambda side: fills.append(side) or fill(side)

@@ -775,3 +775,15 @@ def test_truncation_refuses_one_agent_without_loss_bound_before_any_market(tmp_p
     assert main(["experiment", "truncation", "--n", "1", "--loss-bound", "0.2", "--runs", "2",
                  "--seed", "1", "--out", str(out)]) == 0
     assert len(strict_json(out / "summary.json")["run_seeds"]) == 2
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_market_file_with_capacity_below_one_is_refused(cap, tmp_path, capsys):
+    market, bad = tmp_path / "m.npz", tmp_path / "bad.npz"
+    assert main(["generate", "--n", "4", "--seed", "3", "--out", str(market)]) == 0
+    rewrite_market_file(market, bad, cap_left=cap)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--market", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cap_left is {cap}; capacities must be at least 1\n"
+    assert not out.exists()

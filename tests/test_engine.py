@@ -575,3 +575,105 @@ def test_max_matching_against_exhaustive():
         allowed = rng.random((nl, nr)) < float(rng.uniform(0.1, 0.9))
         assert (ml.max_bipartite_matching(EdgeSet(np.flatnonzero(allowed), nl, nr))
                 == exhaustive_max_matching(allowed))
+
+
+# --- the second extreme by rotations ---------------------------------------
+
+
+def _rounded(rating, score):
+    return np.round(4.0 * (0.5 * rating + 0.5 * score)) / 4.0
+
+
+# utilities on five levels, so most lists and receivers hold exact ties
+TIED_MODEL = ml.custom_model("rotation-ties", _rounded, _rounded, ratio_low=1.0, slope_cap=0.5)
+
+
+@st.composite
+def rotation_cases(draw):
+    """(market arguments, first side): 1-12 agents a side, linear or tied."""
+    model = draw(st.sampled_from([ml.linear_model(w) for w in (0.1, 0.5, 0.8, 0.95)] + [TIED_MODEL]))
+    n_left, n_right = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return (n_left, n_right, model, draw(st.integers(0, 2**32))), draw(st.sampled_from([LEFT, RIGHT]))
+
+
+def _extremes(args, first):
+    """The two runs on one market, `first` side first, and the market."""
+    n_left, n_right, model, seed = args
+    market = ml.generate_market(n_left, n_right, model=model, seed=seed)
+    return ml.run_da(market, first), ml.run_da(market, ml.other_side(first)), market
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_cases())
+def test_second_side_by_rotations_equals_its_own_run(case):
+    args, first = case
+    _, derived, market = _extremes(args, first)
+    assert ("da", first) not in market._cache
+    n_left, n_right, model, seed = args
+    fresh = ml.generate_market(n_left, n_right, model=model, seed=seed)
+    assert_same_run(derived, ml.run_da(fresh, ml.other_side(first)))
+
+
+def _optimum(stable, side, market):
+    """Per `side` agent, its best partner over the stable matchings `stable`."""
+    u = market.utility_matrix(side)
+    best = []
+    for a in range(market.n(side)):
+        partners = {s.partner(side)[a] for s in stable}
+        best.append(min(partners, key=lambda p: (-u[a, p], p)))
+    return best
+
+
+@pytest.mark.parametrize("first", [LEFT, RIGHT])
+def test_both_extremes_equal_the_brute_force_optima(first):
+    rng = np.random.default_rng(83)
+    for k in range(40):
+        n = int(rng.integers(1, 9))
+        model = TIED_MODEL if k % 4 == 0 else ml.linear_model(float(rng.choice([0.1, 0.5, 0.8])))
+        runs = _extremes((n, n, model, int(rng.integers(1 << 32))), first)
+        market = runs[2]
+        stable = brute_force_stable_set(market)
+        for matching in runs[:2]:
+            side = matching.proposing_side
+            assert matching.partner(side).tolist() == _optimum(stable, side, market)
+
+
+@pytest.mark.parametrize("shape", [(300, 300), (2000, 1200)])
+def test_second_side_by_rotations_at_scale(shape):
+    for first in (LEFT, RIGHT):
+        _, derived, _ = _extremes((*shape, ml.linear_model(0.8), 41), first)
+        fresh = ml.generate_market(*shape, model=ml.linear_model(0.8), seed=41)
+        assert_same_run(derived, ml.run_da(fresh, ml.other_side(first)))
+
+
+@pytest.mark.parametrize("case", ["cap-2", "full-edges", "restricted"])
+def test_other_runs_take_the_rounds(monkeypatch, case):
+    # no capacity above 1 and no explicit edge set hands a run on
+    monkeypatch.setattr(engine, "_other_optimum", None)
+    caps = (2, 1) if case == "cap-2" else (1, 1)
+    market = ml.generate_market(30, 40, *caps, model=ml.linear_model(0.7), seed=5)
+    edges = None
+    if case != "cap-2":
+        rng = np.random.default_rng(7)
+        edges = (EdgeSet.full(30, 40) if case == "full-edges"
+                 else EdgeSet(np.flatnonzero(rng.random(30 * 40) < 0.3), 30, 40))
+    for side in (LEFT, RIGHT, LEFT):
+        assert_same_run(ml.run_da(market, side, edges), reference_da(market, side, edges))
+    assert not any(key[0] == "da" for key in market._cache)
+    if case == "full-edges":
+        # an explicit edge set neither takes nor leaves the hand-off
+        ml.run_da(market, LEFT)
+        assert_same_run(ml.run_da(market, RIGHT, edges), reference_da(market, RIGHT))
+        assert ("da", LEFT) in market._cache
+
+
+def test_hand_off_is_dropped_after_the_second_run():
+    market = ml.generate_market(20, 20, model=ml.linear_model(0.5), seed=3)
+    first = ml.run_da(market, LEFT)
+    assert market._cache[("da", LEFT)][0] is first
+    ml.run_da(market, RIGHT)
+    assert not any(key[0] == "da" for key in market._cache)
+    # with nothing to derive from, the next run takes the rounds again
+    again = ml.run_da(market, LEFT)
+    assert again is not first and again.edges == first.edges
+    assert ("da", LEFT) in market._cache
