@@ -262,18 +262,9 @@ def _candidate_lists(market: Market, proposing_side: str, edges: EdgeSet | None)
 # Each free proposer reads a window of its list per round, `_WINDOW_START`
 # entries at first.  The window doubles, up to `_WINDOW_CAP`, after each round
 # in which the proposer makes no proposal, and falls back to `_WINDOW_START`
-# once it makes one.  When a round's windows add up to more than
-# `_ROUND_BUDGET` entries per agent on the larger side, all are scaled down
-# to fit.  Windows of any size give the same run.
+# once it makes one.  Windows of any size give the same run.
 _WINDOW_START = 4
 _WINDOW_CAP = 32
-_ROUND_BUDGET = 8
-
-
-def _fit_budget(length: np.ndarray, budget: int) -> np.ndarray:
-    """Window lengths scaled down in proportion to sum to about `budget`,
-    at least one entry each."""
-    return np.maximum(length * budget // length.sum(), 1)
 
 
 def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = None) -> Matching:
@@ -326,15 +317,12 @@ def run_da(market: Market, proposing_side: str = LEFT, edges: EdgeSet | None = N
     held = np.full((n_r, cap_r), -1, dtype=np.int64)  # best first, -1 pads free slots
     thr_u = np.full(n_r, -np.inf)  # worst held utility once full; -inf while room
     seen = np.zeros(n_r, dtype=bool)  # scratch: the receivers proposed to in a round
-    budget = _ROUND_BUDGET * max(n_p, n_r)
 
     while True:
         free = np.flatnonzero((n_match < cap_p) & (ptr < end))
         if free.size == 0:
             break
         length = np.minimum(end[free] - ptr[free], window[free])
-        if length.sum() > budget:
-            length = _fit_budget(length, budget)
         first = np.cumsum(length) - length  # each window's offset in the round
         at = np.repeat(indptr[free] + ptr[free] - first, length)
         at += np.arange(at.size)

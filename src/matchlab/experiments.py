@@ -386,38 +386,31 @@ def _everyone_matched(matching) -> bool:
     return bool(matching.matched_mask(LEFT).all() and matching.matched_mask(RIGHT).all())
 
 
+def _fills_every_slot(market: Market, matching) -> bool:
+    return all((matching.edges.degrees(side) == market.cap(side)).all() for side in SIDES)
+
+
 # the min-L scan's first span of grid indices; each later span is twice as long
 _FIRST_SPAN = 8
 
 
 def _min_L_run(config: ExperimentConfig, run_index: int, start: int = 0) -> dict:
     """First grid index at or above `start` whose acceptable set matches
-    everyone in one market.
+    everyone in one market, and whether the matching found there fills
+    every slot on both sides (`saturated`).
 
     The acceptable sets grow with the grid value, so the scan builds one set
     at the top of a span of grid indices and gives each of its edges the
     index where it enters.  A level below some agent's first edge leaves
     that agent without an edge and is skipped; every other level runs DA on
-    the edges entered by then, the set `acceptable_edges` builds there.  A
-    rescan (`start` above 0) first tests the set at `start` alone, which a
-    one-to-one market always passes, and scans on from `start + 1` only
-    when it fails.  (An edge entering above a level ranks, for one endpoint,
-    below all its edges there, so a perfect stable matching stays stable;
-    by the rural-hospitals theorem every stable matching is then perfect.)
+    the edges entered by then, the set `acceptable_edges` builds there.  The
+    first span is the first `_FIRST_SPAN` indices, or `start` alone for a
+    rescan; each later span is twice as long.
     """
     market = config.make_market(run_index)
     grid = _loss_grid(config)
-    if start > 0:
-        sigma_l, sigma_r = _zone_widths(config, market, grid[start])
-        edges = acceptable_edges(market, float(grid[start]), float(grid[start]), sigma_l, sigma_r)
-        if _everyone_matched(run_da(market, config.proposing_side, edges)):
-            return {"run": run_index, "first_L": float(grid[start]), "grid_index": start,
-                    "matched": True}
-        start += 1
-    lo, stop = 0, _FIRST_SPAN
-    while stop <= start:  # on to the span that holds `start`
-        lo, stop = stop, 2 * stop
-    while max(lo, start) < len(grid):
+    lo, stop = start, start + 1 if start else _FIRST_SPAN
+    while lo < len(grid):
         caps = grid[:stop]
         top = caps.size - 1
         sigma_l, sigma_r = _zone_widths(config, market, caps)
@@ -430,13 +423,15 @@ def _min_L_run(config: ExperimentConfig, run_index: int, start: int = 0) -> dict
         np.minimum.at(first[LEFT], flat // market.n_right, level)
         np.minimum.at(first[RIGHT], flat % market.n_right, level)
         lowest = int(max(first[LEFT].max(), first[RIGHT].max()))
-        for idx in range(max(lo, start, lowest), caps.size):
+        for idx in range(max(lo, lowest), caps.size):
             edges = EdgeSet(flat[level <= idx], market.n_left, market.n_right)
-            if _everyone_matched(run_da(market, config.proposing_side, edges)):
+            matching = run_da(market, config.proposing_side, edges)
+            if _everyone_matched(matching):
                 return {"run": run_index, "first_L": float(grid[idx]), "grid_index": idx,
-                        "matched": True}
+                        "matched": True, "saturated": _fills_every_slot(market, matching)}
         lo, stop = stop, 2 * stop
-    return {"run": run_index, "first_L": float(grid[-1]), "grid_index": len(grid) - 1, "matched": False}
+    return {"run": run_index, "first_L": float(grid[-1]), "grid_index": len(grid) - 1,
+            "matched": False, "saturated": False}
 
 
 def exp_min_L(config: ExperimentConfig) -> ExperimentReport:
@@ -445,16 +440,26 @@ def exp_min_L(config: ExperimentConfig) -> ExperimentReport:
     Returns the grid maximum as a sentinel when no grid value suffices.
     Each run is scanned upward to its first sufficient threshold.  The
     candidate, the largest of these, is then re-verified: every run whose
-    last scan stopped below it is scanned again from the candidate, the
-    candidate moves to the largest index those scans return, and this
-    repeats until every run matches at the candidate.
+    last scan stopped below it with a slot left empty is scanned again from
+    the candidate, the candidate moves to the largest index those scans
+    return, and this repeats until every run matches at the candidate.
+
+    A run whose matching fills every slot on both sides at level k matches
+    everyone at every higher level, so it needs no second scan.  An edge
+    that enters above k was refused at k by one endpoint outside its bottom
+    zone, which strictly prefers every edge it holds at k to that edge; the
+    endpoint is full, so the edge does not block, and the matching stays
+    stable on every larger set.  By the rural-hospitals theorem (Gale &
+    Sotomayor 1985; Roth 1986) every stable matching there fills the same
+    slots.  A one-to-one run that matches everyone is full, so one-to-one
+    min-L draws each market once; only runs with spare capacity rescan.
     """
     results = _map_runs(_min_L_run, config)
     grid = _loss_grid(config)
     latest = list(results)  # each run's last scan
     idx = max(r["grid_index"] for r in latest)
     while all(r["matched"] for r in latest):
-        below = [(r["run"], idx) for r in latest if r["grid_index"] < idx]
+        below = [(r["run"], idx) for r in latest if r["grid_index"] < idx and not r["saturated"]]
         if not below:
             break
         for r in _map_runs(_min_L_run, config, below):
@@ -591,10 +596,12 @@ def exp_loss_scaling(config: ExperimentConfig) -> ExperimentReport:
     scaling = [(run, n) for n in config.n_values for run in range(config.runs)]
     exceedance_runs = [] if config.exceedance_n is None else [
         (run, config.exceedance_n) for run in range(config.runs)]
-    config.check_sizes(n for _, n in scaling + exceedance_runs)  # before the first draw
-    pooled = _map_runs(_non_bottom_losses, config, scaling + exceedance_runs)
-    results = [{"run": run, "n": n, **_loss_stats(vals), "non_bottom": int(vals.size)}
-               for (run, n), vals in zip(scaling, pooled)]
+    # a (run, n) market in both lists, or at a repeated n, is drawn once
+    tasks = list(dict.fromkeys(scaling + exceedance_runs))
+    config.check_sizes(n for _, n in tasks)  # before the first draw
+    pooled = dict(zip(tasks, _map_runs(_non_bottom_losses, config, tasks)))
+    results = [{"run": run, "n": n, **_loss_stats(pooled[run, n]),
+                "non_bottom": int(pooled[run, n].size)} for run, n in scaling]
     rows = [{"kind": "scaling", **r} for r in results]
 
     medians = {n: float(np.median([r["max_loss"] for r in results if r["n"] == n]))
@@ -612,7 +619,8 @@ def exp_loss_scaling(config: ExperimentConfig) -> ExperimentReport:
             config.exceedance_n, config.failure_exponent, config.model()
         ).loss_bound
         counts = {h: [] for h in config.h_values}
-        for (run, _), vals in zip(exceedance_runs, pooled[len(scaling):]):
+        for run, n in exceedance_runs:
+            vals = pooled[run, n]
             for h in config.h_values:
                 threshold = loss_bound / 2**h
                 count = int((vals > threshold).sum())

@@ -180,14 +180,33 @@ def test_loss_grid_ends_within_one_step_of_grid_stop(a, b, c):
     assert grid.max() <= stop < grid[-1] + step - 1e-9
 
 
-def all_matched_at(market, loss_cap, config):
-    """Naive oracle: does DA on the acceptable set at `loss_cap` match
-    everyone?  An agent without an edge fails without a DA run."""
+def da_at(market, loss_cap, config):
+    """Naive oracle: DA on the acceptable set at `loss_cap`, or None when an
+    agent has no edge there (that level fails without a DA run)."""
     sigma_l, sigma_r = experiments._zone_widths(config, market, loss_cap)
     edges = ml.acceptable_edges(market, loss_cap, loss_cap, sigma_l, sigma_r)
     if (edges.degrees(LEFT) == 0).any() or (edges.degrees(RIGHT) == 0).any():
-        return False
-    return experiments._everyone_matched(experiments.run_da(market, config.proposing_side, edges))
+        return None
+    return experiments.run_da(market, config.proposing_side, edges)
+
+
+def all_matched_at(market, loss_cap, config):
+    """Naive oracle: does DA on the acceptable set at `loss_cap` match everyone?"""
+    matching = da_at(market, loss_cap, config)
+    return matching is not None and experiments._everyone_matched(matching)
+
+
+def naive_first_level(market, config, start=0):
+    """What `_min_L_run(config, run, start)` should return for `market`, by
+    the naive oracle, less the run index."""
+    grid = _loss_grid(config)
+    for idx in range(start, len(grid)):
+        matching = da_at(market, float(grid[idx]), config)
+        if matching is not None and experiments._everyone_matched(matching):
+            return {"first_L": float(grid[idx]), "grid_index": idx, "matched": True,
+                    "saturated": experiments._fills_every_slot(market, matching)}
+    return {"first_L": float(grid[-1]), "grid_index": len(grid) - 1, "matched": False,
+            "saturated": False}
 
 
 MIN_L_CASES = {
@@ -235,17 +254,9 @@ def test_min_L_matches_naive_scan(monkeypatch):
         cfg = min_L_config(case)
         grid = _loss_grid(cfg)
 
-        def naive_run(run):
-            market = cfg.make_market(run)
-            for idx, cap in enumerate(grid):
-                if all_matched_at(market, float(cap), cfg):
-                    return {"run": run, "first_L": float(cap), "grid_index": idx, "matched": True}
-            return {"run": run, "first_L": float(grid[-1]), "grid_index": len(grid) - 1,
-                    "matched": False}
-
         for run in range(cfg.runs):
             da_edges.clear()
-            want = naive_run(run)
+            want = {"run": run, **naive_first_level(cfg.make_market(run), cfg)}
             naive_edges = da_edges.copy()
             da_edges.clear()
             assert _min_L_run(cfg, run) == want, case
@@ -257,6 +268,8 @@ def test_min_L_matches_naive_scan(monkeypatch):
         report = exp_min_L(cfg)
         if case == "multi-round":
             assert len(set(rescans)) > 1, rescans  # rescans from more than one candidate
+        elif cfg.cap_left == cfg.cap_right == 1:
+            assert not rescans, (case, rescans)  # a run that matches everyone is full
         markets = [cfg.make_market(i) for i in range(cfg.runs)]
         naive = next((float(cap) for cap in grid
                       if all(all_matched_at(m, float(cap), cfg) for m in markets)), None)
@@ -268,59 +281,59 @@ def test_min_L_matches_naive_scan(monkeypatch):
             assert report.summary["min_L"] == pytest.approx(naive), case
 
 
-def test_min_L_rescan_tests_its_start_first(monkeypatch):
-    # a rescan whose start matches everyone computes no entry levels; one
-    # that fails there scans on to the naive oracle's answer
+def test_min_L_rescan_tests_its_start_first():
+    # a rescan from any start above a run's first level returns the naive
+    # oracle's answer from that start, whether the start matches or not
     from matchlab.experiments import _min_L_run
 
-    entry_calls = []
-    entry_levels = experiments.acceptable_entry_levels
-
-    def counting_entry_levels(*args):
-        entry_calls.append(args)
-        return entry_levels(*args)
-
-    monkeypatch.setattr(experiments, "acceptable_entry_levels", counting_entry_levels)
     failed_starts = 0
     for case in ("theory", "fixed", "multi-round"):
         cfg = min_L_config(case)
         grid = _loss_grid(cfg)
         for run in range(cfg.runs):
             market = cfg.make_market(run)
-            matched = [all_matched_at(market, float(cap), cfg) for cap in grid]
             for start in range(_min_L_run(cfg, run)["grid_index"] + 1, len(grid)):
-                entry_calls.clear()
-                got = _min_L_run(cfg, run, start)
-                idx = next((k for k in range(start, len(grid)) if matched[k]), None)
-                want = ({"run": run, "first_L": float(grid[idx]), "grid_index": idx, "matched": True}
-                        if idx is not None else {"run": run, "first_L": float(grid[-1]),
-                                                 "grid_index": len(grid) - 1, "matched": False})
-                assert got == want, (case, run, start)
-                if matched[start]:
-                    assert not entry_calls, (case, run, start)
-                else:
-                    failed_starts += 1
-                    assert entry_calls or start == len(grid) - 1, (case, run, start)
+                want = naive_first_level(market, cfg, start)
+                assert _min_L_run(cfg, run, start) == {"run": run, **want}, (case, run, start)
+                failed_starts += want["grid_index"] > start or not want["matched"]
     assert failed_starts  # the multi-round case rescans from a start that fails
 
 
+@st.composite
+def min_L_shapes(draw):
+    """(n_left, n_right, cap_left, cap_right): capacities 1-3 on each side,
+    with capacity-balanced sizes (n_left * cap_left == n_right * cap_right)
+    in about three draws of four."""
+    cap_left, cap_right, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 40))
+    n_right = draw(st.integers(1, 60)) if draw(st.integers(0, 3)) == 0 else n * cap_left
+    return n * cap_right, n_right, cap_left, cap_right
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(2, 40), st.floats(0.05, 0.95), st.integers(0, 2**32),
+@given(min_L_shapes(), st.floats(0.05, 0.95), st.integers(0, 2**32),
        st.sampled_from(["theory", "fixed"]), st.integers(0, 300), st.integers(0, 300),
-       st.integers(0, 200), st.integers(1, 60), st.integers(2, 20))
-def test_one_to_one_min_L_levels_are_nested(n, weight, seed, rule, sigma_left, sigma_right,
-                                            start, step, count):
-    # what lets a min-L rescan test its start alone: in a balanced one-to-one
-    # market, once a grid level's acceptable set matches everyone, every
-    # higher level's does too (the capacitated multi-round case shows the
-    # property fails with capacities above 1)
-    cfg = ExperimentConfig("min-L", n_left=n, weight=weight, seed=seed, sigma_rule=rule,
-                           sigma_left=sigma_left / 1000, sigma_right=sigma_right / 1000,
-                           grid_start=start / 1000, grid_step=step / 1000,
-                           grid_stop=(start + step * (count - 1)) / 1000)
+       st.integers(0, 200), st.integers(1, 60), st.integers(2, 20), st.sampled_from([LEFT, RIGHT]))
+# found by search: grid level 8 matches everyone with slots to spare, level 9 does not
+@example((30, 30, 2, 2), 0.8, 26, "theory", 0, 0, 20, 20, 25, LEFT)
+def test_one_to_one_min_L_levels_are_nested(shape, weight, seed, rule, sigma_left, sigma_right,
+                                            start, step, count, side):
+    # what lets min-L skip the rescan of a saturated run: once a grid
+    # level's DA matching fills every slot on both sides, every higher
+    # level's matches everyone.  In a one-to-one market matching everyone
+    # fills every slot, so the levels that match everyone are nested; with
+    # spare capacity they need not be (the example above).
+    n_left, n_right, cap_left, cap_right = shape
+    cfg = ExperimentConfig("min-L", n_left=n_left, n_right=n_right, cap_left=cap_left,
+                           cap_right=cap_right, weight=weight, seed=seed, proposing_side=side,
+                           sigma_rule=rule, sigma_left=sigma_left / 1000,
+                           sigma_right=sigma_right / 1000, grid_start=start / 1000,
+                           grid_step=step / 1000, grid_stop=(start + step * (count - 1)) / 1000)
     market = cfg.make_market(0)
-    matched = [all_matched_at(market, float(cap), cfg) for cap in _loss_grid(cfg)]
-    assert matched == sorted(matched), matched
+    runs = [da_at(market, float(cap), cfg) for cap in _loss_grid(cfg)]
+    matched = [m is not None and experiments._everyone_matched(m) for m in runs]
+    full = [m is not None and experiments._fills_every_slot(market, m) for m in runs]
+    if True in full:
+        assert all(matched[full.index(True):]), (full, matched)
 
 
 def test_min_L_reverification_holds_one_market_at_a_time(monkeypatch):
@@ -335,9 +348,27 @@ def test_min_L_reverification_holds_one_market_at_a_time(monkeypatch):
         return market
 
     monkeypatch.setattr(ExperimentConfig, "make_market", tracked)
+    cfg = min_L_config("multi-round")
+    assert exp_min_L(cfg).summary["verified"]
+    assert len(made) >= cfg.runs + 2  # the re-verification pass made several markets
+    # a one-to-one run that matches everyone fills every slot: no rescan
+    made.clear()
     report = exp_min_L(ExperimentConfig("min-L", n_left=60, runs=4, seed=3, grid_step=0.02))
     assert report.summary["verified"]
-    assert len(made) >= 4 + 2  # the re-verification pass made several markets
+    assert len(made) == 4
+
+
+def test_loss_scaling_draws_each_market_once(monkeypatch):
+    made = []
+    make_market = ExperimentConfig.make_market
+    monkeypatch.setattr(ExperimentConfig, "make_market",
+                        lambda self, *a, **k: made.append(a) or make_market(self, *a, **k))
+    # the exceedance runs at n = 40 are the scaling runs at n = 40
+    cfg = ExperimentConfig(experiment="loss-scaling", weight=0.5, runs=2, seed=1,
+                           n_values=(40, 80), exceedance_n=40)
+    report = exp_loss_scaling(cfg)
+    assert len(made) == 4
+    assert [r["kind"] for r in report.rows].count("exceedance") == 2 * len(cfg.h_values)
 
 
 def test_unique_partners_report(tmp_path):
