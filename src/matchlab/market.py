@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import operator
 import os
+import threading
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable
 
@@ -191,25 +192,39 @@ def _usable_cpus() -> int:
 
 
 def _map_blocks(fn: Callable[[int], object], n_rows: int) -> list:
-    """``[fn(lo) for lo in range(0, n_rows, _BLOCK_ROWS)]``, on up to two threads.
-
-    Each call gets its own pool, joined before it returns, so a process
-    forked afterwards (the `--jobs` workers) inherits no threads.  One block,
-    or one usable CPU (as in each `--jobs` worker), runs inline and starts
-    no thread.  `fn` must touch
-    only its own block's rows of any array it writes; the results come back
-    in block order, so the output does not depend on the number of threads.
-    The bulk numpy work in each block releases the GIL, which is what lets
-    two blocks run at once.
+    """``[fn(lo) for lo in range(0, n_rows, _BLOCK_ROWS)]``, run by the calling
+    thread and one helper thread, joined before the call returns (so a `--jobs`
+    worker forked later inherits no thread); one block, or one usable CPU (as
+    in a `--jobs` worker), runs inline.  Both threads take blocks in order from
+    one iterator and store results by block index; `fn` must write only its own
+    block's rows, and its bulk numpy work releases the GIL.  A thread that sees
+    a failure takes no further block, but every block taken runs, so the lowest
+    failing block's error is raised, as a serial pass would raise it.
     """
     starts = range(0, n_rows, _BLOCK_ROWS)
-    workers = min(2, _usable_cpus(), len(starts))
-    if workers < 2:
+    if len(starts) < 2 or _usable_cpus() < 2:
         return [fn(lo) for lo in starts]
-    from concurrent.futures import ThreadPoolExecutor
+    results, failed = [None] * len(starts), {}
+    blocks = enumerate(starts)  # shared: each next() is one step under the GIL
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, starts))
+    def work() -> None:
+        for i, lo in blocks:
+            try:
+                results[i] = fn(lo)
+            except BaseException as error:
+                failed[i] = error
+            if failed:
+                return
+
+    helper = threading.Thread(target=work)
+    helper.start()
+    try:
+        work()
+    finally:
+        helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def preference_argsort(u: np.ndarray) -> np.ndarray:
@@ -230,8 +245,8 @@ def preference_argsort(u: np.ndarray) -> np.ndarray:
     column, and the low bits read back as the indices.  A row in which two
     keys agree above the low bits (an exact tie, or distinct values that
     differ only there) is sorted again stably.  Working block by block keeps
-    the temporaries small, and lets `_map_blocks` sort two blocks at once.
-    The values must be finite, as a market's utilities are.
+    the temporaries small, and lets `_map_blocks` sort two blocks at once:
+    one on the calling thread, one on its helper.  Values must be finite.
     """
     n_cols = u.shape[1]
     out = np.empty(u.shape, dtype=np.min_scalar_type(-max(n_cols, 1)))
@@ -557,8 +572,8 @@ def _fill_score_rows(seed: int, label: int, out: np.ndarray,
     then go through `_map_blocks`: a block resets one Philox to each row's
     key, with counter 0 and an empty buffer, and draws the row.  That is the
     state `stream_rng(seed, label, i)` starts in, so the bits equal its
-    draws.  The bulk draws release the GIL; the resets are the only Python
-    work left per row.
+    draws.  A row's draw releases the GIL and the reset before it holds it,
+    so the caller and its helper thread hand the GIL over once a row.
     """
     keys = _philox_keys(seed, label, np.arange(out.shape[0])).tolist()
 

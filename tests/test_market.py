@@ -1,9 +1,9 @@
 import ast
-import concurrent.futures
 import inspect
 import math
 import re
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -285,18 +285,18 @@ def test_generate_refuses_negative_seed():
         ml.generate_market(3, 3, model=ml.linear_model(0.5), seed=-1)
 
 
-def counted_pools(monkeypatch) -> list:
-    """The list that every thread pool created from here on is added to."""
-    pools = []
+def counted_threads(monkeypatch) -> list:
+    """The list that every helper thread `_map_blocks` starts from here on is
+    added to."""
+    threads = []
 
-    class CountingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
+    class CountingThread(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
 
-    # _map_blocks imports the pool class when it runs, so patch its source
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    return pools
+    monkeypatch.setattr(market_module.threading, "Thread", CountingThread)
+    return threads
 
 
 @pytest.mark.parametrize("call", [
@@ -313,10 +313,10 @@ def test_pooled_calls_leave_no_thread_running(monkeypatch, call):
     for side in (LEFT, RIGHT):  # so the call's own pass is what starts threads
         m.utility_matrix(side)
     monkeypatch.setattr(market_module, "_usable_cpus", lambda: 2)
-    pools = counted_pools(monkeypatch)
+    threads = counted_threads(monkeypatch)
     before = threading.active_count()
     call(m)
-    assert pools  # the call did run blocks on threads
+    assert threads  # the call did run blocks on a helper thread
     assert threading.active_count() == before
 
 
@@ -353,13 +353,13 @@ def test_utility_fill_refuses_non_finite_values(monkeypatch, cpus, side, cells, 
     drawn = ml.generate_market(n_left, n_right, model=ml.linear_model(0.5), seed=47)
     m = ml.generate_market(n_left, n_right, model=poisoned_model(drawn, side, cells), seed=47)
     monkeypatch.setattr(market_module, "_usable_cpus", lambda: cpus)
-    pools = counted_pools(monkeypatch)
+    threads = counted_threads(monkeypatch)
     before = threading.active_count()
     message = "utility model {'kind': 'custom', 'name': 'poisoned'} gives " + first
     for call in (m.utility_matrix, lambda s: ml.run_da(m, ml.other_side(s))):
         with pytest.raises(ValueError, match=re.escape(message) + "; utilities must be finite"):
             call(side)
-    assert bool(pools) == (cpus == 2)  # the refusals came back through the pool
+    assert bool(threads) == (cpus == 2)  # the refusals came back from threaded passes
     assert threading.active_count() == before
     m.utility_matrix(ml.other_side(side))  # the other side is finite
 
@@ -370,17 +370,71 @@ def test_process_pool_workers_run_blocks_inline():
         assert pool.submit(market_module._usable_cpus).result(timeout=60) == 1
 
 
-def test_one_place_constructs_a_thread_pool():
-    # every threaded pass goes through market._map_blocks
+def test_one_place_constructs_a_thread():
+    # every threaded pass goes through market._map_blocks, and none uses a pool
     sites = []
     for path in sorted(Path(market_module.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call) and "ThreadPoolExecutor" in
+        source = path.read_text()
+        assert "ThreadPoolExecutor" not in source, path.name
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Call) and "Thread" in
                     (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
                 sites.append((path.name, node.lineno))
     body, first = inspect.getsourcelines(market_module._map_blocks)
     assert [name for name, _ in sites] == ["market.py"]
     assert first <= sites[0][1] < first + len(body)
+
+
+def test_map_blocks_returns_block_order_when_blocks_take_uneven_times(monkeypatch):
+    monkeypatch.setattr(market_module, "_usable_cpus", lambda: 2)
+    ran_on = set()
+
+    def fn(lo):
+        ran_on.add(threading.get_ident())
+        if lo // B % 2 == 0:
+            time.sleep(0.002)
+        return lo
+
+    n_rows = 9 * B + 5
+    assert market_module._map_blocks(fn, n_rows) == list(range(0, n_rows, B))
+    assert len(ran_on) == 2  # the caller and its helper both ran blocks
+
+
+def test_map_blocks_raises_the_lowest_failing_block(monkeypatch):
+    monkeypatch.setattr(market_module, "_usable_cpus", lambda: 2)
+    threads = counted_threads(monkeypatch)
+    before = threading.active_count()
+
+    def fn(lo):
+        block = lo // B
+        if block == 1:
+            time.sleep(0.005)  # block 3 fails first in time
+        if block in (1, 3):
+            raise ValueError(f"block {block}")
+        return block
+
+    for _ in range(20):
+        with pytest.raises(ValueError, match="^block 1$"):
+            market_module._map_blocks(fn, 6 * B)
+    assert len(threads) == 20
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus,n_rows", [(2, B), (2, 1), (2, 0), (1, 5 * B)],
+                         ids=["one-block", "one-row", "no-rows", "one-cpu"])
+def test_map_blocks_inline_starts_no_thread(monkeypatch, cpus, n_rows):
+    monkeypatch.setattr(market_module, "_usable_cpus", lambda: cpus)
+    threads = counted_threads(monkeypatch)
+    caller = threading.get_ident()
+    ran_on = set()
+
+    def fn(lo):
+        ran_on.add(threading.get_ident())
+        return lo
+
+    assert market_module._map_blocks(fn, n_rows) == list(range(0, n_rows, B))
+    assert threads == []
+    assert ran_on <= {caller}
 
 
 def test_marginal_uniformity_ks():
