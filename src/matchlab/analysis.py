@@ -261,22 +261,15 @@ def acceptable_entry_levels(market: Market, caps, sigmas_left, sigmas_right,
 
 def _first_cap(u: np.ndarray, bench: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Per entry, the smallest k with ``u >= bench - caps[k]`` (``caps.size``
-    where none holds).
-
-    A sorted search for ``bench - u`` among the caps gives an estimate that
-    rounding may leave one step off; exact comparisons in the form the
-    acceptable-edge test uses then move each entry down or up until none moves.
+    where none holds): the number of caps that fail the test, in the form the
+    acceptable-edge test uses.  ``bench - cap`` falls as the cap grows, even
+    in floating point, so the test holds for every cap from the first that
+    passes, and the count is exact.
     """
-    k = np.searchsorted(caps, bench - u)
-    while True:
-        down = np.flatnonzero(k > 0)
-        down = down[u[down] >= bench[down] - caps[k[down] - 1]]
-        k[down] -= 1
-        up = np.flatnonzero(k < caps.size)
-        up = up[~(u[up] >= bench[up] - caps[k[up]])]
-        k[up] += 1
-        if not (down.size or up.size):
-            return k
+    k = np.zeros(u.shape, dtype=np.intp)
+    for cap in caps:
+        k += ~(u >= bench - cap)
+    return k
 
 
 def viable_edges(market: Market, edges: EdgeSet | None = None) -> EdgeSet:

@@ -274,6 +274,9 @@ def _acceptable(market, args, config):
 
 
 def _truncated(market, args, config):
+    if config.loss_cap_left is None and market.n_left < 2:
+        raise ValueError(f"truncated edges at n_left = {market.n_left} have no theoretical "
+                         "loss bound (it needs n_left >= 2): pass --L")
     params = _loss_params(config.loss_cap_left, market.n_left, config.failure_exponent, market.model)
     return truncated_edges(market, params, *(vars(args).get(t, 1.0) for t in ("t_left", "t_right")))
 

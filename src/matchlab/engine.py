@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import _BLOCK_ROWS, LEFT, RIGHT, SIDES, Market, _map_blocks, other_side
+from .market import _BLOCK_ROWS, LEFT, RIGHT, SIDES, Market, _descending, _map_blocks, other_side
 
 __all__ = [
     "CutSpec",
@@ -228,34 +228,19 @@ def _mutual_edges(market: Market, keep_left, keep_right) -> EdgeSet:
 
 
 def _candidate_lists(market: Market, proposing_side: str, edges: EdgeSet | None):
-    """Proposer lists in CSR form: row offsets and one flat receiver array,
-    each row in preference order (utility desc, index asc)."""
+    """CSR proposer lists (row offsets, one flat receiver array), every row in
+    preference order (utility desc, index asc) by the one sort, `_descending`."""
     n_p, n_r = market.n(proposing_side), market.n(other_side(proposing_side))
     if edges is None or edges.is_full():
         indptr = np.arange(n_p + 1, dtype=np.int64) * n_r
         return indptr, market.preference_order(proposing_side).ravel()
     u = market.utility_matrix(proposing_side)
     indptr, indices = edges.csr(proposing_side)
-    # one block of proposers at a time, so the sorts stay block-sized
     for lo in range(0, n_p, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n_p)
-        span = slice(indptr[lo], indptr[hi])
-        recv = indices[span]
+        recv = indices[indptr[lo]:indptr[hi]]
         prop = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
-        key = -u[lo:hi][prop, recv]
-        # Entries arrive receiver-ascending within each proposer.  An unstable
-        # sort by key, then a stable (radix, for small row keys) sort by
-        # proposer, puts every row in preference order up to tied keys.
-        order = np.argsort(key)
-        order = order[np.argsort(prop.astype(np.min_scalar_type(hi - lo))[order], kind="stable")]
-        rows, keys = prop[order], key[order]
-        # rows holding an exact tie are sorted again stably
-        redo = np.zeros(hi - lo, dtype=bool)
-        redo[rows[1:][(rows[1:] == rows[:-1]) & (keys[1:] == keys[:-1])]] = True
-        if redo.any():
-            again = np.flatnonzero(redo[prop])
-            order[redo[rows]] = again[np.lexsort((key[again], prop[again]))]
-        indices[span] = recv[order]
+        _descending(u[lo:hi][prop, recv], recv.astype(np.uint64), n_r, recv, prop)
     return indptr, indices
 
 

@@ -227,6 +227,50 @@ def _map_blocks(fn: Callable[[int], object], n_rows: int) -> list:
     return results
 
 
+def _descending(values: np.ndarray, cols: np.ndarray, n_cols: int, out: np.ndarray,
+                rows=None) -> None:
+    """Write `cols` (uint64 below `n_cols`, ascending in each row) into `out`
+    in descending order of the finite `values` along the last axis, ties to
+    the lower column; `rows`, if given, are the ascending ids (each below
+    `_BLOCK_ROWS`) of the entries of a 1-D block of whole CSR rows.
+
+    Each entry becomes one uint64 key: its float64 bits mapped so that the
+    unsigned order is the descending order of the values (-0.0 first made
+    0.0), shifted down under the row id if any, with the low bits (enough
+    for a column below `n_cols`) replaced by the column.  One `np.sort` then
+    orders each row; a row in which two keys agree above the low bits (an
+    exact tie, or values that differ only in bits the key drops) is re-sorted stably.
+    """
+    key = np.add(values, 0.0, dtype=np.float64).view(np.uint64)  # -0.0 + 0.0 is 0.0
+    # non-negative values: flip the 63 value bits, so larger sorts first,
+    # below 2**63; negative values keep their bits, above 2**63
+    flip = key >> np.uint64(63)
+    flip -= np.uint64(1)
+    flip >>= np.uint64(1)
+    key ^= flip
+    if rows is not None:
+        row_bits = np.uint64((_BLOCK_ROWS - 1).bit_length())
+        key >>= row_bits
+        key |= rows.astype(np.uint64) << (np.uint64(64) - row_bits)
+    low = np.uint64(max(1, (n_cols - 1).bit_length()))
+    low_mask = (np.uint64(1) << low) - np.uint64(1)
+    key &= ~low_mask
+    key |= cols
+    key.sort(axis=-1)
+    np.bitwise_and(key, low_mask, out=out, casting="unsafe")
+    key >>= low
+    tied = key[..., 1:] == key[..., :-1]
+    if rows is None:
+        redo = tied.any(axis=-1)
+        if redo.any():
+            out[redo] = cols[np.argsort(-values[redo], axis=-1, kind="stable")]
+    elif tied.any():
+        redo = np.zeros(_BLOCK_ROWS, dtype=bool)
+        redo[rows[1:][tied]] = True
+        again = np.flatnonzero(redo[rows])  # a row's positions in `out` are those of its input
+        out[again] = cols[again[np.lexsort((-values[again], rows[again]))]]
+
+
 def preference_argsort(u: np.ndarray) -> np.ndarray:
     """Row-wise ``np.argsort(-u, axis=1, kind="stable")``, computed cheaper
     and held in the smallest signed integer dtype that holds every column
@@ -236,46 +280,17 @@ def preference_argsort(u: np.ndarray) -> np.ndarray:
     so arithmetic on the result cannot wrap below zero; a caller that
     multiplies an entry by a size widens it first.
 
-    Each block of rows is sorted by value, not by argsort: every entry
-    becomes one uint64 key, its float64 bits mapped so that the unsigned
-    order is the descending order of the values (-0.0 first made 0.0), with
-    the low bits, as many as the largest column index needs, replaced by the
-    column.
-    One `np.sort` of the keys then orders each row, ties going to the lower
-    column, and the low bits read back as the indices.  A row in which two
-    keys agree above the low bits (an exact tie, or distinct values that
-    differ only there) is sorted again stably.  Working block by block keeps
-    the temporaries small, and lets `_map_blocks` sort two blocks at once:
-    one on the calling thread, one on its helper.  Values must be finite.
+    Each block of rows is sorted by `_descending`, the packed-key sort of
+    restricted proposer lists too, so temporaries stay small and `_map_blocks`
+    sorts two blocks at once: one on the calling thread, one on its helper.
     """
     n_cols = u.shape[1]
     out = np.empty(u.shape, dtype=np.min_scalar_type(-max(n_cols, 1)))
     if n_cols == 0:
         return out
-    low = np.uint64(max(1, (n_cols - 1).bit_length()))
-    low_mask = (np.uint64(1) << low) - np.uint64(1)
     cols = np.arange(n_cols, dtype=np.uint64)
-
-    def sort(lo: int) -> None:
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        key = np.add(u[rows], 0.0, dtype=np.float64).view(np.uint64)  # -0.0 + 0.0 is 0.0
-        # non-negative values: flip the 63 value bits, so larger sorts first,
-        # below 2**63; negative values keep their bits, above 2**63
-        flip = key >> np.uint64(63)
-        flip -= np.uint64(1)
-        flip >>= np.uint64(1)
-        key ^= flip
-        key &= ~low_mask
-        key |= cols
-        key.sort(axis=1)
-        idx = out[rows]
-        np.bitwise_and(key, low_mask, out=idx, casting="unsafe")
-        key >>= low
-        redo = (key[:, 1:] == key[:, :-1]).any(axis=1)
-        if redo.any():
-            idx[redo] = np.argsort(-u[rows][redo], axis=1, kind="stable")
-
-    _map_blocks(sort, u.shape[0])
+    _map_blocks(lambda lo: _descending(u[lo:lo + _BLOCK_ROWS], cols, n_cols,
+                                       out[lo:lo + _BLOCK_ROWS]), u.shape[0])
     return out
 
 
@@ -415,12 +430,12 @@ class Market:
 
         The values equal ``np.argsort(-u, axis=1, kind="stable")`` of this
         side's utility matrix, in `preference_argsort`'s narrow signed dtype
-        (int16 for 129 to 32768 partners), from its packed-key value sort.
+        (int16 for 129 to 32768 partners), from `_descending`, the one
+        packed-key sort that also orders restricted proposer lists.
         Sorted on every call, not cached here.  A one-to-one `run_da` with
         no edge set keeps the lists it sorted, with its matching, until the
         run from the other side derives its matching from them.  No suite
-        reads a side's full lists twice, so a table cached for longer would
-        only hold memory."""
+        reads a side's full lists twice, so a longer cache only holds memory."""
         return preference_argsort(self.utility_matrix(side))
 
     # -- alignment ----------------------------------------------------------

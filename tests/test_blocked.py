@@ -305,6 +305,54 @@ def test_candidate_lists_match_per_row_sort(case, density):
         assert np.array_equal(indices, want_idx)
 
 
+class HeldUtilityMarket(HeldScoresMarket):
+    """A market whose utilities are its held scores, bit for bit."""
+
+    def _utility_matrix(self, side):
+        u = self.scores(side)
+        return u, np.maximum.reduce(u, axis=0)
+
+
+@st.composite
+def colliding_utility_markets(draw):
+    """Held-utility market whose utilities are a few base values with up to
+    `spread` low bits of their float64 pattern changed: exact ties (-0.0
+    among them) and values that differ only in the low bits a restricted
+    list's sort key drops.  Proposer counts fall on both sides of 64 and
+    128 on each side, and one side may hold a single agent."""
+    n_left, n_right = (draw(st.sampled_from([1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1]))
+                       for _ in range(2))
+    spread = draw(st.sampled_from([2, 8, 16]))
+    bases = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 0.3, 0.7, 1.0, -1.5]),
+                                   min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def utilities(*shape):
+        bits = rng.choice(bases, shape).view(np.uint64)
+        bits += rng.integers(0, 2**spread, shape, dtype=np.uint64) * (rng.random(shape) < 0.7)
+        return bits.view(np.float64)
+
+    market = HeldUtilityMarket(
+        n_left=n_left, n_right=n_right, cap_left=1, cap_right=1,
+        ratings_left=np.zeros(n_left), ratings_right=np.zeros(n_right),
+        scores_left=utilities(n_left, n_right), scores_right=utilities(n_right, n_left),
+        model=ml.linear_model(0.5),
+    )
+    return market, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(colliding_utility_markets(), st.sampled_from([0.1, 0.5, 1.0]))
+def test_candidate_lists_redo_colliding_keys(case, density):
+    market, rng = case
+    edges = random_mask(rng, market, density)  # with one empty row on each side
+    for side in (LEFT, RIGHT):
+        indptr, indices = _candidate_lists(market, side, edges)
+        want_ptr, want_idx = per_row_candidate_lists(market, side, edges)
+        assert np.array_equal(indptr, want_ptr)
+        assert np.array_equal(indices, want_idx)
+
+
 @settings(max_examples=30, deadline=None)
 @given(coarse_markets(balanced=True, one_to_one=True), st.sampled_from([1.0, 3.0, 10.0]))
 def test_selected_edges_match_dense(case, degree):

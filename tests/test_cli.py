@@ -192,6 +192,20 @@ def test_truncated_edges_refuse_one_sided_loss_caps(command, flag, tmp_path, cap
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--n", "1"], ["edges", "--n", "1"], ["run", "--nw", "1", "--nc", "5"],
+], ids=["run", "edges", "run-many-to-one"])
+def test_truncated_edges_at_one_left_agent_need_a_loss_bound(argv, tmp_path, capsys):
+    # the theoretical loss bound needs n_left >= 2; the refusal names the fix
+    argv = [*argv, "--seed", "1", "--edges", "truncated"]
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n_left = 1" in err and "--L" in err
+    assert not (tmp_path / "x").exists()
+    assert main([*argv, "--L", "0.2", "--out", str(tmp_path / "y")]) == 0
+
+
 @pytest.mark.parametrize("argv,message", [
     (["run", "--p", "0.3", "--q", "0.4", "--k", "5", "--t-left", "2", "--c", "3"],
      "full edges read no edge flag: drop --p, --q, --k, --t-left, --c"),

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from hypothesis.vendor.pretty import pretty
 
 import matchlab as ml
+from matchlab import engine
 from matchlab import market as market_module
 from matchlab.analysis import _truncation_thresholds
 from matchlab.market import (
@@ -383,6 +384,32 @@ def test_one_place_constructs_a_thread():
     body, first = inspect.getsourcelines(market_module._map_blocks)
     assert [name for name, _ in sites] == ["market.py"]
     assert first <= sites[0][1] < first + len(body)
+
+
+def test_one_helper_orders_every_preference_list(monkeypatch):
+    # full and restricted lists, from either side, are sorted by
+    # market._descending, and the restricted path sorts nothing itself
+    assert engine._descending is market_module._descending
+    sort, calls = market_module._descending, []
+
+    def counted(values, cols, n_cols, out, rows=None):
+        calls.append(rows is not None)
+        sort(values, cols, n_cols, out, rows)
+
+    for module in (market_module, engine):
+        monkeypatch.setattr(module, "_descending", counted)
+    for side in (LEFT, RIGHT):
+        for restricted in (False, True):
+            market = ml.generate_market(2 * B + 3, 2 * B + 1, model=ml.linear_model(0.8), seed=4)
+            edges = ml.acceptable_edges(market, 0.3, 0.3) if restricted else None
+            assert edges is None or 0 < edges.flat.size < market.n_left * market.n_right
+            calls.clear()
+            ml.run_da(market, side, edges)
+            assert calls and set(calls) == {restricted}, (side, restricted)
+    body = ast.parse(inspect.getsource(engine._candidate_lists).strip())
+    sorts = [node.func.attr for node in ast.walk(body) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) in ("sort", "argsort", "lexsort")]
+    assert sorts == []
 
 
 def test_map_blocks_returns_block_order_when_blocks_take_uneven_times(monkeypatch):
